@@ -255,6 +255,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     if not isinstance(tolerances, dict):
         raise _fail("tolerances", "expected an object of name -> value")
     tolerances = {str(k): _as_float(v, f"tolerances.{k}") for k, v in tolerances.items()}
+    for key in tolerances:
+        if key not in verify.DEFAULT_TOLERANCES:
+            raise _fail(f"tolerances.{key}", f"unknown tolerance; known: {sorted(verify.DEFAULT_TOLERANCES)}")
 
     gains_override = None
     if "gains" in raw:
@@ -299,8 +302,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         raise CliError(EXIT_PARSE, f"{source}: {exc}")
     if config.dt <= 0.0:
         raise _fail("dt", f"must be positive, got {config.dt}")
-    if config.t_final < config.dt:
-        raise _fail("t_final", f"must be at least dt, got {config.t_final}")
+    try:
+        sim.horizon_steps(config.t_final, config.dt)
+    except sim.ConfigurationError as exc:
+        raise _fail("t_final", str(exc))
     if config.sample_stride < 1:
         raise _fail("sample_stride", f"must be >= 1, got {config.sample_stride}")
     return config
@@ -387,13 +392,8 @@ def env_tolerances(environ=None) -> dict:
 
 
 def merged_tolerances(config: RunConfig, environ=None) -> dict:
-    """Defaults, overridden by the config, overridden by the environment."""
-    merged = dict(config.tolerances)
-    merged.update(env_tolerances(environ))
-    unknown = set(merged) - set(verify.DEFAULT_TOLERANCES)
-    if unknown:
-        raise CliError(EXIT_PARSE, f"config field 'tolerances': unknown keys {sorted(unknown)}")
-    return merged
+    """Config tolerances, overridden by the environment; analyze fills in the defaults."""
+    return {**config.tolerances, **env_tolerances(environ)}
 
 
 def initial_states(config: RunConfig, seed_offset: int = 0) -> np.ndarray:
@@ -516,14 +516,6 @@ def read_trace_csv(path: str, config: RunConfig) -> Trace:
     eta = arr[:, 1 + n * d + len(edges)]
     j_realized = arr[:, 2 + n * d + len(edges)]
     j_bound = arr[:, 3 + n * d + len(edges)]
-    x0 = states[0].reshape(n, d)
-    if config.mode == LEADERLESS:
-        average = x0.mean(axis=0)
-        reference = np.empty((len(times), d))
-        for idx, t in enumerate(times):
-            reference[idx] = matops.matrix_exp(config.a * t) @ average
-    else:
-        reference = states[:, :d].copy()
     return Trace(
         mode=config.mode,
         n=n,
@@ -535,9 +527,8 @@ def read_trace_csv(path: str, config: RunConfig) -> Trace:
         j_realized=j_realized,
         j_bound_integral=j_bound,
         eta_norm=eta,
-        reference=reference,
-        x0=x0,
-        warnings=(),
+        reference=sim.reference_trajectory(config.mode, config.a, times, states),
+        x0=states[0].reshape(n, d),
     )
 
 

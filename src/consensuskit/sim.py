@@ -1,17 +1,18 @@
 """Simulation of the adaptive consensus protocols.
 
 Integrates the coupled agent-state and adaptive-weight dynamics with a
-fixed-step fourth-order Runge-Kutta scheme.  The realized quadratic cost and
-the trajectory-dependent integral term of the guaranteed-cost bound ride
-inside the ODE state as augmented coordinates, so both inherit the
-integrator's accuracy order.
+fixed-step fourth-order Runge-Kutta scheme over one flat state vector
+``[x.ravel(), w, J, J_bound]``.  The realized quadratic cost and the
+trajectory-dependent integral term of the guaranteed-cost bound ride inside
+the ODE state as augmented coordinates, so both inherit the integrator's
+accuracy order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,10 +28,12 @@ __all__ = [
     "SimConfig",
     "SimState",
     "Trace",
+    "horizon_steps",
     "leaderless_rhs",
     "leader_follower_rhs",
     "rk4_step",
     "run",
+    "reference_trajectory",
     "consensus_function",
     "disagreement_norm",
     "guaranteed_cost_bound",
@@ -56,6 +59,19 @@ class DivergenceError(SimulationError):
         super().__init__(f"state magnitude {magnitude:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at t={time:.6f}")
 
 
+def horizon_steps(t_final: float, dt: float) -> int:
+    """Number of dt steps spanning [0, t_final].
+
+    Raises ConfigurationError unless t_final is a positive whole multiple of
+    dt to 1e-9 relative, so a horizon is never silently rounded.
+    """
+    ratio = t_final / dt
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
+        raise ConfigurationError(f"t_final {t_final!r} is not a positive whole multiple of dt {dt!r}")
+    return steps
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Integration settings and initial conditions.
@@ -74,8 +90,7 @@ class SimConfig:
         object.__setattr__(self, "x0", x0)
         if not self.dt > 0.0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if self.t_final < self.dt:
-            raise ConfigurationError(f"t_final must be at least dt, got {self.t_final}")
+        horizon_steps(self.t_final, self.dt)
         if self.sample_stride < 1:
             raise ConfigurationError(f"sample_stride must be >= 1, got {self.sample_stride}")
 
@@ -93,16 +108,6 @@ class SimState:
     w: np.ndarray
     j_realized: float
     j_bound_integral: float
-
-
-def _shifted(state: SimState, h: float, k: SimState) -> SimState:
-    return SimState(
-        t=state.t + h * k.t,
-        x=state.x + h * k.x,
-        w=state.w + h * k.w,
-        j_realized=state.j_realized + h * k.j_realized,
-        j_bound_integral=state.j_bound_integral + h * k.j_bound_integral,
-    )
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,6 @@ class Trace:
     eta_norm: np.ndarray
     reference: np.ndarray
     x0: np.ndarray
-    warnings: tuple[str, ...] = ()
 
     def final_state(self) -> SimState:
         return SimState(
@@ -139,124 +143,82 @@ class Trace:
         )
 
 
-class _LeaderlessContext:
-    mode = LEADERLESS
+class _Protocol:
+    """Adaptive coupling over the flat state ``y = [x.ravel(), w, J, J_bound]``.
 
-    def __init__(self, gains: GainSet, topology: Topology):
-        if gains.mode != LEADERLESS:
-            raise ConfigurationError(f"gains are for mode {gains.mode!r}, expected {LEADERLESS!r}")
+    Every edge (i, k) couples its agents with weight w_ik through B K_u:
+    dx = x A^T - E^T ((w_all * (E x)) (B K_u)^T), with E the signed incidence
+    (-1 at i, +1 at k).  Leader-follower mode is the same coupling with the
+    leader's row of E^T zeroed, so the leader propagates autonomously, and
+    with only the leader edges adaptive; follower edges keep their fixed
+    weights in ``w_all``.  The leader is agent 1, so its edges lead the
+    canonical edge order.  Only the cost and bound rates depend on the mode.
+    """
+
+    def __init__(self, gains: GainSet, topology: Topology, mode: str):
+        if gains.mode != mode:
+            raise ConfigurationError(f"gains are for mode {gains.mode!r}, expected {mode!r}")
+        self.mode = mode
         self.n = topology.n
         self.d = gains.state_dim
-        self.adaptive_edges = topology.edges
-        m = len(topology.edges)
-        incidence = np.zeros((m, self.n))
+        self.nd = self.n * self.d
+        if mode == LEADERLESS:
+            self.adaptive_edges = topology.edges
+        else:
+            if topology.leader is None:
+                raise ConfigurationError("leader-follower mode requires a designated leader")
+            if topology.leader != 1:
+                raise ConfigurationError("the leader must be agent 1")
+            self.adaptive_edges = topology.leader_edges()
+        self.adaptive = slice(0, len(self.adaptive_edges))
+        self.incidence = np.zeros((len(topology.edges), self.n))
         for row, (i, k) in enumerate(topology.edges):
-            incidence[row, i - 1] = -1.0
-            incidence[row, k - 1] = 1.0
-        self.incidence = incidence
+            self.incidence[row, i - 1] = -1.0
+            self.incidence[row, k - 1] = 1.0
+        self.incidence_t = self.incidence.T.copy()
+        if mode == LEADER_FOLLOWER:
+            self.incidence_t[0] = 0.0
+        self.w_all = topology.initial_weight_vector(topology.edges)
+        self.w0 = self.w_all[self.adaptive].copy()
         self.a_t = gains.a.T.copy()
         self.bku_t = (gains.b @ gains.k_u).T.copy()
         self.k_w = gains.k_w
         self.q = gains.q
         self.gamma = gains.gamma
-        self.w0 = topology.initial_weight_vector(topology.edges)
-        self.warnings: tuple[str, ...] = ()
 
-    def deriv(self, x: np.ndarray, w: np.ndarray):
+    def deriv(self, y: np.ndarray) -> np.ndarray:
+        x = y[: self.nd].reshape(self.n, self.d)
+        self.w_all[self.adaptive] = y[self.nd : -2]
         diffs = self.incidence @ x
-        lap = self.incidence.T @ (w[:, None] * self.incidence)
-        dx = x @ self.a_t - lap @ (x @ self.bku_t)
-        dw = ((diffs @ self.k_w) * diffs).sum(axis=1)
+        dx = x @ self.a_t - self.incidence_t @ ((self.w_all[:, None] * diffs) @ self.bku_t)
+        adaptive = diffs[self.adaptive]
+        dw = ((adaptive @ self.k_w) * adaptive).sum(axis=1)
         # ordered-pair differences keep the cost rates exactly zero at
         # consensus (mean-deviation forms leave rounding residue)
-        pairs = (x[None, :, :] - x[:, None, :]).reshape(-1, self.d)
-        dj = float(((pairs @ self.q) * pairs).sum()) / self.n
-        djb = self.gamma * float(((pairs @ self.k_w) * pairs).sum()) / (2.0 * self.n)
-        return dx, dw, dj, djb
+        if self.mode == LEADERLESS:
+            pairs = (x[None, :, :] - x[:, None, :]).reshape(-1, self.d)
+            dj = float(((pairs @ self.q) * pairs).sum()) / self.n
+            djb = self.gamma * float(((pairs @ self.k_w) * pairs).sum()) / (2.0 * self.n)
+        else:
+            xf = x[1:]
+            pairs = (xf[None, :, :] - xf[:, None, :]).reshape(-1, self.d)
+            dj = float(((adaptive @ self.q) * adaptive).sum())
+            dj += float(((pairs @ self.q) * pairs).sum()) / (self.n - 1)
+            xi = xf - x[0]
+            djb = self.gamma * float(((xi @ self.k_w) * xi).sum())
+        return np.concatenate((dx.ravel(), dw, (dj, djb)))
 
-    def eta(self, x: np.ndarray) -> float:
-        dev = x - x.mean(axis=0)
+    def eta(self, y: np.ndarray) -> float:
+        x = y[: self.nd].reshape(self.n, self.d)
+        dev = x - x.mean(axis=0) if self.mode == LEADERLESS else x[1:] - x[0]
         return math.sqrt(float((dev * dev).sum()))
 
-
-class _LeaderFollowerContext:
-    mode = LEADER_FOLLOWER
-
-    def __init__(self, gains: GainSet, topology: Topology):
-        if gains.mode != LEADER_FOLLOWER:
-            raise ConfigurationError(f"gains are for mode {gains.mode!r}, expected {LEADER_FOLLOWER!r}")
-        if topology.leader is None:
-            raise ConfigurationError("leader-follower mode requires a designated leader")
-        if topology.leader != 1:
-            raise ConfigurationError("the leader must be agent 1")
-        self.n = topology.n
-        self.d = gains.state_dim
-        nf = self.n - 1
-        self.adaptive_edges = topology.leader_edges()
-        self.led = np.array([max(i, k) - 2 for i, k in self.adaptive_edges], dtype=int)
-        scatter = np.zeros((nf, len(self.adaptive_edges)))
-        for col, row in enumerate(self.led):
-            scatter[row, col] = 1.0
-        self.scatter = scatter
-        lap_ff = np.zeros((nf, nf))
-        for i, k in topology.follower_edges():
-            weight = topology.weights[(i, k)]
-            a, b = i - 2, k - 2
-            lap_ff[a, b] -= weight
-            lap_ff[b, a] -= weight
-            lap_ff[a, a] += weight
-            lap_ff[b, b] += weight
-        self.lap_ff = lap_ff
-        self.a = gains.a
-        self.a_t = gains.a.T.copy()
-        self.bku_t = (gains.b @ gains.k_u).T.copy()
-        self.k_w = gains.k_w
-        self.q = gains.q
-        self.gamma = gains.gamma
-        self.w0 = topology.initial_weight_vector(self.adaptive_edges)
-        coupling = lap_ff.copy()
-        coupling[self.led, self.led] += self.w0
-        min_eig = float(matops.sym_eig(coupling).eigenvalues[0]) if nf else 0.0
-        self.warnings = (
-            ()
-            if min_eig > 1e-9
-            else (
-                f"follower coupling matrix is not positive definite at t=0 "
-                f"(min eigenvalue {min_eig:.3e}); tracking is not certified",
-            )
+    def rhs(self, state: SimState) -> SimState:
+        y = np.concatenate((np.ravel(state.x), state.w, (state.j_realized, state.j_bound_integral)))
+        dy = self.deriv(y)
+        return SimState(
+            t=1.0, x=dy[: self.nd], w=dy[self.nd : -2], j_realized=float(dy[-2]), j_bound_integral=float(dy[-1])
         )
-
-    def deriv(self, x: np.ndarray, w: np.ndarray):
-        x1 = x[0]
-        xf = x[1:]
-        xi = xf - x1
-        diffs_l = x1 - xf[self.led]
-        dxf = xf @ self.a_t - self.lap_ff @ (xf @ self.bku_t)
-        dxf += self.scatter @ ((w[:, None] * diffs_l) @ self.bku_t)
-        dx = np.vstack([x1 @ self.a_t, dxf])
-        dw = ((diffs_l @ self.k_w) * diffs_l).sum(axis=1)
-        dj = float(((diffs_l @ self.q) * diffs_l).sum())
-        # ordered follower pairs (exactly zero at consensus)
-        pairs = (xf[None, :, :] - xf[:, None, :]).reshape(-1, self.d)
-        dj += float(((pairs @ self.q) * pairs).sum()) / (self.n - 1)
-        djb = self.gamma * float(((xi @ self.k_w) * xi).sum())
-        return dx, dw, dj, djb
-
-    def eta(self, x: np.ndarray) -> float:
-        xi = x[1:] - x[0]
-        return math.sqrt(float((xi * xi).sum()))
-
-
-def _context(gains: GainSet, topology: Topology):
-    if gains.mode == LEADERLESS:
-        return _LeaderlessContext(gains, topology)
-    return _LeaderFollowerContext(gains, topology)
-
-
-def _rhs_state(context, state: SimState) -> SimState:
-    x = state.x.reshape(context.n, context.d)
-    dx, dw, dj, djb = context.deriv(x, state.w)
-    return SimState(t=1.0, x=dx.ravel(), w=dw, j_realized=dj, j_bound_integral=djb)
 
 
 def leaderless_rhs(state: SimState, gains: GainSet, topology: Topology) -> SimState:
@@ -267,40 +229,27 @@ def leaderless_rhs(state: SimState, gains: GainSet, topology: Topology) -> SimSt
     the all-pairs quadratic cost rate and the bound coordinate receives the
     translated disagreement quadratic form.
     """
-    return _rhs_state(_LeaderlessContext(gains, topology), state)
+    return _Protocol(gains, topology, LEADERLESS).rhs(state)
 
 
 def leader_follower_rhs(state: SimState, gains: GainSet, topology: Topology) -> SimState:
     """Time derivative of the leader-follower protocol state.
 
-    The leader propagates autonomously; followers combine the adaptively
-    weighted leader coupling with fixed-weight follower coupling.  Only
-    leader-incident edge weights adapt.
+    The leaderless coupling with the leader's input removed: the leader
+    propagates autonomously, followers combine the adaptively weighted leader
+    coupling with fixed-weight follower coupling, and only leader-incident
+    edge weights adapt.
     """
-    return _rhs_state(_LeaderFollowerContext(gains, topology), state)
+    return _Protocol(gains, topology, LEADER_FOLLOWER).rhs(state)
 
 
-def rk4_step(rhs: Callable[[SimState], SimState], state: SimState, dt: float) -> SimState:
-    """One classical Runge-Kutta step of the full augmented state."""
-    k1 = rhs(state)
-    k2 = rhs(_shifted(state, 0.5 * dt, k1))
-    k3 = rhs(_shifted(state, 0.5 * dt, k2))
-    k4 = rhs(_shifted(state, dt, k3))
-    return SimState(
-        t=state.t + dt,
-        x=state.x + (dt / 6.0) * (k1.x + 2.0 * k2.x + 2.0 * k3.x + k4.x),
-        w=state.w + (dt / 6.0) * (k1.w + 2.0 * k2.w + 2.0 * k3.w + k4.w),
-        j_realized=state.j_realized
-        + (dt / 6.0) * (k1.j_realized + 2.0 * k2.j_realized + 2.0 * k3.j_realized + k4.j_realized),
-        j_bound_integral=state.j_bound_integral
-        + (dt / 6.0)
-        * (
-            k1.j_bound_integral
-            + 2.0 * k2.j_bound_integral
-            + 2.0 * k3.j_bound_integral
-            + k4.j_bound_integral
-        ),
-    )
+def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical Runge-Kutta step of dy/dt = f(y) over a flat state vector."""
+    k1 = f(y)
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def run(config: SimConfig, gains: GainSet, topology: Topology, mode: Optional[str] = None) -> Trace:
@@ -312,87 +261,63 @@ def run(config: SimConfig, gains: GainSet, topology: Topology, mode: Optional[st
     """
     if mode is not None and mode != gains.mode:
         raise ConfigurationError(f"requested mode {mode!r} but gains are for {gains.mode!r}")
-    if gains.mode == LEADERLESS:
-        if not graph.is_connected(topology):
-            raise ConfigurationError("leaderless mode requires a connected topology")
-    else:
-        if topology.leader is None:
-            raise ConfigurationError("leader-follower mode requires a designated leader")
-        if not graph.is_leader_reachable(topology):
-            raise ConfigurationError("every follower needs an undirected path to the leader")
-    context = _context(gains, topology)
+    protocol = _Protocol(gains, topology, gains.mode)
+    if gains.mode == LEADERLESS and not graph.is_connected(topology):
+        raise ConfigurationError("leaderless mode requires a connected topology")
+    if gains.mode == LEADER_FOLLOWER and not graph.is_leader_reachable(topology):
+        raise ConfigurationError("every follower needs an undirected path to the leader")
+    n, d, nd = protocol.n, protocol.d, protocol.nd
     x0 = config.x0
-    if x0.shape != (context.n, context.d):
-        raise ConfigurationError(
-            f"x0 has shape {x0.shape}, expected ({context.n}, {context.d})"
-        )
-    nsteps = max(1, int(round(config.t_final / config.dt)))
+    if x0.shape != (n, d):
+        raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({n}, {d})")
+    nsteps = horizon_steps(config.t_final, config.dt)
     dt = config.dt
-    stride = config.sample_stride
 
-    x = x0.astype(float).copy()
-    w = context.w0.copy()
-    jr = 0.0
-    jb = 0.0
-
+    y = np.concatenate((x0.ravel(), protocol.w0, (0.0, 0.0)))
     times = [0.0]
-    states = [x.ravel().copy()]
-    weights = [w.copy()]
-    j_realized = [0.0]
-    j_bound = [0.0]
-    eta = [context.eta(x)]
-
+    samples = [y]
     for step in range(1, nsteps + 1):
-        k1x, k1w, k1j, k1b = context.deriv(x, w)
-        x2 = x + (0.5 * dt) * k1x
-        w2 = w + (0.5 * dt) * k1w
-        k2x, k2w, k2j, k2b = context.deriv(x2, w2)
-        x3 = x + (0.5 * dt) * k2x
-        w3 = w + (0.5 * dt) * k2w
-        k3x, k3w, k3j, k3b = context.deriv(x3, w3)
-        x4 = x + dt * k3x
-        w4 = w + dt * k3w
-        k4x, k4w, k4j, k4b = context.deriv(x4, w4)
-        sixth = dt / 6.0
-        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        jr += sixth * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
-        jb += sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        magnitude = float(np.abs(x).max())
+        y = rk4_step(protocol.deriv, y, dt)
+        magnitude = float(np.abs(y[:nd]).max())
         if not math.isfinite(magnitude) or magnitude > DIVERGENCE_LIMIT:
             raise DivergenceError(time=step * dt, magnitude=magnitude)
-        if step % stride == 0 or step == nsteps:
+        if step % config.sample_stride == 0 or step == nsteps:
             times.append(step * dt)
-            states.append(x.ravel().copy())
-            weights.append(w.copy())
-            j_realized.append(jr)
-            j_bound.append(jb)
-            eta.append(context.eta(x))
+            samples.append(y)
 
+    history = np.array(samples)
     times_arr = np.array(times)
-    states_arr = np.array(states)
-    if gains.mode == LEADERLESS:
-        average = x0.mean(axis=0)
-        reference = np.empty((len(times), context.d))
-        for idx, t in enumerate(times_arr):
-            reference[idx] = matops.matrix_exp(gains.a * t) @ average
-    else:
-        reference = states_arr[:, : context.d].copy()
+    states = history[:, :nd].copy()
     return Trace(
         mode=gains.mode,
-        n=context.n,
-        d=context.d,
-        adaptive_edges=context.adaptive_edges,
+        n=n,
+        d=d,
+        adaptive_edges=protocol.adaptive_edges,
         times=times_arr,
-        states=states_arr,
-        weights=np.array(weights),
-        j_realized=np.array(j_realized),
-        j_bound_integral=np.array(j_bound),
-        eta_norm=np.array(eta),
-        reference=reference,
+        states=states,
+        weights=history[:, nd:-2].copy(),
+        j_realized=history[:, -2].copy(),
+        j_bound_integral=history[:, -1].copy(),
+        eta_norm=np.array([protocol.eta(sample) for sample in samples]),
+        reference=reference_trajectory(gains.mode, gains.a, times_arr, states),
         x0=x0.copy(),
-        warnings=context.warnings,
     )
+
+
+def reference_trajectory(mode: str, a, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Per-sample reference of a run whose stacked states are ``states``.
+
+    Leaderless: the consensus function e^{A t} avg(x(0)) at each sample time.
+    Leader-follower: the leader's state.
+    """
+    d = len(a)
+    if mode == LEADER_FOLLOWER:
+        return states[:, :d].copy()
+    average = states[0].reshape(-1, d).mean(axis=0)
+    reference = np.empty((len(times), d))
+    for idx, t in enumerate(times):
+        reference[idx] = matops.matrix_exp(a * t) @ average
+    return reference
 
 
 def consensus_function(a, initial_states, t: float) -> np.ndarray:

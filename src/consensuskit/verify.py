@@ -100,7 +100,7 @@ def analyze(
     if len(trace.times) == 0:
         raise EmptyTraceError("trace contains no samples")
     tol = _merged_tolerances(tolerances)
-    warnings: list[str] = list(trace.warnings)
+    warnings: list[str] = []
 
     realized = float(trace.j_realized[-1])
     bound = sim.guaranteed_cost_bound(trace, gains, warnings_out=warnings)

@@ -173,6 +173,25 @@ def test_env_overrides_config(monkeypatch, tmp_path):
     assert cli.merged_tolerances(config) == {"consensus": 0.25}
 
 
+def test_parse_config_rejects_unknown_tolerance_key(tmp_path):
+    path = write_config(tmp_path, scalar_pair_config(tolerances={"consensuss": 0.5}))
+    with pytest.raises(cli.CliError) as excinfo:
+        cli.parse_config(path)
+    assert excinfo.value.exit_code == EXIT_PARSE
+    assert "tolerances.consensuss" in str(excinfo.value)
+    code, _, err = run_cli(["synthesize", path])
+    assert code == EXIT_PARSE and "tolerances.consensuss" in err
+
+
+def test_horizon_off_the_dt_grid_is_a_parse_error(tmp_path):
+    path = write_config(tmp_path, scalar_pair_config(t_final=1.0005))
+    for argv in (["synthesize", path], ["simulate", path]):
+        code, out, err = run_cli(argv)
+        assert code == EXIT_PARSE
+        assert "'t_final'" in err
+        assert out == ""
+
+
 # ------------------------------------------------------------- synthesize
 
 

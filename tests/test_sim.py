@@ -34,6 +34,14 @@ def test_sim_config_validation():
         SimConfig(x0=np.zeros((2, 1)), t_final=1.0, sample_stride=0)
 
 
+def test_sim_config_rejects_horizon_off_the_dt_grid():
+    with pytest.raises(sim.ConfigurationError, match="t_final"):
+        SimConfig(x0=np.zeros((2, 1)), t_final=1.0005, dt=1e-3)
+    # 3.0 / 1e-3 = 2999.9999999999995 is a whole multiple up to rounding
+    assert sim.horizon_steps(3.0, 1e-3) == 3000
+    assert sim.horizon_steps(0.055, 1e-3) == 55
+
+
 # -------------------------------------------------------------- leaderless
 
 
@@ -168,26 +176,46 @@ def test_leader_follower_requires_leader_one():
 
 
 def test_rk4_step_fifth_order_local_error():
-    # dX/dt = X has exact solution e^t; one RK4 step reproduces the Taylor
-    # polynomial through fourth order
-    def rhs(state):
-        return SimState(
-            t=1.0,
-            x=state.x.copy(),
-            w=state.w.copy(),
-            j_realized=state.j_realized,
-            j_bound_integral=state.j_bound_integral,
-        )
+    # dy/dt = y has exact solution e^t; one RK4 step reproduces the Taylor
+    # polynomial through fourth order.  Component 0 is the clock t.
+    def rhs(y):
+        return np.concatenate(([1.0], y[1:]))
 
-    state = SimState(t=0.0, x=np.array([1.0]), w=np.array([1.0]), j_realized=1.0, j_bound_integral=1.0)
     dt = 0.1
-    stepped = sim.rk4_step(rhs, state, dt)
+    stepped = sim.rk4_step(rhs, np.array([0.0, 1.0, 1.0, 1.0, 1.0]), dt)
     taylor = 1.0 + dt + dt**2 / 2 + dt**3 / 6 + dt**4 / 24
-    assert stepped.t == pytest.approx(dt)
-    assert stepped.x[0] == pytest.approx(taylor, abs=1e-15)
-    assert abs(stepped.x[0] - math.exp(dt)) < 1e-7
-    assert stepped.w[0] == pytest.approx(taylor, abs=1e-15)
-    assert stepped.j_realized == pytest.approx(taylor, abs=1e-15)
+    assert stepped[0] == pytest.approx(dt)
+    assert stepped[1] == pytest.approx(taylor, abs=1e-15)
+    assert abs(stepped[1] - math.exp(dt)) < 1e-7
+    assert stepped[2] == pytest.approx(taylor, abs=1e-15)
+    assert stepped[3] == pytest.approx(taylor, abs=1e-15)
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+def test_run_step_is_rk4_step_over_public_rhs(mode):
+    # run() and analyze() share one derivative: a one-step run equals one
+    # rk4_step over the public rhs, bit for bit
+    if mode == LEADERLESS:
+        gains, rhs = leaderless_gains(), sim.leaderless_rhs
+        topology = Topology(n=4, edges=((1, 2), (2, 3), (3, 4), (1, 4), (1, 3)))
+    else:
+        gains, rhs = synthesis.design_leader_follower(A1, B1, Q1, 1.0), sim.leader_follower_rhs
+        topology = lf_topology()
+    x0 = np.random.default_rng(41).uniform(-0.25, 0.25, size=(4, 2))
+    dt = 1e-3
+    trace = sim.run(SimConfig(x0=x0, t_final=dt, dt=dt), gains, topology)
+    w0 = trace.weights[0]
+
+    def f(y):
+        state = SimState(t=0.0, x=y[:8], w=y[8:-2], j_realized=y[-2], j_bound_integral=y[-1])
+        dy = rhs(state, gains, topology)
+        return np.concatenate((dy.x, dy.w, (dy.j_realized, dy.j_bound_integral)))
+
+    stepped = sim.rk4_step(f, np.concatenate((x0.ravel(), w0, (0.0, 0.0))), dt)
+    assert np.array_equal(trace.states[1], stepped[:8])
+    assert np.array_equal(trace.weights[1], stepped[8:-2])
+    assert trace.j_realized[1] == stepped[-2]
+    assert trace.j_bound_integral[1] == stepped[-1]
 
 
 # ---------------------------------------------------------------------- run
@@ -283,9 +311,22 @@ def test_run_leader_follower_smoke():
     assert trace.eta_norm[-1] < 1e-2 * (trace.eta_norm[0] + 1.0)
     # the reference column tracks the leader state
     assert np.abs(trace.reference - trace.states[:, :2]).max() == 0.0
-    assert trace.warnings == ()
     # follower-follower edges keep no adaptive state
     assert trace.weights.shape[1] == 3
+
+
+def test_run_leader_follower_needs_no_eigendecomposition(monkeypatch):
+    # leader reachability already makes the follower coupling positive
+    # definite, so no eigenvalue check runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sym_eig called")
+
+    gains = synthesis.design_leader_follower(A1, B1, Q1, 1.0)
+    monkeypatch.setattr(matops, "sym_eig", forbidden)
+    topology = graph.star_topology(4, weight=3.0, leader=1)
+    x0 = np.random.default_rng(9).uniform(-0.25, 0.25, size=(4, 2))
+    trace = sim.run(SimConfig(x0=x0, t_final=0.1, dt=1e-3, sample_stride=10), gains, topology)
+    assert trace.mode == LEADER_FOLLOWER
 
 
 def test_run_leaderless_reference_is_consensus_function():
