@@ -591,6 +591,7 @@ def _print_gains(gains: GainSet, out, regulated_gamma: Optional[float] = None) -
 
 def cmd_synthesize(args, out=sys.stdout) -> int:
     config = parse_config(args.config)
+    env_tolerances()  # a malformed environment fails here, as in simulate and verify
     gains, regulated = synthesize_gains(config)
     if args.echo_config:
         with open(args.echo_config, "w", encoding="utf-8", newline="\n") as handle:
@@ -602,6 +603,7 @@ def cmd_synthesize(args, out=sys.stdout) -> int:
 def _run_and_report(
     config: RunConfig,
     gains: GainSet,
+    tolerances: dict,
     out,
     seed_offset: int = 0,
     csv_path: Optional[str] = None,
@@ -622,7 +624,7 @@ def _run_and_report(
         raise CliError(EXIT_DIVERGENCE, f"divergence: {exc}")
     except sim.ConfigurationError as exc:
         raise CliError(EXIT_PARSE, f"simulation setup: {exc}")
-    report = verify.analyze(trace, gains, config.topology, merged_tolerances(config))
+    report = verify.analyze(trace, gains, config.topology, tolerances)
     if csv_path:
         write_trace_csv(csv_path, trace)
         print(f"{label}trace_csv = {csv_path}", file=out)
@@ -647,6 +649,7 @@ def _suffixed(path: Optional[str], index: int, runs: int) -> Optional[str]:
 
 def cmd_simulate(args, out=sys.stdout) -> int:
     config = parse_config(args.config)
+    tolerances = merged_tolerances(config)
     if args.echo_config:
         with open(args.echo_config, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(render_config(config) + "\n")
@@ -664,6 +667,7 @@ def cmd_simulate(args, out=sys.stdout) -> int:
         code = _run_and_report(
             config,
             gains,
+            tolerances,
             out,
             seed_offset=index,
             csv_path=_suffixed(args.out, index, runs),
@@ -741,6 +745,7 @@ def demo_config(which: str) -> RunConfig:
 def cmd_demo(args, out=sys.stdout) -> int:
     which = args.which
     config = demo_config(which)
+    tolerances = merged_tolerances(config)
     gain_report = verify.verify_reference_gains(which)
     print(f"reference_gain_check = {which}", file=out)
     print(f"reference_k_u = " + " ".join(_format(v) for v in gain_report["k_u"]), file=out)
@@ -761,15 +766,16 @@ def cmd_demo(args, out=sys.stdout) -> int:
     gains, regulated = synthesize_gains(config)
     _print_gains(gains, out, regulated)
     csv_path = args.out if args.out else f"consensuskit-demo-{which}.csv"
-    return _run_and_report(config, gains, out, csv_path=csv_path, plot_path=args.plot_script)
+    return _run_and_report(config, gains, tolerances, out, csv_path=csv_path, plot_path=args.plot_script)
 
 
 def cmd_verify(args, out=sys.stdout) -> int:
     config = parse_config(args.config)
+    tolerances = merged_tolerances(config)
     gains, _ = synthesize_gains(config)
     trace = read_trace_csv(args.trace, config)
     try:
-        report = verify.analyze(trace, gains, config.topology, merged_tolerances(config))
+        report = verify.analyze(trace, gains, config.topology, tolerances)
     except verify.VerificationError as exc:
         raise CliError(EXIT_PARSE, f"verification: {exc}")
     print(verify.render_report(report), file=out)

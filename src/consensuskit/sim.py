@@ -255,9 +255,9 @@ def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) ->
 def run(config: SimConfig, gains: GainSet, topology: Topology, mode: Optional[str] = None) -> Trace:
     """Integrate a full run and return the sampled Trace.
 
-    Aborts with DivergenceError when any state magnitude exceeds the
-    divergence guard.  The trace always contains the initial and final
-    samples.
+    Aborts with DivergenceError when any agent state or adaptive weight
+    exceeds the divergence guard in magnitude.  The trace always contains the
+    initial and final samples.
     """
     if mode is not None and mode != gains.mode:
         raise ConfigurationError(f"requested mode {mode!r} but gains are for {gains.mode!r}")
@@ -278,7 +278,7 @@ def run(config: SimConfig, gains: GainSet, topology: Topology, mode: Optional[st
     samples = [y]
     for step in range(1, nsteps + 1):
         y = rk4_step(protocol.deriv, y, dt)
-        magnitude = float(np.abs(y[:nd]).max())
+        magnitude = float(np.abs(y[:-2]).max())
         if not math.isfinite(magnitude) or magnitude > DIVERGENCE_LIMIT:
             raise DivergenceError(time=step * dt, magnitude=magnitude)
         if step % config.sample_stride == 0 or step == nsteps:
@@ -307,16 +307,22 @@ def run(config: SimConfig, gains: GainSet, topology: Topology, mode: Optional[st
 def reference_trajectory(mode: str, a, times: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Per-sample reference of a run whose stacked states are ``states``.
 
-    Leaderless: the consensus function e^{A t} avg(x(0)) at each sample time.
-    Leader-follower: the leader's state.
+    Leaderless: the consensus function e^{A t} avg(x(0)) at each sample time,
+    propagated sample to sample by e^{A h} with one matrix_exp per distinct
+    float spacing h.  Leader-follower: the leader's state.
     """
     d = len(a)
     if mode == LEADER_FOLLOWER:
         return states[:, :d].copy()
     average = states[0].reshape(-1, d).mean(axis=0)
     reference = np.empty((len(times), d))
-    for idx, t in enumerate(times):
-        reference[idx] = matops.matrix_exp(a * t) @ average
+    reference[0] = matops.matrix_exp(a * times[0]) @ average
+    propagators: dict = {}
+    for idx in range(1, len(times)):
+        h = float(times[idx] - times[idx - 1])
+        if h not in propagators:
+            propagators[h] = matops.matrix_exp(a * h)
+        reference[idx] = propagators[h] @ reference[idx - 1]
     return reference
 
 

@@ -149,10 +149,15 @@ def _validated_plant(a, b, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, q
 
 
-def _design(mode: str, a, b, q, gamma: float) -> GainSet:
+def _checked_plant(a, b, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a, b, q = _validated_plant(a, b, q)
     if not matops.is_positive_definite(q, tol=1e-12):
         raise WeightMatrixError("q must be symmetric positive definite")
+    return a, b, q
+
+
+def _design(mode: str, a, b, q, gamma: float) -> GainSet:
+    """Gains for a plant already passed through _checked_plant."""
     multiplier = COST_MULTIPLIER[mode]
     certificate = matops.care_solve(a, b, multiplier * q, gamma)
     gains = GainSet(mode=mode, a=a, b=b, q=q, gamma=gamma, certificate=certificate)
@@ -165,12 +170,12 @@ def _design(mode: str, a, b, q, gamma: float) -> GainSet:
 
 def design_leaderless(a, b, q, gamma: float) -> GainSet:
     """Leaderless gain design: CARE with cost multiplier 2."""
-    return _design(LEADERLESS, a, b, q, gamma)
+    return _design(LEADERLESS, *_checked_plant(a, b, q), gamma)
 
 
 def design_leader_follower(a, b, q, gamma_l: float) -> GainSet:
     """Leader-follower gain design: CARE with cost multiplier 3."""
-    return _design(LEADER_FOLLOWER, a, b, q, gamma_l)
+    return _design(LEADER_FOLLOWER, *_checked_plant(a, b, q), gamma_l)
 
 
 def verify_riccati_certificate(
@@ -257,14 +262,15 @@ def regulate_gain(
 ) -> tuple[float, GainSet]:
     """Find the smallest gamma whose certificate satisfies lambda_max <= delta.
 
-    Brackets by doubling from gamma_min, then runs 60 bisection steps.  The
+    Brackets by doubling from gamma_min, then runs up to 60 bisection steps,
+    stopping once the midpoint rounds onto an end of the bracket.  The
     expected monotone nonincrease of lambda_max(P(gamma)) in gamma is checked
     empirically; a violation raises RegulationError instead of silently
     bisecting a non-monotone function.
     """
     if mode not in COST_MULTIPLIER:
         raise ValueError(f"mode must be one of {sorted(COST_MULTIPLIER)}, got {mode!r}")
-    a, b, q = _validated_plant(a, b, q)
+    a, b, q = _checked_plant(a, b, q)
     if strict:
         bbt_max = float(matops.sym_eig(b @ b.T).eigenvalues[-1])
         if bbt_max > 1.0 + 1e-9:
@@ -308,6 +314,9 @@ def regulate_gain(
         )
     for _ in range(60):
         gamma_mid = 0.5 * (gamma_lo + gamma_hi)
+        if gamma_mid in (gamma_lo, gamma_hi):
+            # every further step would re-evaluate an end of the bracket
+            break
         lam_mid, gains_mid = evaluate(gamma_mid)
         slack = 1e-9 * (1.0 + abs(lam_lo) + abs(lam_hi))
         if lam_mid > lam_lo + slack or lam_mid < lam_hi - slack:

@@ -173,6 +173,24 @@ def test_env_overrides_config(monkeypatch, tmp_path):
     assert cli.merged_tolerances(config) == {"consensus": 0.25}
 
 
+@pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
+def test_env_tolerances_checked_before_synthesis(command, tmp_path, monkeypatch):
+    path = write_config(tmp_path, scalar_pair_config(t_final=1.0))
+    csv_path = str(tmp_path / "trace.csv")
+    assert run_cli(["simulate", path, "--out", csv_path])[0] == EXIT_OK
+
+    def forbidden(config):
+        raise AssertionError("synthesized before the tolerances were read")
+
+    monkeypatch.setattr(cli, "synthesize_gains", forbidden)
+    monkeypatch.setenv(cli.TOLERANCE_ENV_VAR, "nope=1")
+    argv = {"synthesize": [path], "simulate": [path, "--out", csv_path], "verify": [path, csv_path]}
+    code, out, err = run_cli([command] + argv[command])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "nope" in err
+
+
 def test_parse_config_rejects_unknown_tolerance_key(tmp_path):
     path = write_config(tmp_path, scalar_pair_config(tolerances={"consensuss": 0.5}))
     with pytest.raises(cli.CliError) as excinfo:
@@ -301,6 +319,16 @@ def test_simulate_divergence_exit_code(tmp_path):
     assert "exceeded" in err
 
 
+def test_simulate_weight_divergence_exit_code(tmp_path):
+    # k_u = 0 keeps x constant; the huge k_w sends the weight past the guard
+    config = scalar_pair_config(t_final=1.0)
+    config["gains"] = {"certificate": [1.0], "k_u": [0.0], "k_w": [1e12]}
+    path = write_config(tmp_path, config)
+    code, out, err = run_cli(["simulate", path])
+    assert code == EXIT_DIVERGENCE
+    assert "exceeded" in err
+
+
 def test_simulate_bound_violation_exit_code(tmp_path):
     # a supplied certificate far below the true solution produces a bound
     # the realized cost overruns
@@ -334,18 +362,21 @@ def test_simulate_plot_script_requires_out(tmp_path):
 
 
 def test_verify_round_trip(tmp_path):
-    path = write_config(tmp_path, scalar_pair_config())
-    csv_path = str(tmp_path / "trace.csv")
-    code, out, err = run_cli(["simulate", path, "--out", csv_path])
-    assert code == EXIT_OK
-    code2, out2, err2 = run_cli(["verify", path, csv_path])
-    assert code2 == EXIT_OK
-    assert "bound_holds = true" in out2
-    assert "consensus_achieved = true" in out2
-    sim_lines = dict(l.split(" = ", 1) for l in out.splitlines() if " = " in l)
-    ver_lines = dict(l.split(" = ", 1) for l in out2.splitlines() if " = " in l)
-    assert sim_lines["realized_cost"] == ver_lines["realized_cost"]
-    assert sim_lines["bound"] == ver_lines["bound"]
+    oscillator = dict(cli._DEMO_CONFIGS["example-1"], sample_stride=7)
+    for name, config in (("pair", scalar_pair_config()), ("oscillator", oscillator)):
+        path = write_config(tmp_path, config, name=f"{name}.json")
+        csv_path = str(tmp_path / f"{name}.csv")
+        code, out, err = run_cli(["simulate", path, "--out", csv_path])
+        assert code == EXIT_OK
+        code2, out2, err2 = run_cli(["verify", path, csv_path])
+        assert code2 == EXIT_OK
+        assert "bound_holds = true" in out2
+        assert "consensus_achieved = true" in out2
+        # verify rebuilds the whole report, tracking_error included
+        lines = out.splitlines()
+        report = lines[lines.index(f"trace_csv = {csv_path}") + 1 :]
+        assert any(line.startswith("tracking_error = ") for line in report)
+        assert report == out2.splitlines()
 
 
 def test_verify_header_mismatch(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from consensuskit import graph, matops, sim, synthesis
 from consensuskit.graph import Topology
@@ -299,6 +300,33 @@ def test_run_divergence_guard():
     assert excinfo.value.magnitude > sim.DIVERGENCE_LIMIT
 
 
+def test_run_divergence_guard_covers_adaptive_weights():
+    # k_u = 0 leaves x on the bounded oscillator flow e^{A t} x0 while a huge
+    # k_w drives the weights past the guard within a few steps
+    plant = leaderless_gains()
+
+    def override(k_w):
+        return GainSet(
+            mode=LEADERLESS,
+            a=plant.a,
+            b=plant.b,
+            q=plant.q,
+            gamma=plant.gamma,
+            certificate=plant.certificate,
+            k_u=np.zeros((1, 2)),
+            k_w=k_w,
+        )
+
+    topology = graph.cycle_topology(4)
+    x0 = np.random.default_rng(5).uniform(-0.25, 0.25, size=(4, 2))
+    config = SimConfig(x0=x0, t_final=1.0, dt=1e-3, sample_stride=100)
+    calm = sim.run(config, override(np.zeros((2, 2))), topology)
+    assert np.abs(calm.states).max() < 10.0
+    with pytest.raises(sim.DivergenceError) as excinfo:
+        sim.run(config, override(1e12 * np.eye(2)), topology)
+    assert excinfo.value.magnitude > sim.DIVERGENCE_LIMIT
+
+
 def test_run_leader_follower_smoke():
     gains = synthesis.design_leader_follower(A1, B1, Q1, 1.0)
     topology = graph.star_topology(4, weight=3.0, leader=1)
@@ -339,6 +367,52 @@ def test_run_leaderless_reference_is_consensus_function():
     for idx, t in enumerate(trace.times):
         expected = sim.consensus_function(A1, x0, float(t))
         assert np.abs(trace.reference[idx] - expected).max() < 1e-9
+
+
+PLANTS = {"example-1": A1, "example-2": np.array(
+    [[1.0, 1.0, 0.0, 0.0], [-30.0, -12.5, 30.0, 0.0], [0.0, 0.5, 0.0, 1.0], [16.0, 0.0, -16.0, 0.0]]
+)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    plant=st.sampled_from(sorted(PLANTS)),
+    dt=st.sampled_from([1e-3, 2.5e-3, 1e-2]),
+    nsteps=st.integers(0, 1500),
+    stride=st.integers(1, 400),
+    seed=st.integers(0, 2**16),
+)
+@example(plant="example-1", dt=1e-3, nsteps=1000, stride=1, seed=0)
+@example(plant="example-2", dt=1e-3, nsteps=1003, stride=10, seed=1)  # off-stride final sample
+@example(plant="example-2", dt=1e-3, nsteps=0, stride=1, seed=2)  # 1-sample trace
+def test_reference_trajectory_matches_consensus_function(plant, dt, nsteps, stride, seed):
+    # sample times exactly as run() records them
+    a = PLANTS[plant]
+    d = len(a)
+    steps = [s for s in range(nsteps + 1) if s % stride == 0 or s == nsteps]
+    times = np.array([s * dt for s in steps])
+    states = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(times), 3 * d))
+    reference = sim.reference_trajectory(LEADERLESS, a, times, states)
+    x0 = states[0].reshape(3, d)
+    assert reference.shape == (len(times), d)
+    for idx, t in enumerate(times):
+        expected = sim.consensus_function(a, x0, float(t))
+        assert np.linalg.norm(reference[idx] - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def test_run_leaderless_reference_needs_one_matrix_exp_per_spacing(monkeypatch):
+    calls = []
+    original = matops.matrix_exp
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(matops, "matrix_exp", counting)
+    x0 = np.random.default_rng(3).uniform(-0.25, 0.25, size=(3, 2))
+    trace = sim.run(SimConfig(x0=x0, t_final=1.0, dt=1e-3), leaderless_gains(), graph.complete_topology(3))
+    assert len(trace.times) == 1001
+    assert len(calls) <= len(set(np.diff(trace.times).tolist())) + 1
 
 
 # ------------------------------------------------------- support functions

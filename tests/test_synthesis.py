@@ -195,6 +195,41 @@ def test_regulate_gain_returns_cheap_gamma_when_already_feasible():
     assert np.abs(gains.certificate - P1_EXPECTED).max() < 1e-9
 
 
+def test_regulate_gain_stops_bisection_on_a_collapsed_bracket(monkeypatch):
+    # a plain 60-step bisection keeps re-solving an end of the bracket once
+    # the midpoint stops moving; regulate_gain returns the same bits without
+    # those solves
+    request = RegulationRequest(delta=300.0)
+
+    def lam(gamma):
+        gains = synthesis.design_leaderless(A1, B1, Q1, gamma)
+        return matops.sym_eig(gains.certificate).eigenvalues[-1], gains
+
+    lo = request.gamma_min
+    hi = lo
+    while lam(hi)[0] > request.delta * (1.0 + 1e-9):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if lam(mid)[0] <= request.delta * (1.0 + 1e-9):
+            hi = mid
+        else:
+            lo = mid
+
+    calls = []
+    original = matops.care_solve
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(matops, "care_solve", counting)
+    gamma, gains = synthesis.regulate_gain(A1, B1, Q1, request)
+    assert len(calls) <= 72
+    assert gamma == hi
+    assert np.array_equal(gains.certificate, lam(hi)[1].certificate)
+
+
 def test_regulate_gain_exhausted_bounds():
     with pytest.raises(RegulationError):
         synthesis.regulate_gain(
