@@ -510,25 +510,18 @@ def read_trace_csv(path: str, config: RunConfig) -> Trace:
         except ValueError as exc:
             raise CliError(EXIT_PARSE, f"trace {path} line {lineno}: {exc}")
     arr = np.array(data)
-    times = arr[:, 0]
-    states = arr[:, 1 : 1 + n * d]
-    weights = arr[:, 1 + n * d : 1 + n * d + len(edges)]
-    eta = arr[:, 1 + n * d + len(edges)]
-    j_realized = arr[:, 2 + n * d + len(edges)]
-    j_bound = arr[:, 3 + n * d + len(edges)]
+    nd, m = n * d, len(edges)
     return Trace(
         mode=config.mode,
         n=n,
         d=d,
         adaptive_edges=tuple(edges),
-        times=times,
-        states=states,
-        weights=weights,
-        j_realized=j_realized,
-        j_bound_integral=j_bound,
-        eta_norm=eta,
-        reference=sim.reference_trajectory(config.mode, config.a, times, states),
-        x0=states[0].reshape(n, d),
+        times=arr[:, 0],
+        states=arr[:, 1 : 1 + nd],
+        weights=arr[:, 1 + nd : 1 + nd + m],
+        eta_norm=arr[:, -3],
+        j_realized=arr[:, -2],
+        j_bound_integral=arr[:, -1],
     )
 
 

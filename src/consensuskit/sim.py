@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "leader_follower_rhs",
     "rk4_step",
     "run",
-    "reference_trajectory",
     "consensus_function",
     "disagreement_norm",
     "guaranteed_cost_bound",
@@ -112,12 +111,11 @@ class SimState:
 
 @dataclass(frozen=True)
 class Trace:
-    """Sampled simulation history.
+    """Sampled simulation history: what the integrator produced.
 
-    ``reference`` holds the consensus function e^{At} avg(x(0)) per sample in
-    leaderless mode and the leader state in leader-follower mode.
-    ``eta_norm`` is the disagreement norm (leaderless) or the norm of the
-    stacked follower-to-leader errors (leader-follower).
+    ``states[0]`` is x(0).  ``eta_norm`` is the disagreement norm
+    (leaderless) or the norm of the stacked follower-to-leader errors
+    (leader-follower).
     """
 
     mode: str
@@ -130,8 +128,6 @@ class Trace:
     j_realized: np.ndarray
     j_bound_integral: np.ndarray
     eta_norm: np.ndarray
-    reference: np.ndarray
-    x0: np.ndarray
 
     def final_state(self) -> SimState:
         return SimState(
@@ -208,11 +204,6 @@ class _Protocol:
             djb = self.gamma * float(((xi @ self.k_w) * xi).sum())
         return np.concatenate((dx.ravel(), dw, (dj, djb)))
 
-    def eta(self, y: np.ndarray) -> float:
-        x = y[: self.nd].reshape(self.n, self.d)
-        dev = x - x.mean(axis=0) if self.mode == LEADERLESS else x[1:] - x[0]
-        return math.sqrt(float((dev * dev).sum()))
-
     def rhs(self, state: SimState) -> SimState:
         y = np.concatenate((np.ravel(state.x), state.w, (state.j_realized, state.j_bound_integral)))
         dy = self.deriv(y)
@@ -252,15 +243,13 @@ def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) ->
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def run(config: SimConfig, gains: GainSet, topology: Topology, mode: Optional[str] = None) -> Trace:
+def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
     """Integrate a full run and return the sampled Trace.
 
     Aborts with DivergenceError when any agent state or adaptive weight
     exceeds the divergence guard in magnitude.  The trace always contains the
     initial and final samples.
     """
-    if mode is not None and mode != gains.mode:
-        raise ConfigurationError(f"requested mode {mode!r} but gains are for {gains.mode!r}")
     protocol = _Protocol(gains, topology, gains.mode)
     if gains.mode == LEADERLESS and not graph.is_connected(topology):
         raise ConfigurationError("leaderless mode requires a connected topology")
@@ -286,44 +275,22 @@ def run(config: SimConfig, gains: GainSet, topology: Topology, mode: Optional[st
             samples.append(y)
 
     history = np.array(samples)
-    times_arr = np.array(times)
     states = history[:, :nd].copy()
+    x = states.reshape(-1, n, d)
+    # per-sample disagreement (leaderless) or follower-to-leader errors
+    dev = x - x.mean(axis=1, keepdims=True) if gains.mode == LEADERLESS else x[:, 1:] - x[:, :1]
     return Trace(
         mode=gains.mode,
         n=n,
         d=d,
         adaptive_edges=protocol.adaptive_edges,
-        times=times_arr,
+        times=np.array(times),
         states=states,
         weights=history[:, nd:-2].copy(),
         j_realized=history[:, -2].copy(),
         j_bound_integral=history[:, -1].copy(),
-        eta_norm=np.array([protocol.eta(sample) for sample in samples]),
-        reference=reference_trajectory(gains.mode, gains.a, times_arr, states),
-        x0=x0.copy(),
+        eta_norm=np.sqrt((dev * dev).reshape(len(dev), -1).sum(axis=1)),
     )
-
-
-def reference_trajectory(mode: str, a, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Per-sample reference of a run whose stacked states are ``states``.
-
-    Leaderless: the consensus function e^{A t} avg(x(0)) at each sample time,
-    propagated sample to sample by e^{A h} with one matrix_exp per distinct
-    float spacing h.  Leader-follower: the leader's state.
-    """
-    d = len(a)
-    if mode == LEADER_FOLLOWER:
-        return states[:, :d].copy()
-    average = states[0].reshape(-1, d).mean(axis=0)
-    reference = np.empty((len(times), d))
-    reference[0] = matops.matrix_exp(a * times[0]) @ average
-    propagators: dict = {}
-    for idx in range(1, len(times)):
-        h = float(times[idx] - times[idx - 1])
-        if h not in propagators:
-            propagators[h] = matops.matrix_exp(a * h)
-        reference[idx] = propagators[h] @ reference[idx - 1]
-    return reference
 
 
 def consensus_function(a, initial_states, t: float) -> np.ndarray:
@@ -340,40 +307,19 @@ def disagreement_norm(x, n: int, d: int) -> float:
     return math.sqrt(float((dev * dev).sum()))
 
 
-def guaranteed_cost_bound(
-    trace: Trace,
-    gains: GainSet,
-    initial_states=None,
-    mode: Optional[str] = None,
-    warnings_out: Optional[list] = None,
-) -> float:
+def guaranteed_cost_bound(trace: Trace, gains: GainSet) -> float:
     """Guaranteed cost bound: initial quadratic form plus the bound integral.
 
     Leaderless runs use the disagreement-projector quadratic form of the
-    certificate; leader-follower runs use the star-coupling quadratic form,
-    which equals the sum of follower-error quadratic forms.  When the bound
-    integrand has not converged by the end of the trace (tail rate above
-    1e-10 per unit time) a horizon-too-short warning is appended to
-    ``warnings_out``.
+    certificate at x(0) = ``states[0]``; leader-follower runs use the
+    star-coupling quadratic form, which equals the sum of follower-error
+    quadratic forms.
     """
-    mode = mode or gains.mode
-    if mode != gains.mode:
-        raise ConfigurationError(f"requested mode {mode!r} but gains are for {gains.mode!r}")
-    x0 = trace.x0 if initial_states is None else matops.as_matrix(initial_states, "initial_states")
-    if mode == LEADERLESS:
-        n, d = x0.shape
-        pairs = (x0[None, :, :] - x0[:, None, :]).reshape(-1, d)
-        quad = float(((pairs @ gains.certificate) * pairs).sum()) / (2.0 * n)
+    x0 = trace.states[0].reshape(trace.n, trace.d)
+    if gains.mode == LEADERLESS:
+        pairs = (x0[None, :, :] - x0[:, None, :]).reshape(-1, trace.d)
+        quad = float(((pairs @ gains.certificate) * pairs).sum()) / (2.0 * trace.n)
     else:
         xi0 = x0[1:] - x0[0]
         quad = float(((xi0 @ gains.certificate) * xi0).sum())
-    value = quad + float(trace.j_bound_integral[-1])
-    if warnings_out is not None and len(trace.times) >= 2:
-        dt_tail = float(trace.times[-1] - trace.times[-2])
-        if dt_tail > 0.0:
-            rate = float(trace.j_bound_integral[-1] - trace.j_bound_integral[-2]) / dt_tail
-            if rate > 1e-10:
-                warnings_out.append(
-                    f"horizon too short: bound integrand still {rate:.3e} per unit time at t_final"
-                )
-    return value
+    return quad + float(trace.j_bound_integral[-1])

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from consensuskit import cli
+from consensuskit import cli, sim
 from consensuskit.cli import (
     EXIT_BOUND,
     EXIT_DIVERGENCE,
@@ -377,6 +377,27 @@ def test_verify_round_trip(tmp_path):
         report = lines[lines.index(f"trace_csv = {csv_path}") + 1 :]
         assert any(line.startswith("tracking_error = ") for line in report)
         assert report == out2.splitlines()
+
+
+def test_tracking_error_is_distance_to_consensus_function_at_t_final(tmp_path):
+    # simulate and verify both measure the agents at t_final against
+    # e^{A t_final} avg x(0), with x(0) the first CSV row
+    config = dict(cli._DEMO_CONFIGS["example-1"], sample_stride=7)
+    path = write_config(tmp_path, config)
+    csv_path = str(tmp_path / "trace.csv")
+    code, out, err = run_cli(["simulate", path, "--out", csv_path])
+    assert code == EXIT_OK
+    code2, out2, err2 = run_cli(["verify", path, csv_path])
+    assert code2 == EXIT_OK
+    run_config = cli.parse_config(path)
+    trace = cli.read_trace_csv(csv_path, run_config)
+    n, d = trace.n, trace.d
+    target = sim.consensus_function(run_config.a, trace.states[0].reshape(n, d), trace.times[-1])
+    errors = trace.states[-1].reshape(n, d) - target
+    expected = float(np.sqrt((errors * errors).sum(axis=1)).max())
+    for text in (out, out2):
+        [line] = [line for line in text.splitlines() if line.startswith("tracking_error = ")]
+        assert float(line.split(" = ")[1]) == expected
 
 
 def test_verify_header_mismatch(tmp_path):

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from consensuskit import graph, matops, sim, synthesis
+from consensuskit import graph, matops, sim, synthesis, verify
 from consensuskit.graph import Topology
 from consensuskit.sim import SimConfig, SimState
 from consensuskit.synthesis import LEADERLESS, LEADER_FOLLOWER, GainSet
@@ -248,15 +248,37 @@ def test_run_records_initial_and_final_samples():
     assert np.allclose(trace.times, [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.055])
     assert trace.states.shape == (7, 2)
     assert trace.weights.shape == (7, 1)
-    assert trace.x0.shape == (2, 1)
+    # x(0) is the first sample; analyze reads it from there
+    assert np.array_equal(trace.states[0], config.x0.ravel())
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+def test_run_eta_norm_equals_the_per_sample_loop(mode):
+    # the vectorized eta_norm keeps the arithmetic of a per-sample loop
+    if mode == LEADERLESS:
+        gains, topology = leaderless_gains(), graph.cycle_topology(5)
+    else:
+        gains = synthesis.design_leader_follower(A1, B1, Q1, 1.0)
+        topology = graph.star_topology(5, weight=3.0, leader=1)
+    x0 = np.random.default_rng(12).uniform(-0.25, 0.25, size=(5, 2))
+    trace = sim.run(SimConfig(x0=x0, t_final=0.5, dt=1e-3, sample_stride=7), gains, topology)
+    for eta, state in zip(trace.eta_norm, trace.states):
+        if mode == LEADERLESS:
+            expected = sim.disagreement_norm(state, 5, 2)
+        else:
+            x = state.reshape(5, 2)
+            expected = math.sqrt(float(((x[1:] - x[0]) ** 2).sum()))
+        assert eta == expected
 
 
 def test_run_mode_mismatch_and_shape_errors():
     gains = scalar_gains()
     topology = Topology(n=2, edges=((1, 2),))
     config = SimConfig(x0=np.zeros((2, 1)), t_final=1.0)
+    # leader-follower gains need a topology with a leader
+    lf_gains = synthesis.design_leader_follower([[0.0]], [[1.0]], [[1.0]], 1.0)
     with pytest.raises(sim.ConfigurationError):
-        sim.run(config, gains, topology, mode=LEADER_FOLLOWER)
+        sim.run(config, lf_gains, topology)
     bad = SimConfig(x0=np.zeros((3, 1)), t_final=1.0)
     with pytest.raises(sim.ConfigurationError):
         sim.run(bad, gains, topology)
@@ -337,8 +359,6 @@ def test_run_leader_follower_smoke():
     assert trace.adaptive_edges == ((1, 2), (1, 3), (1, 4))
     # followers converge to the leader trajectory
     assert trace.eta_norm[-1] < 1e-2 * (trace.eta_norm[0] + 1.0)
-    # the reference column tracks the leader state
-    assert np.abs(trace.reference - trace.states[:, :2]).max() == 0.0
     # follower-follower edges keep no adaptive state
     assert trace.weights.shape[1] == 3
 
@@ -357,50 +377,9 @@ def test_run_leader_follower_needs_no_eigendecomposition(monkeypatch):
     assert trace.mode == LEADER_FOLLOWER
 
 
-def test_run_leaderless_reference_is_consensus_function():
-    gains = leaderless_gains()
-    topology = graph.complete_topology(3, weight=4.0)
-    rng = np.random.default_rng(31)
-    x0 = rng.uniform(-0.25, 0.25, size=(3, 2))
-    config = SimConfig(x0=x0, t_final=1.0, dt=1e-3, sample_stride=100)
-    trace = sim.run(config, gains, topology)
-    for idx, t in enumerate(trace.times):
-        expected = sim.consensus_function(A1, x0, float(t))
-        assert np.abs(trace.reference[idx] - expected).max() < 1e-9
-
-
-PLANTS = {"example-1": A1, "example-2": np.array(
-    [[1.0, 1.0, 0.0, 0.0], [-30.0, -12.5, 30.0, 0.0], [0.0, 0.5, 0.0, 1.0], [16.0, 0.0, -16.0, 0.0]]
-)}
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    plant=st.sampled_from(sorted(PLANTS)),
-    dt=st.sampled_from([1e-3, 2.5e-3, 1e-2]),
-    nsteps=st.integers(0, 1500),
-    stride=st.integers(1, 400),
-    seed=st.integers(0, 2**16),
-)
-@example(plant="example-1", dt=1e-3, nsteps=1000, stride=1, seed=0)
-@example(plant="example-2", dt=1e-3, nsteps=1003, stride=10, seed=1)  # off-stride final sample
-@example(plant="example-2", dt=1e-3, nsteps=0, stride=1, seed=2)  # 1-sample trace
-def test_reference_trajectory_matches_consensus_function(plant, dt, nsteps, stride, seed):
-    # sample times exactly as run() records them
-    a = PLANTS[plant]
-    d = len(a)
-    steps = [s for s in range(nsteps + 1) if s % stride == 0 or s == nsteps]
-    times = np.array([s * dt for s in steps])
-    states = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(times), 3 * d))
-    reference = sim.reference_trajectory(LEADERLESS, a, times, states)
-    x0 = states[0].reshape(3, d)
-    assert reference.shape == (len(times), d)
-    for idx, t in enumerate(times):
-        expected = sim.consensus_function(a, x0, float(t))
-        assert np.linalg.norm(reference[idx] - expected) <= 1e-9 * np.linalg.norm(expected)
-
-
-def test_run_leaderless_reference_needs_one_matrix_exp_per_spacing(monkeypatch):
+def test_only_leaderless_analyze_evaluates_matrix_exp(monkeypatch):
+    # the integrator never needs e^{At}; analyze evaluates the consensus
+    # function once, at t_final
     calls = []
     original = matops.matrix_exp
 
@@ -409,10 +388,16 @@ def test_run_leaderless_reference_needs_one_matrix_exp_per_spacing(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(matops, "matrix_exp", counting)
+    gains, topology = leaderless_gains(), graph.complete_topology(3)
     x0 = np.random.default_rng(3).uniform(-0.25, 0.25, size=(3, 2))
-    trace = sim.run(SimConfig(x0=x0, t_final=1.0, dt=1e-3), leaderless_gains(), graph.complete_topology(3))
-    assert len(trace.times) == 1001
-    assert len(calls) <= len(set(np.diff(trace.times).tolist())) + 1
+    trace = sim.run(SimConfig(x0=x0, t_final=1.0, dt=1e-3), gains, topology)
+    assert len(calls) == 0
+    verify.analyze(trace, gains, topology)
+    assert len(calls) == 1
+    lf_gains = synthesis.design_leader_follower(A1, B1, Q1, 1.0)
+    lf_topology = graph.star_topology(3, weight=3.0, leader=1)
+    verify.analyze(sim.run(SimConfig(x0=x0, t_final=0.1, dt=1e-3), lf_gains, lf_topology), lf_gains, lf_topology)
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------- support functions
@@ -439,23 +424,32 @@ def test_guaranteed_cost_bound_zero_disagreement():
     x0 = np.tile([0.4, -0.1], (3, 1))
     config = SimConfig(x0=x0, t_final=0.5, dt=1e-3, sample_stride=10)
     trace = sim.run(config, gains, topology)
-    warnings = []
-    bound = sim.guaranteed_cost_bound(trace, gains, warnings_out=warnings)
+    bound = sim.guaranteed_cost_bound(trace, gains)
     assert bound == 0.0
     assert trace.j_realized[-1] == 0.0
-    assert warnings == []
+    assert verify.analyze(trace, gains, topology).warnings == ()
+
+
+def short_horizon_report(scale):
+    gains = leaderless_gains()
+    topology = graph.complete_topology(3, weight=4.0)
+    x0 = scale * np.random.default_rng(8).uniform(-0.25, 0.25, size=(3, 2))
+    trace = sim.run(SimConfig(x0=x0, t_final=0.05, dt=1e-3), gains, topology)
+    return trace, verify.analyze(trace, gains, topology)
 
 
 def test_guaranteed_cost_bound_flags_short_horizon():
-    gains = leaderless_gains()
-    topology = graph.complete_topology(3, weight=4.0)
-    rng = np.random.default_rng(8)
-    config = SimConfig(x0=rng.uniform(-0.25, 0.25, size=(3, 2)), t_final=0.05, dt=1e-3)
-    trace = sim.run(config, gains, topology)
-    warnings = []
-    bound = sim.guaranteed_cost_bound(trace, gains, warnings_out=warnings)
-    assert bound > trace.j_realized[-1]
-    assert len(warnings) == 1 and "horizon too short" in warnings[0]
+    trace, report = short_horizon_report(1.0)
+    assert report.bound > trace.j_realized[-1]
+    assert [w for w in report.warnings if "horizon too short" in w] == [report.warnings[0]]
+
+
+def test_horizon_warning_is_relative_to_the_bound():
+    # the same run scaled by 1e-6: the integrand is ~1e-13 per unit time in
+    # absolute terms, but still 0.35 of the bound per unit time
+    trace, report = short_horizon_report(1e-6)
+    assert report.bound < 1e-10
+    assert any(w.startswith("horizon too short") for w in report.warnings)
 
 
 def test_guaranteed_cost_bound_leader_follower_quadratic_form():
@@ -468,3 +462,48 @@ def test_guaranteed_cost_bound_leader_follower_quadratic_form():
     xi0 = x0[1:] - x0[0]
     quad = sum(xi0[i] @ gains.certificate @ xi0[i] for i in range(2))
     assert abs(bound - quad - trace.j_bound_integral[-1]) < 1e-12
+
+
+# ---------------------------------------------------------------- properties
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_relabeling_agents_permutes_the_run_and_keeps_the_report(data):
+    n = data.draw(st.integers(3, 6), label="n")
+    # a random spanning tree keeps the graph connected; extra edges go on top
+    edges = [(data.draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)]
+    others = [(i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1) if (i, k) not in edges]
+    edges += data.draw(st.lists(st.sampled_from(others), unique=True), label="extra edges")
+    weights = {edge: data.draw(st.floats(0.5, 4.0)) for edge in edges}
+    perm = data.draw(st.permutations(range(1, n + 1)), label="agent i becomes perm[i - 1]")
+    x0 = np.random.default_rng(data.draw(st.integers(0, 2**16))).uniform(-0.5, 0.5, size=(n, 2))
+
+    def relabel(edge):
+        return graph.canonical_edge(perm[edge[0] - 1], perm[edge[1] - 1])
+
+    topology = Topology(n=n, edges=tuple(edges), weights=weights)
+    relabeled = Topology(n=n, edges=tuple(map(relabel, edges)), weights={relabel(e): w for e, w in weights.items()})
+    x0_relabeled = np.empty_like(x0)
+    x0_relabeled[np.array(perm) - 1] = x0
+    gains = leaderless_gains()
+    traces, reports = [], []
+    for x, top in ((x0, topology), (x0_relabeled, relabeled)):
+        traces.append(sim.run(SimConfig(x0=x, t_final=0.5, dt=1e-3, sample_stride=50), gains, top))
+        reports.append(verify.analyze(traces[-1], gains, top))
+    trace, other = traces
+    report, other_report = reports
+
+    def close(a, b, rel):
+        return abs(a - b) <= rel * abs(b)
+
+    assert close(report.realized_cost, other_report.realized_cost, 1e-12)
+    assert close(report.bound, other_report.bound, 1e-12)
+    assert close(report.final_disagreement, other_report.final_disagreement, 1e-9)
+    assert close(report.tracking_error, other_report.tracking_error, 1e-9)
+    # states and weights move with their agents and edges
+    states = trace.states.reshape(len(trace.times), n, 2)
+    other_states = other.states.reshape(len(other.times), n, 2)
+    assert np.abs(other_states[:, np.array(perm) - 1] - states).max() <= 1e-9 * np.abs(states).max()
+    columns = [other.adaptive_edges.index(relabel(edge)) for edge in trace.adaptive_edges]
+    assert np.abs(other.weights[:, columns] - trace.weights).max() <= 1e-9 * np.abs(trace.weights).max()

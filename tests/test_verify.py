@@ -94,8 +94,6 @@ def test_analyze_empty_trace():
         j_realized=np.array([]),
         j_bound_integral=np.array([]),
         eta_norm=np.array([]),
-        reference=np.zeros((0, 2)),
-        x0=np.zeros((3, 2)),
     )
     with pytest.raises(verify.EmptyTraceError):
         verify.analyze(empty, gains, topology)
