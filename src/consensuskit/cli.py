@@ -66,11 +66,9 @@ TOLERANCE_ENV_VAR = "CONSENSUSKIT_TOLERANCES"
 
 
 class CliError(Exception):
-    """Command failure carrying its exit code."""
+    """A command-line, config or trace-file error."""
 
-    def __init__(self, exit_code: int, message: str):
-        self.exit_code = exit_code
-        super().__init__(message)
+    exit_code = EXIT_PARSE
 
 
 @dataclass(eq=False)
@@ -109,7 +107,7 @@ class RunConfig:
 
 
 def _fail(field_name: str, message: str) -> CliError:
-    return CliError(EXIT_PARSE, f"config field '{field_name}': {message}")
+    return CliError(f"config field '{field_name}': {message}")
 
 
 def _get(section: dict, field_name: str, qualified: str, required: bool = True, default=None):
@@ -140,7 +138,7 @@ def _as_matrix(value, rows: int, cols: int, qualified: str) -> np.ndarray:
     return np.array(value, dtype=float).reshape(rows, cols)
 
 
-def _parse_topology(section, n_agents_hint: Optional[int], qualified: str) -> Topology:
+def _parse_topology(section, qualified: str) -> Topology:
     if not isinstance(section, dict):
         raise _fail(qualified, "expected an object")
     n = _as_int(_get(section, "n", f"{qualified}.n"), f"{qualified}.n")
@@ -182,9 +180,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(EXIT_PARSE, f"{source}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")
+        raise CliError(f"{source}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):
-        raise CliError(EXIT_PARSE, f"{source}: top level must be an object")
+        raise CliError(f"{source}: top level must be an object")
 
     mode = _get(raw, "mode", "mode")
     if mode not in (LEADERLESS, LEADER_FOLLOWER):
@@ -216,7 +214,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     if gamma is not None and delta is not None:
         raise _fail("gamma", "gamma and delta are mutually exclusive")
 
-    topology = _parse_topology(_get(raw, "topology", "topology"), None, "topology")
+    topology = _parse_topology(_get(raw, "topology", "topology"), "topology")
     if mode == LEADER_FOLLOWER and topology.leader is None:
         raise _fail("topology.leader", "leader-follower mode requires a leader")
 
@@ -254,10 +252,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     tolerances = _get(raw, "tolerances", "tolerances", required=False, default={})
     if not isinstance(tolerances, dict):
         raise _fail("tolerances", "expected an object of name -> value")
-    tolerances = {str(k): _as_float(v, f"tolerances.{k}") for k, v in tolerances.items()}
-    for key in tolerances:
-        if key not in verify.DEFAULT_TOLERANCES:
-            raise _fail(f"tolerances.{key}", f"unknown tolerance; known: {sorted(verify.DEFAULT_TOLERANCES)}")
+    tolerances = _checked_tolerances(tolerances, "config field 'tolerances.{}'")
 
     gains_override = None
     if "gains" in raw:
@@ -280,26 +275,23 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     if unknown:
         raise _fail(sorted(unknown)[0], "unknown field")
 
-    try:
-        config = RunConfig(
-            mode=mode,
-            a=a,
-            b=b,
-            q=q,
-            topology=topology,
-            gamma=gamma,
-            delta=delta,
-            initial_values=initial_values,
-            initial_seed=initial_seed,
-            initial_box=initial_box,
-            dt=dt,
-            t_final=t_final,
-            sample_stride=stride,
-            tolerances=tolerances,
-            gains_override=gains_override,
-        )
-    except (ValueError, matops.LinearAlgebraError) as exc:
-        raise CliError(EXIT_PARSE, f"{source}: {exc}")
+    config = RunConfig(
+        mode=mode,
+        a=a,
+        b=b,
+        q=q,
+        topology=topology,
+        gamma=gamma,
+        delta=delta,
+        initial_values=initial_values,
+        initial_seed=initial_seed,
+        initial_box=initial_box,
+        dt=dt,
+        t_final=t_final,
+        sample_stride=stride,
+        tolerances=tolerances,
+        gains_override=gains_override,
+    )
     if config.dt <= 0.0:
         raise _fail("dt", f"must be positive, got {config.dt}")
     try:
@@ -316,7 +308,7 @@ def parse_config(path: str) -> RunConfig:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise CliError(EXIT_PARSE, f"cannot read config {path}: {exc}")
+        raise CliError(f"cannot read config {path}: {exc}")
     return parse_config_text(text, source=path)
 
 
@@ -364,31 +356,36 @@ def render_config(config: RunConfig) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _checked_tolerances(entries: dict, where: str) -> dict:
+    """Tolerance overrides as floats, each named in verify.DEFAULT_TOLERANCES.
+
+    ``where`` names one entry in an error message, with ``{}`` for its name.
+    """
+    out = {}
+    for name, value in entries.items():
+        if name not in verify.DEFAULT_TOLERANCES:
+            raise CliError(f"{where.format(name)}: unknown tolerance; known: {sorted(verify.DEFAULT_TOLERANCES)}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise CliError(f"{where.format(name)}: expected a number, got {value!r}")
+        out[name] = float(value)
+    return out
+
+
 def env_tolerances(environ=None) -> dict:
     """Tolerance overrides from the environment, e.g. 'consensus=1e-3,bound_rel=1e-9'."""
     environ = os.environ if environ is None else environ
-    raw = environ.get(TOLERANCE_ENV_VAR, "").strip()
-    if not raw:
-        return {}
-    out = {}
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
+    entries = {}
+    for part in environ.get(TOLERANCE_ENV_VAR, "").split(","):
+        if not part.strip():
             continue
         if "=" not in part:
-            raise CliError(EXIT_PARSE, f"{TOLERANCE_ENV_VAR}: expected name=value, got {part!r}")
-        name, _, value = part.partition("=")
-        name = name.strip()
-        if name not in verify.DEFAULT_TOLERANCES:
-            raise CliError(
-                EXIT_PARSE,
-                f"{TOLERANCE_ENV_VAR}: unknown tolerance {name!r}; known: {sorted(verify.DEFAULT_TOLERANCES)}",
-            )
+            raise CliError(f"{TOLERANCE_ENV_VAR}: expected name=value, got {part.strip()!r}")
+        name, _, text = part.partition("=")
         try:
-            out[name] = float(value)
+            entries[name.strip()] = float(text)
         except ValueError:
-            raise CliError(EXIT_PARSE, f"{TOLERANCE_ENV_VAR}: bad number for {name!r}: {value!r}")
-    return out
+            entries[name.strip()] = text  # _checked_tolerances reports it
+    return _checked_tolerances(entries, f"{TOLERANCE_ENV_VAR} entry '{{}}'")
 
 
 def merged_tolerances(config: RunConfig, environ=None) -> dict:
@@ -424,25 +421,20 @@ def synthesize_gains(config: RunConfig) -> tuple[GainSet, Optional[float]]:
                 k_w=config.gains_override.get("k_w"),
             )
         except (ValueError, matops.LinearAlgebraError) as exc:
-            raise CliError(EXIT_PARSE, f"config field 'gains': {exc}")
+            raise _fail("gains", str(exc))
         return gains, None
-    try:
-        if config.delta is not None:
-            gamma, gains = synthesis.regulate_gain(
-                config.a,
-                config.b,
-                config.q,
-                synthesis.RegulationRequest(delta=config.delta),
-                mode=config.mode,
-            )
-            return gains, gamma
-        if config.mode == LEADERLESS:
-            return synthesis.design_leaderless(config.a, config.b, config.q, config.gamma), None
-        return synthesis.design_leader_follower(config.a, config.b, config.q, config.gamma), None
-    except matops.NotStabilizableError as exc:
-        raise CliError(EXIT_SYNTHESIS, f"synthesis infeasible: {exc}")
-    except synthesis.SynthesisError as exc:
-        raise CliError(EXIT_SYNTHESIS, f"synthesis failed: {exc}")
+    if config.delta is not None:
+        gamma, gains = synthesis.regulate_gain(
+            config.a,
+            config.b,
+            config.q,
+            synthesis.RegulationRequest(delta=config.delta),
+            mode=config.mode,
+        )
+        return gains, gamma
+    if config.mode == LEADERLESS:
+        return synthesis.design_leaderless(config.a, config.b, config.q, config.gamma), None
+    return synthesis.design_leader_follower(config.a, config.b, config.q, config.gamma), None
 
 
 def _format(value: float) -> str:
@@ -456,66 +448,56 @@ def _matrix_lines(name: str, m: np.ndarray) -> list[str]:
     return lines
 
 
+def _trace_header(n: int, d: int, edges) -> list[str]:
+    """Trace CSV columns: t, agent-major states, adaptive weights, eta_norm, J columns."""
+    return (
+        ["t"]
+        + [f"x{agent}_{comp}" for agent in range(1, n + 1) for comp in range(1, d + 1)]
+        + [f"w{i}_{k}" for i, k in edges]
+        + ["eta_norm", "J_realized", "J_bound_partial"]
+    )
+
+
 def write_trace_csv(path: str, trace: Trace) -> None:
-    """CSV layout: t, agent-major states, canonical-order weights, eta_norm, J columns."""
-    header = ["t"]
-    for agent in range(1, trace.n + 1):
-        for comp in range(1, trace.d + 1):
-            header.append(f"x{agent}_{comp}")
-    for i, k in trace.adaptive_edges:
-        header.append(f"w{i}_{k}")
-    header += ["eta_norm", "J_realized", "J_bound_partial"]
-    rows = [",".join(header)]
-    for idx in range(len(trace.times)):
-        cells = [_format(trace.times[idx])]
-        cells += [_format(v) for v in trace.states[idx]]
-        cells += [_format(v) for v in trace.weights[idx]]
-        cells.append(_format(trace.eta_norm[idx]))
-        cells.append(_format(trace.j_realized[idx]))
-        cells.append(_format(trace.j_bound_integral[idx]))
-        rows.append(",".join(cells))
+    """Write the ``_trace_header`` line, then one %.17g row per sample."""
+    rows = np.column_stack(
+        (trace.times, trace.states, trace.weights, trace.eta_norm, trace.j_realized, trace.j_bound_integral)
+    )
+    header = ",".join(_trace_header(trace.n, trace.d, trace.adaptive_edges))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(rows) + "\n")
+        np.savetxt(handle, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def read_trace_csv(path: str, config: RunConfig) -> Trace:
     """Rebuild a Trace from a CSV written by write_trace_csv plus its config."""
+    n, d = config.topology.n, config.state_dim
+    edges = sim.adaptive_edges(config.topology, config.mode)
+    expected = _trace_header(n, d, edges)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
+            header = handle.readline().strip().split(",")
+            start = handle.tell()
+            if not any(line.strip() for line in iter(handle.readline, "")):
+                raise CliError(f"trace {path}: need a header and at least one sample")
+            if len(header) != len(expected):
+                raise CliError(
+                    f"trace {path}: header has {len(header)} columns, expected {len(expected)} for this config"
+                )
+            for col, (name, want) in enumerate(zip(header, expected), start=1):
+                if name != want:
+                    raise CliError(f"trace {path}: header column {col} is {name!r}, expected {want!r} for this config")
+            handle.seek(start)
+            arr = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
     except OSError as exc:
-        raise CliError(EXIT_PARSE, f"cannot read trace {path}: {exc}")
-    if len(lines) < 2:
-        raise CliError(EXIT_PARSE, f"trace {path}: need a header and at least one sample")
-    n = config.topology.n
-    d = config.state_dim
-    if config.mode == LEADERLESS:
-        edges = config.topology.edges
-    else:
-        edges = config.topology.leader_edges()
-    expected_cols = 1 + n * d + len(edges) + 3
-    header = lines[0].split(",")
-    if len(header) != expected_cols:
-        raise CliError(
-            EXIT_PARSE,
-            f"trace {path}: header has {len(header)} columns, expected {expected_cols} for this config",
-        )
-    data = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != expected_cols:
-            raise CliError(EXIT_PARSE, f"trace {path} line {lineno}: expected {expected_cols} columns")
-        try:
-            data.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise CliError(EXIT_PARSE, f"trace {path} line {lineno}: {exc}")
-    arr = np.array(data)
+        raise CliError(f"cannot read trace {path}: {exc}")
+    except ValueError as exc:  # a cell that is not a number, a short row, or bytes that are not UTF-8
+        raise CliError(f"trace {path}: {exc}")
     nd, m = n * d, len(edges)
     return Trace(
         mode=config.mode,
         n=n,
         d=d,
-        adaptive_edges=tuple(edges),
+        adaptive_edges=edges,
         times=arr[:, 0],
         states=arr[:, 1 : 1 + nd],
         weights=arr[:, 1 + nd : 1 + nd + m],
@@ -527,20 +509,16 @@ def read_trace_csv(path: str, config: RunConfig) -> Trace:
 
 def write_plot_script(path: str, csv_path: str, trace: Trace) -> None:
     """Gnuplot script plotting states, adaptive weights, and disagreement."""
-    n, d = trace.n, trace.d
-    m = len(trace.adaptive_edges)
+    names = _trace_header(trace.n, trace.d, trace.adaptive_edges)
     base = os.path.splitext(os.path.basename(csv_path))[0]
-    state_plots = []
-    col = 2
-    for agent in range(1, n + 1):
-        for comp in range(1, d + 1):
-            state_plots.append(f"'{csv_path}' using 1:{col} with lines title 'x{agent}_{comp}'")
-            col += 1
-    weight_plots = []
-    for i, k in trace.adaptive_edges:
-        weight_plots.append(f"'{csv_path}' using 1:{col} with lines title 'w{i}_{k}'")
-        col += 1
-    eta_col = col
+
+    def plot(prefix: str) -> str:
+        return "plot " + ", \\\n     ".join(
+            f"'{csv_path}' using 1:{col} with lines title '{name}'"
+            for col, name in enumerate(names, start=1)
+            if name.startswith(prefix)
+        )
+
     lines = [
         "# consensuskit trace plots",
         "set datafile separator ','",
@@ -550,13 +528,13 @@ def write_plot_script(path: str, csv_path: str, trace: Trace) -> None:
         "set terminal pngcairo size 1200,800",
         f"set output '{base}_states.png'",
         "set ylabel 'agent states'",
-        "plot " + ", \\\n     ".join(state_plots),
+        plot("x"),
         f"set output '{base}_weights.png'",
         "set ylabel 'adaptive weights'",
-        "plot " + ", \\\n     ".join(weight_plots),
+        plot("w"),
         f"set output '{base}_disagreement.png'",
         "set ylabel 'disagreement norm'",
-        f"plot '{csv_path}' using 1:{eta_col} with lines title 'eta'",
+        f"plot '{csv_path}' using 1:{names.index('eta_norm') + 1} with lines title 'eta'",
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -582,50 +560,28 @@ def _print_gains(gains: GainSet, out, regulated_gamma: Optional[float] = None) -
     print(f"certificate_max_eigenvalue = {_format(lam_max)}", file=out)
 
 
-def cmd_synthesize(args, out=sys.stdout) -> int:
-    config = parse_config(args.config)
-    env_tolerances()  # a malformed environment fails here, as in simulate and verify
-    gains, regulated = synthesize_gains(config)
-    if args.echo_config:
-        with open(args.echo_config, "w", encoding="utf-8", newline="\n") as handle:
+def _configured(args) -> tuple[RunConfig, dict]:
+    """Every command's first step: its config and the merged tolerances, checked before any work."""
+    config = demo_config(args.which) if args.command == "demo" else parse_config(args.config)
+    return config, merged_tolerances(config)
+
+
+def _echo_config(path: Optional[str], config: RunConfig) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(render_config(config) + "\n")
+
+
+def cmd_synthesize(args, out=sys.stdout) -> int:
+    config, _ = _configured(args)
+    gains, regulated = synthesize_gains(config)
+    _echo_config(args.echo_config, config)
     _print_gains(gains, out, regulated)
     return EXIT_OK
 
 
-def _run_and_report(
-    config: RunConfig,
-    gains: GainSet,
-    tolerances: dict,
-    out,
-    seed_offset: int = 0,
-    csv_path: Optional[str] = None,
-    plot_path: Optional[str] = None,
-    label: str = "",
-) -> int:
-    x0 = initial_states(config, seed_offset)
-    if config.initial_seed is not None:
-        print(f"{label}initial_seed = {config.initial_seed + seed_offset}", file=out)
-        lo, hi = config.initial_box
-        print(f"{label}initial_box = [{_format(lo)}, {_format(hi)}]", file=out)
-    for line in _matrix_lines(f"{label}x0", x0):
-        print(line, file=out)
-    sim_config = SimConfig(x0=x0, t_final=config.t_final, dt=config.dt, sample_stride=config.sample_stride)
-    try:
-        trace = sim.run(sim_config, gains, config.topology)
-    except sim.DivergenceError as exc:
-        raise CliError(EXIT_DIVERGENCE, f"divergence: {exc}")
-    except sim.ConfigurationError as exc:
-        raise CliError(EXIT_PARSE, f"simulation setup: {exc}")
-    report = verify.analyze(trace, gains, config.topology, tolerances)
-    if csv_path:
-        write_trace_csv(csv_path, trace)
-        print(f"{label}trace_csv = {csv_path}", file=out)
-    if plot_path:
-        if not csv_path:
-            raise CliError(EXIT_PARSE, "--plot-script requires --out")
-        write_plot_script(plot_path, csv_path, trace)
-        print(f"{label}plot_script = {plot_path}", file=out)
+def _print_report(report: verify.CostReport, out, label: str = "") -> int:
+    """Print the report, each line prefixed with label; exit 5 when the bound fails."""
     text = verify.render_report(report)
     if label:
         text = "\n".join(label + line for line in text.splitlines())
@@ -640,39 +596,49 @@ def _suffixed(path: Optional[str], index: int, runs: int) -> Optional[str]:
     return f"{root}-run{index}{ext}"
 
 
-def cmd_simulate(args, out=sys.stdout) -> int:
-    config = parse_config(args.config)
-    tolerances = merged_tolerances(config)
-    if args.echo_config:
-        with open(args.echo_config, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(render_config(config) + "\n")
-    runs = args.runs
-    if runs < 1:
-        raise CliError(EXIT_PARSE, f"--runs must be >= 1, got {runs}")
-    if runs > 1 and config.initial_seed is None:
-        raise CliError(EXIT_PARSE, "--runs > 1 requires seeded initial states")
+def _simulate(
+    config: RunConfig, tolerances: dict, out, runs: int, csv_path: Optional[str], plot_path: Optional[str]
+) -> int:
+    """Synthesize and print the gains, then integrate, write and report each
+    seeded run; returns the worst run's exit code."""
     gains, regulated = synthesize_gains(config)
     _print_gains(gains, out, regulated)
-    worst = EXIT_OK
-    passes = 0
+    codes = []
     for index in range(runs):
         label = f"run{index} :: " if runs > 1 else ""
-        code = _run_and_report(
-            config,
-            gains,
-            tolerances,
-            out,
-            seed_offset=index,
-            csv_path=_suffixed(args.out, index, runs),
-            plot_path=_suffixed(args.plot_script, index, runs),
-            label=label,
-        )
-        if code == EXIT_OK:
-            passes += 1
-        worst = max(worst, code)
+        x0 = initial_states(config, index)
+        if config.initial_seed is not None:
+            print(f"{label}initial_seed = {config.initial_seed + index}", file=out)
+            lo, hi = config.initial_box
+            print(f"{label}initial_box = [{_format(lo)}, {_format(hi)}]", file=out)
+        for line in _matrix_lines(f"{label}x0", x0):
+            print(line, file=out)
+        sim_config = SimConfig(x0=x0, t_final=config.t_final, dt=config.dt, sample_stride=config.sample_stride)
+        trace = sim.run(sim_config, gains, config.topology)
+        report = verify.analyze(trace, gains, config.topology, tolerances)
+        run_csv, run_plot = _suffixed(csv_path, index, runs), _suffixed(plot_path, index, runs)
+        if run_csv:
+            write_trace_csv(run_csv, trace)
+            print(f"{label}trace_csv = {run_csv}", file=out)
+        if run_plot:
+            write_plot_script(run_plot, run_csv, trace)
+            print(f"{label}plot_script = {run_plot}", file=out)
+        codes.append(_print_report(report, out, label))
     if runs > 1:
-        print(f"runs_passed = {passes}/{runs}", file=out)
-    return worst
+        print(f"runs_passed = {codes.count(EXIT_OK)}/{runs}", file=out)
+    return max(codes)
+
+
+def cmd_simulate(args, out=sys.stdout) -> int:
+    config, tolerances = _configured(args)
+    if args.runs < 1:
+        raise CliError(f"--runs must be >= 1, got {args.runs}")
+    if args.runs > 1 and config.initial_seed is None:
+        raise CliError("--runs > 1 requires seeded initial states")
+    if args.plot_script and not args.out:
+        raise CliError("--plot-script requires --out")
+    _echo_config(args.echo_config, config)
+    return _simulate(config, tolerances, out, args.runs, args.out, args.plot_script)
 
 
 _DEMO_CONFIGS = {
@@ -731,14 +697,13 @@ _DEMO_TOPOLOGY_NOTES = {
 
 def demo_config(which: str) -> RunConfig:
     if which not in _DEMO_CONFIGS:
-        raise CliError(EXIT_PARSE, f"unknown demo {which!r}; expected 'example-1' or 'example-2'")
+        raise CliError(f"unknown demo {which!r}; expected 'example-1' or 'example-2'")
     return parse_config_text(json.dumps(_DEMO_CONFIGS[which]), source=f"demo:{which}")
 
 
 def cmd_demo(args, out=sys.stdout) -> int:
     which = args.which
-    config = demo_config(which)
-    tolerances = merged_tolerances(config)
+    config, tolerances = _configured(args)
     gain_report = verify.verify_reference_gains(which)
     print(f"reference_gain_check = {which}", file=out)
     print(f"reference_k_u = " + " ".join(_format(v) for v in gain_report["k_u"]), file=out)
@@ -756,23 +721,15 @@ def cmd_demo(args, out=sys.stdout) -> int:
                 file=out,
             )
     print(f"note = {_DEMO_TOPOLOGY_NOTES[which]}", file=out)
-    gains, regulated = synthesize_gains(config)
-    _print_gains(gains, out, regulated)
     csv_path = args.out if args.out else f"consensuskit-demo-{which}.csv"
-    return _run_and_report(config, gains, tolerances, out, csv_path=csv_path, plot_path=args.plot_script)
+    return _simulate(config, tolerances, out, 1, csv_path, args.plot_script)
 
 
 def cmd_verify(args, out=sys.stdout) -> int:
-    config = parse_config(args.config)
-    tolerances = merged_tolerances(config)
-    gains, _ = synthesize_gains(config)
+    config, tolerances = _configured(args)
     trace = read_trace_csv(args.trace, config)
-    try:
-        report = verify.analyze(trace, gains, config.topology, tolerances)
-    except verify.VerificationError as exc:
-        raise CliError(EXIT_PARSE, f"verification: {exc}")
-    print(verify.render_report(report), file=out)
-    return EXIT_OK if report.bound_holds else EXIT_BOUND
+    gains, _ = synthesize_gains(config)
+    return _print_report(verify.analyze(trace, gains, config.topology, tolerances), out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -808,6 +765,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception types, exit code, stderr prefix); the first matching row wins, so
+# NotStabilizableError, a LinearAlgebraError, comes before the parse-error row.
+# Any other exception propagates.
+_FAILURES = (
+    ((sim.DivergenceError,), EXIT_DIVERGENCE, "divergence: "),
+    ((matops.NotStabilizableError,), EXIT_SYNTHESIS, "synthesis infeasible: "),
+    ((synthesis.SynthesisError,), EXIT_SYNTHESIS, "synthesis failed: "),
+    (
+        (CliError, TopologyError, sim.ConfigurationError, verify.VerificationError, matops.LinearAlgebraError, ValueError),
+        EXIT_PARSE,
+        "",
+    ),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None, out=sys.stdout, err=sys.stderr) -> int:
     parser = build_parser()
     try:
@@ -816,21 +788,10 @@ def main(argv: Optional[Sequence[str]] = None, out=sys.stdout, err=sys.stderr) -
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args, out=out)
-    except CliError as exc:
-        print(f"error: {exc}", file=err)
-        return exc.exit_code
-    except sim.DivergenceError as exc:
-        print(f"error: divergence: {exc}", file=err)
-        return EXIT_DIVERGENCE
-    except matops.NotStabilizableError as exc:
-        print(f"error: synthesis infeasible: {exc}", file=err)
-        return EXIT_SYNTHESIS
-    except synthesis.SynthesisError as exc:
-        print(f"error: synthesis failed: {exc}", file=err)
-        return EXIT_SYNTHESIS
-    except (TopologyError, sim.ConfigurationError, verify.VerificationError, matops.LinearAlgebraError, ValueError) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_PARSE
+    except tuple(t for types, _, _ in _FAILURES for t in types) as exc:
+        code, prefix = next((code, prefix) for types, code, prefix in _FAILURES if isinstance(exc, types))
+        print(f"error: {prefix}{exc}", file=err)
+        return code
 
 
 def entry() -> None:

@@ -29,6 +29,7 @@ __all__ = [
     "SimState",
     "Trace",
     "horizon_steps",
+    "adaptive_edges",
     "leaderless_rhs",
     "leader_follower_rhs",
     "rk4_step",
@@ -139,6 +140,17 @@ class Trace:
         )
 
 
+def adaptive_edges(topology: Topology, mode: str) -> tuple[tuple[int, int], ...]:
+    """Edges whose weights adapt: every edge (leaderless) or the leader's edges."""
+    if mode == LEADERLESS:
+        return topology.edges
+    if topology.leader is None:
+        raise ConfigurationError("leader-follower mode requires a designated leader")
+    if topology.leader != 1:
+        raise ConfigurationError("the leader must be agent 1")
+    return topology.leader_edges()
+
+
 class _Protocol:
     """Adaptive coupling over the flat state ``y = [x.ravel(), w, J, J_bound]``.
 
@@ -158,14 +170,7 @@ class _Protocol:
         self.n = topology.n
         self.d = gains.state_dim
         self.nd = self.n * self.d
-        if mode == LEADERLESS:
-            self.adaptive_edges = topology.edges
-        else:
-            if topology.leader is None:
-                raise ConfigurationError("leader-follower mode requires a designated leader")
-            if topology.leader != 1:
-                raise ConfigurationError("the leader must be agent 1")
-            self.adaptive_edges = topology.leader_edges()
+        self.adaptive_edges = adaptive_edges(topology, mode)
         self.adaptive = slice(0, len(self.adaptive_edges))
         self.incidence = np.zeros((len(topology.edges), self.n))
         for row, (i, k) in enumerate(topology.edges):

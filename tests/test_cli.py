@@ -2,11 +2,14 @@ import io
 import json
 import math
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from consensuskit import cli, sim
+from consensuskit import cli, matops, sim, synthesis, verify
+from consensuskit.graph import TopologyError
 from consensuskit.cli import (
     EXIT_BOUND,
     EXIT_DIVERGENCE,
@@ -270,7 +273,7 @@ def test_simulate_analytic_two_agent_run(tmp_path):
     csv_path = str(tmp_path / "trace.csv")
     code, out, err = run_cli(["simulate", path, "--out", csv_path])
     assert code == EXIT_OK
-    lines = [line for line in open(csv_path, encoding="utf-8").read().splitlines() if line]
+    lines = [line for line in Path(csv_path).read_text(encoding="utf-8").splitlines() if line]
     assert lines[0] == "t,x1_1,x2_1,w1_2,eta_norm,J_realized,J_bound_partial"
     final = lines[-1].split(",")
     # adaptive weight converges to sqrt(w0^2 + k_w e0^2 / (2 k_u)) = sqrt(5)
@@ -286,7 +289,7 @@ def test_simulate_zero_disagreement_all_zero_cost_columns(tmp_path):
     csv_path = str(tmp_path / "zero.csv")
     code, out, err = run_cli(["simulate", path, "--out", csv_path])
     assert code == EXIT_OK
-    rows = [line.split(",") for line in open(csv_path, encoding="utf-8").read().splitlines()[1:] if line]
+    rows = [line.split(",") for line in Path(csv_path).read_text(encoding="utf-8").splitlines()[1:] if line]
     assert all(row[-2] == "0" and row[-1] == "0" for row in rows)
 
 
@@ -346,7 +349,7 @@ def test_simulate_plot_script(tmp_path):
     script_path = str(tmp_path / "plot.gp")
     code, out, err = run_cli(["simulate", path, "--out", csv_path, "--plot-script", script_path])
     assert code == EXIT_OK
-    script = open(script_path, encoding="utf-8").read()
+    script = Path(script_path).read_text(encoding="utf-8")
     assert "set datafile separator" in script
     assert csv_path in script
     assert "w1_2" in script
@@ -356,6 +359,23 @@ def test_simulate_plot_script_requires_out(tmp_path):
     path = write_config(tmp_path, scalar_pair_config(t_final=1.0))
     code, out, err = run_cli(["simulate", path, "--plot-script", str(tmp_path / "p.gp")])
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "flags", [["--plot-script", "p.gp"], ["--runs", "0", "--echo-config", "e.json"]], ids=["plot-without-out", "runs-0"]
+)
+def test_bad_simulate_arguments_rejected_before_any_work(flags, tmp_path, monkeypatch):
+    path = write_config(tmp_path, scalar_pair_config(t_final=1.0))
+    monkeypatch.chdir(tmp_path)
+
+    def forbidden(config):
+        raise AssertionError("synthesized before the arguments were checked")
+
+    monkeypatch.setattr(cli, "synthesize_gains", forbidden)
+    code, out, err = run_cli(["simulate", path] + flags)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert not (tmp_path / flags[-1]).exists()
 
 
 # ------------------------------------------------------------------ verify
@@ -409,6 +429,28 @@ def test_verify_header_mismatch(tmp_path):
     assert "columns" in err
 
 
+def test_verify_checks_header_names(tmp_path):
+    path = write_config(tmp_path, scalar_pair_config(t_final=1.0))
+    csv_path = tmp_path / "trace.csv"
+    assert run_cli(["simulate", path, "--out", str(csv_path)])[0] == EXIT_OK
+    header, body = csv_path.read_text(encoding="utf-8").split("\n", 1)
+    assert header == "t,x1_1,x2_1,w1_2,eta_norm,J_realized,J_bound_partial"
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("t,x1_1,x2_1,eta_norm,w1_2,J_realized,J_bound_partial\n" + body, encoding="utf-8")
+    code, out, err = run_cli(["verify", path, str(swapped)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert str(swapped) in err
+
+    header_only = tmp_path / "header-only.csv"
+    header_only.write_text(header + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["verify", path, str(header_only)])
+    assert code == EXIT_PARSE
+    assert "at least one sample" in err
+
+
 # -------------------------------------------------------------------- demo
 
 
@@ -429,6 +471,46 @@ def test_demo_unknown_example():
 
 
 # ------------------------------------------------------------------- misc
+
+
+FAILURE_CASES = [
+    (sim.DivergenceError(time=1.5, magnitude=2e9), EXIT_DIVERGENCE, "error: divergence: "),
+    (matops.NotStabilizableError("unstable mode"), EXIT_SYNTHESIS, "error: synthesis infeasible: "),
+    (synthesis.SynthesisError("no gain"), EXIT_SYNTHESIS, "error: synthesis failed: "),
+    (cli.CliError("bad"), EXIT_PARSE, "error: bad"),
+    (TopologyError("bad"), EXIT_PARSE, "error: bad"),
+    (sim.ConfigurationError("bad"), EXIT_PARSE, "error: bad"),
+    (verify.VerificationError("bad"), EXIT_PARSE, "error: bad"),
+    (matops.LinearAlgebraError("bad"), EXIT_PARSE, "error: bad"),
+    (ValueError("bad"), EXIT_PARSE, "error: bad"),
+]
+
+
+@pytest.mark.parametrize("exc, code, prefix", FAILURE_CASES, ids=[type(c[0]).__name__ for c in FAILURE_CASES])
+def test_main_maps_each_failure_to_its_exit_code(exc, code, prefix, tmp_path, monkeypatch):
+    path = write_config(tmp_path, scalar_pair_config())
+
+    def failing(config):
+        raise exc
+
+    monkeypatch.setattr(cli, "synthesize_gains", failing)
+    got, out, err = run_cli(["synthesize", path])
+    assert got == code
+    assert err.startswith(prefix)
+    assert out == ""
+
+
+def test_main_propagates_failures_outside_the_table(tmp_path, monkeypatch):
+    # every row of the table is exercised above
+    assert {type(c[0]) for c in FAILURE_CASES} == {t for types, _, _ in cli._FAILURES for t in types}
+    path = write_config(tmp_path, scalar_pair_config())
+
+    def failing(config):
+        raise RuntimeError("not a command failure")
+
+    monkeypatch.setattr(cli, "synthesize_gains", failing)
+    with pytest.raises(RuntimeError):
+        run_cli(["synthesize", path])
 
 
 def test_help_exits_zero():
