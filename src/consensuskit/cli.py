@@ -66,9 +66,7 @@ TOLERANCE_ENV_VAR = "CONSENSUSKIT_TOLERANCES"
 
 
 class CliError(Exception):
-    """A command-line, config or trace-file error."""
-
-    exit_code = EXIT_PARSE
+    """A command-line, config or trace-file error (exit code 2, see ``_FAILURES``)."""
 
 
 @dataclass(eq=False)
@@ -475,7 +473,10 @@ def read_trace_csv(path: str, config: RunConfig) -> Trace:
     expected = _trace_header(n, d, edges)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            header = handle.readline().strip().split(",")
+            header_line = handle.readline()
+            while header_line and not header_line.strip():
+                header_line = handle.readline()
+            header = header_line.strip().split(",")
             start = handle.tell()
             if not any(line.strip() for line in iter(handle.readline, "")):
                 raise CliError(f"trace {path}: need a header and at least one sample")
@@ -492,6 +493,8 @@ def read_trace_csv(path: str, config: RunConfig) -> Trace:
         raise CliError(f"cannot read trace {path}: {exc}")
     except ValueError as exc:  # a cell that is not a number, a short row, or bytes that are not UTF-8
         raise CliError(f"trace {path}: {exc}")
+    if arr.shape[1] != len(expected):
+        raise CliError(f"trace {path}: rows have {arr.shape[1]} columns, expected {len(expected)} for this config")
     nd, m = n * d, len(edges)
     return Trace(
         mode=config.mode,
@@ -560,12 +563,6 @@ def _print_gains(gains: GainSet, out, regulated_gamma: Optional[float] = None) -
     print(f"certificate_max_eigenvalue = {_format(lam_max)}", file=out)
 
 
-def _configured(args) -> tuple[RunConfig, dict]:
-    """Every command's first step: its config and the merged tolerances, checked before any work."""
-    config = demo_config(args.which) if args.command == "demo" else parse_config(args.config)
-    return config, merged_tolerances(config)
-
-
 def _echo_config(path: Optional[str], config: RunConfig) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -573,7 +570,8 @@ def _echo_config(path: Optional[str], config: RunConfig) -> None:
 
 
 def cmd_synthesize(args, out=sys.stdout) -> int:
-    config, _ = _configured(args)
+    config = parse_config(args.config)
+    merged_tolerances(config)  # a bad CONSENSUSKIT_TOLERANCES fails before any work
     gains, regulated = synthesize_gains(config)
     _echo_config(args.echo_config, config)
     _print_gains(gains, out, regulated)
@@ -630,7 +628,8 @@ def _simulate(
 
 
 def cmd_simulate(args, out=sys.stdout) -> int:
-    config, tolerances = _configured(args)
+    config = parse_config(args.config)
+    tolerances = merged_tolerances(config)
     if args.runs < 1:
         raise CliError(f"--runs must be >= 1, got {args.runs}")
     if args.runs > 1 and config.initial_seed is None:
@@ -703,7 +702,8 @@ def demo_config(which: str) -> RunConfig:
 
 def cmd_demo(args, out=sys.stdout) -> int:
     which = args.which
-    config, tolerances = _configured(args)
+    config = demo_config(which)
+    tolerances = merged_tolerances(config)
     gain_report = verify.verify_reference_gains(which)
     print(f"reference_gain_check = {which}", file=out)
     print(f"reference_k_u = " + " ".join(_format(v) for v in gain_report["k_u"]), file=out)
@@ -726,7 +726,8 @@ def cmd_demo(args, out=sys.stdout) -> int:
 
 
 def cmd_verify(args, out=sys.stdout) -> int:
-    config, tolerances = _configured(args)
+    config = parse_config(args.config)
+    tolerances = merged_tolerances(config)
     trace = read_trace_csv(args.trace, config)
     gains, _ = synthesize_gains(config)
     return _print_report(verify.analyze(trace, gains, config.topology, tolerances), out)

@@ -65,8 +65,8 @@ def test_parse_config_reports_json_position(tmp_path):
     path.write_text('{"mode": "leaderless",\n  "plant": }', encoding="utf-8")
     with pytest.raises(cli.CliError) as excinfo:
         cli.parse_config(str(path))
-    assert excinfo.value.exit_code == EXIT_PARSE
     assert "line 2" in str(excinfo.value)
+    assert run_cli(["synthesize", str(path)])[0] == EXIT_PARSE
 
 
 def test_parse_config_field_named_errors(tmp_path):
@@ -198,7 +198,6 @@ def test_parse_config_rejects_unknown_tolerance_key(tmp_path):
     path = write_config(tmp_path, scalar_pair_config(tolerances={"consensuss": 0.5}))
     with pytest.raises(cli.CliError) as excinfo:
         cli.parse_config(path)
-    assert excinfo.value.exit_code == EXIT_PARSE
     assert "tolerances.consensuss" in str(excinfo.value)
     code, _, err = run_cli(["synthesize", path])
     assert code == EXIT_PARSE and "tolerances.consensuss" in err
@@ -449,6 +448,34 @@ def test_verify_checks_header_names(tmp_path):
         code, out, err = run_cli(["verify", path, str(header_only)])
     assert code == EXIT_PARSE
     assert "at least one sample" in err
+
+
+@pytest.mark.parametrize("cut", [1, -1], ids=["rows-one-short", "rows-one-long"])
+def test_verify_checks_row_width_against_the_header(cut, tmp_path):
+    path = write_config(tmp_path, scalar_pair_config(t_final=1.0))
+    csv_path = tmp_path / "trace.csv"
+    assert run_cli(["simulate", path, "--out", str(csv_path)])[0] == EXIT_OK
+    header, *rows = csv_path.read_text(encoding="utf-8").splitlines()
+    # every row is one cell short, or carries one extra cell, under the right header
+    rows = [row.rsplit(",", 1)[0] if cut == 1 else row + ",0" for row in rows]
+    bad = tmp_path / "bad-width.csv"
+    bad.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    code, out, err = run_cli(["verify", path, str(bad)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert str(bad) in err and "columns" in err
+
+
+def test_verify_skips_blank_lines_before_the_header(tmp_path):
+    path = write_config(tmp_path, scalar_pair_config(t_final=1.0))
+    csv_path = tmp_path / "trace.csv"
+    code, out, _ = run_cli(["simulate", path, "--out", str(csv_path)])
+    assert code == EXIT_OK
+    padded = tmp_path / "padded.csv"
+    padded.write_text("\n  \n" + csv_path.read_text(encoding="utf-8"), encoding="utf-8")
+    code2, out2, _ = run_cli(["verify", path, str(padded)])
+    assert code2 == EXIT_OK
+    assert out2.splitlines()[-1] == out.splitlines()[-1]
 
 
 # -------------------------------------------------------------------- demo
