@@ -213,8 +213,14 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         raise _fail("gamma", "gamma and delta are mutually exclusive")
 
     topology = _parse_topology(_get(raw, "topology", "topology"), "topology")
-    if mode == LEADER_FOLLOWER and topology.leader is None:
-        raise _fail("topology.leader", "leader-follower mode requires a leader")
+    try:
+        sim.adaptive_edges(topology, mode)
+    except sim.ConfigurationError as exc:
+        raise _fail("topology.leader", str(exc))
+    if mode == LEADERLESS and not graph.is_connected(topology):
+        raise _fail("topology", "leaderless mode requires a connected topology")
+    if mode == LEADER_FOLLOWER and not graph.is_leader_reachable(topology):
+        raise _fail("topology", "every follower needs an undirected path to the leader")
 
     init = _get(raw, "initial_states", "initial_states")
     if not isinstance(init, dict):

@@ -1,10 +1,11 @@
-"""Self-contained dense linear-algebra kernel.
+"""Dense linear-algebra kernel.
 
-Provides the factorization, symmetric eigendecomposition, matrix exponential,
+Provides the linear solve, symmetric eigendecomposition, matrix exponential,
 matrix sign function, and continuous algebraic Riccati equation (CARE) solver
-used by the synthesis and simulation layers.  All algorithms are implemented
-directly on top of numpy array arithmetic; no external decomposition routines
-are called.
+used by the synthesis and simulation layers.  The solve and the
+eigendecomposition call LAPACK through ``np.linalg``, which ships inside
+NumPy, the package's only dependency; the matrix exponential, the sign
+iteration and the CARE checks are written here on top of them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "matrix_exp",
     "matrix_sign",
     "care_solve",
-    "is_negative_semidefinite",
     "is_positive_definite",
 ]
 
@@ -48,11 +48,11 @@ class SymmetryError(LinearAlgebraError):
 
 
 class ConvergenceError(LinearAlgebraError):
-    """An iterative kernel failed to converge within its sweep budget."""
+    """The symmetric eigensolver failed to converge."""
 
 
 class SingularMatrixError(LinearAlgebraError):
-    """Pivot fell below the singularity threshold during factorization."""
+    """A linear system's matrix is singular within the solver's threshold."""
 
 
 class SignFunctionError(LinearAlgebraError):
@@ -104,92 +104,37 @@ class EigenResult:
     eigenvectors: np.ndarray
 
 
-def sym_eig(m, max_sweeps: int = 100) -> EigenResult:
-    """Diagonalize a symmetric matrix with cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm falls below
-    1e-12 times the matrix norm.
-    """
+def sym_eig(m) -> EigenResult:
+    """Diagonalize a symmetric matrix with LAPACK's symmetric eigensolver."""
     a = _square(m, "m")
     _require_symmetric(a, "m")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = _frobenius(a)
-    if norm == 0.0:
-        return EigenResult(np.zeros(n), v)
-    target = 1e-12 * norm
-    converged = False
-    for _ in range(max_sweeps):
-        off = a - np.diag(np.diag(a))
-        if _frobenius(off) < target:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if not converged:
-        off = a - np.diag(np.diag(a))
-        if _frobenius(off) >= target:
-            raise ConvergenceError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-    order = np.argsort(np.diag(a), kind="stable")
-    return EigenResult(np.diag(a)[order].copy(), v[:, order].copy())
-
-
-def _lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = m.shape[0]
-    lu = m.copy()
-    perm = np.arange(n)
-    scale = float(np.abs(m).max())
-    threshold = 1e-13 * scale
-    for k in range(n):
-        r = k + int(np.abs(lu[k:, k]).argmax())
-        if abs(lu[r, k]) <= threshold:
-            raise SingularMatrixError(f"pivot {abs(lu[r, k]):.3e} below threshold at column {k}")
-        if r != k:
-            lu[[k, r]] = lu[[r, k]]
-            perm[[k, r]] = perm[[r, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
+    return EigenResult(eigenvalues, eigenvectors)
 
 
 def lu_solve(m, rhs) -> np.ndarray:
-    """Solve m @ x = rhs by partially pivoted LU factorization."""
+    """Solve m @ x = rhs by LAPACK's partially pivoted LU factorization.
+
+    LAPACK only rejects an exactly zero pivot, so m is first rejected as
+    singular when its smallest singular value is at most 1e-13 times its
+    largest; ``matrix_sign`` relies on this to fail near the imaginary axis.
+    """
     a = _square(m, "m")
     b = np.array(rhs, dtype=float)
-    vector = b.ndim == 1
-    if vector:
-        b = b.reshape(-1, 1)
     if b.shape[0] != a.shape[0]:
         raise ShapeError(f"rhs has {b.shape[0]} rows, expected {a.shape[0]}")
-    lu, perm = _lu_factor(a)
-    x = b[perm].astype(float)
-    n = a.shape[0]
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] -= lu[i, i + 1 :] @ x[i + 1 :]
-        x[i] /= lu[i, i]
-    return x[:, 0] if vector else x
+    try:
+        singular_values = np.linalg.svd(a, compute_uv=False)
+        if singular_values[-1] <= 1e-13 * singular_values[0]:
+            raise SingularMatrixError(
+                f"smallest singular value {singular_values[-1]:.3e} is at most 1e-13 of the largest"
+            )
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"LAPACK solve failed: {exc}") from exc
 
 
 def inverse(m) -> np.ndarray:
@@ -294,11 +239,6 @@ def care_solve(a, b, q_hat, gamma: float) -> np.ndarray:
             f"Riccati residual {float(np.abs(residual).max()):.3e} exceeds {limit:.3e}"
         )
     return p
-
-
-def is_negative_semidefinite(m, tol: float = 1e-9) -> bool:
-    """True when every eigenvalue of the symmetric input is <= tol."""
-    return float(sym_eig(m).eigenvalues[-1]) <= tol
 
 
 def is_positive_definite(m, tol: float = 1e-9) -> bool:

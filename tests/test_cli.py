@@ -99,6 +99,29 @@ def test_parse_config_field_named_errors(tmp_path):
     assert "not in the edge list" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "mode, topology, field_name",
+    [
+        ("leaderless", {"n": 3, "edges": [[1, 2]]}, "topology"),
+        ("leader-follower", {"n": 3, "edges": [[1, 2], [2, 3]], "leader": 2}, "topology.leader"),
+        ("leader-follower", {"n": 3, "edges": [[1, 2]], "leader": 1}, "topology"),
+    ],
+    ids=["disconnected", "leader-not-agent-1", "follower-unreachable"],
+)
+def test_topology_errors_rejected_before_any_work(mode, topology, field_name, tmp_path, monkeypatch):
+    config = scalar_pair_config(mode=mode, topology=topology, initial_states={"values": [-1.0, 0.0, 1.0]})
+    path = write_config(tmp_path, config)
+
+    def forbidden(config):
+        raise AssertionError("synthesized before the topology was checked")
+
+    monkeypatch.setattr(cli, "synthesize_gains", forbidden)
+    code, out, err = run_cli(["simulate", path])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert f"config field '{field_name}':" in err
+
+
 def test_parse_config_box_forms(tmp_path):
     seeded = scalar_pair_config(initial_states={"seed": 3, "box": 0.5})
     config = cli.parse_config(write_config(tmp_path, seeded))

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import consensuskit
 from consensuskit import matops
 
 
@@ -85,6 +90,27 @@ def test_lu_solve_requires_pivoting():
 def test_lu_solve_singular_raises():
     with pytest.raises(matops.SingularMatrixError):
         matops.lu_solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [[[1.0, 1.0], [1.0, 1.0 + 1e-15]], np.diag([1e-14, 1.0])],
+    ids=["rank-one-within-1e-15", "diag-1e-14"],
+)
+def test_near_singular_matrix_rejected(m):
+    # LAPACK alone would solve these; the singular-value check rejects them
+    with pytest.raises(matops.SingularMatrixError):
+        matops.lu_solve(m, [1.0, 2.0])
+    with pytest.raises(matops.SingularMatrixError):
+        matops.inverse(m)
+
+
+def test_ill_conditioned_matrix_above_the_threshold_solves():
+    eps = (1.0 + 1e-12) - 1.0  # the perturbation as stored
+    m = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
+    # condition number ~4e12 leaves a relative error of up to ~5e-4
+    assert np.allclose(matops.lu_solve(m, [1.0, 2.0]), [1.0 - 1.0 / eps, 1.0 / eps], rtol=1e-2)
+    assert np.allclose(matops.inverse(m), np.array([[1.0 + eps, -1.0], [-1.0, 1.0]]) / eps, rtol=1e-2)
 
 
 def test_inverse_roundtrip():
@@ -215,11 +241,17 @@ def test_care_solve_residual_and_definiteness_random():
 # ------------------------------------------------------------- definiteness
 
 
-def test_is_negative_semidefinite():
-    assert matops.is_negative_semidefinite([[-1.0, 0.0], [0.0, 0.0]])
-    assert not matops.is_negative_semidefinite([[1e-6, 0.0], [0.0, -1.0]])
-
-
 def test_is_positive_definite():
     assert matops.is_positive_definite([[2.0, 1.0], [1.0, 2.0]])
     assert not matops.is_positive_definite([[1.0, 1.0], [1.0, 1.0]])
+
+
+# ------------------------------------------------------------- dependencies
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only dependency; its LAPACK is the only decomposition backend
+    code = "import sys, consensuskit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(consensuskit.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -467,15 +467,21 @@ def test_guaranteed_cost_bound_leader_follower_quadratic_form():
 # ---------------------------------------------------------------- properties
 
 
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_relabeling_agents_permutes_the_run_and_keeps_the_report(data):
+def draw_connected_graph(data):
+    """A random connected graph on 3-6 agents: (n, edges, weights)."""
     n = data.draw(st.integers(3, 6), label="n")
     # a random spanning tree keeps the graph connected; extra edges go on top
     edges = [(data.draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)]
     others = [(i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1) if (i, k) not in edges]
     edges += data.draw(st.lists(st.sampled_from(others), unique=True), label="extra edges")
     weights = {edge: data.draw(st.floats(0.5, 4.0)) for edge in edges}
+    return n, edges, weights
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_relabeling_agents_permutes_the_run_and_keeps_the_report(data):
+    n, edges, weights = draw_connected_graph(data)
     perm = data.draw(st.permutations(range(1, n + 1)), label="agent i becomes perm[i - 1]")
     x0 = np.random.default_rng(data.draw(st.integers(0, 2**16))).uniform(-0.5, 0.5, size=(n, 2))
 
@@ -507,3 +513,17 @@ def test_relabeling_agents_permutes_the_run_and_keeps_the_report(data):
     assert np.abs(other_states[:, np.array(perm) - 1] - states).max() <= 1e-9 * np.abs(states).max()
     columns = [other.adaptive_edges.index(relabel(edge)) for edge in trace.adaptive_edges]
     assert np.abs(other.weights[:, columns] - trace.weights).max() <= 1e-9 * np.abs(trace.weights).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_leaderless_agent_mean_is_conserved_when_a_is_zero(data):
+    # every edge couples its two agents with opposite signs, so with A = 0
+    # the agent mean stays at its initial value
+    n, edges, weights = draw_connected_graph(data)
+    x0 = np.random.default_rng(data.draw(st.integers(0, 2**16))).uniform(-0.5, 0.5, size=(n, 2))
+    gains = synthesis.design_leaderless(np.zeros((2, 2)), [[1.0, 0.5], [0.0, 1.0]], np.diag([1.0, 2.0]), 2.0)
+    topology = Topology(n=n, edges=tuple(edges), weights=weights)
+    trace = sim.run(SimConfig(x0=x0, t_final=0.5, dt=1e-3, sample_stride=50), gains, topology)
+    means = trace.states.reshape(len(trace.times), n, 2).mean(axis=1)
+    assert np.abs(means - x0.mean(axis=0)).max() <= 1e-12 * np.abs(x0).max()
