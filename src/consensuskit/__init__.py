@@ -4,153 +4,18 @@ Synthesizes distributed protocol gains for high-order linear multiagent
 systems from translated Riccati conditions, simulates the adaptive
 leaderless and leader-follower protocols, and certifies the realized
 quadratic cost against its guaranteed bound.
+
+The package re-exports every name in the ``__all__`` of ``graph``,
+``matops``, ``synthesis``, ``sim`` and ``verify``.
 """
 
-from .graph import (
-    TopologyError,
-    Topology,
-    canonical_edge,
-    laplacian,
-    complete_laplacian,
-    star_laplacian,
-    disagreement_projector,
-    is_connected,
-    is_leader_reachable,
-    path_topology,
-    cycle_topology,
-    complete_topology,
-    star_topology,
-)
-from .matops import (
-    LinearAlgebraError,
-    ShapeError,
-    SymmetryError,
-    ConvergenceError,
-    SingularMatrixError,
-    SignFunctionError,
-    NotStabilizableError,
-    EigenResult,
-    as_matrix,
-    sym_eig,
-    lu_solve,
-    inverse,
-    matrix_exp,
-    matrix_sign,
-    care_solve,
-    is_positive_definite,
-)
-from .synthesis import (
-    LEADERLESS,
-    LEADER_FOLLOWER,
-    COST_MULTIPLIER,
-    SynthesisError,
-    WeightMatrixError,
-    RegulationError,
-    GainSet,
-    CertificateCheck,
-    LmiReport,
-    RegulationRequest,
-    design_leaderless,
-    design_leader_follower,
-    verify_riccati_certificate,
-    verify_lmi_corollary,
-    regulate_gain,
-)
-from .sim import (
-    SimulationError,
-    ConfigurationError,
-    DivergenceError,
-    DIVERGENCE_LIMIT,
-    SimConfig,
-    SimState,
-    Trace,
-    leaderless_rhs,
-    leader_follower_rhs,
-    rk4_step,
-    run,
-    consensus_function,
-    disagreement_norm,
-    guaranteed_cost_bound,
-)
-from .verify import (
-    VerificationError,
-    EmptyTraceError,
-    CostReport,
-    DEFAULT_TOLERANCES,
-    REFERENCE_TOTALS,
-    analyze,
-    render_report,
-    verify_reference_gains,
-)
+from . import graph, matops, sim, synthesis, verify
+from .graph import *
+from .matops import *
+from .synthesis import *
+from .sim import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TopologyError",
-    "Topology",
-    "canonical_edge",
-    "laplacian",
-    "complete_laplacian",
-    "star_laplacian",
-    "disagreement_projector",
-    "is_connected",
-    "is_leader_reachable",
-    "path_topology",
-    "cycle_topology",
-    "complete_topology",
-    "star_topology",
-    "LinearAlgebraError",
-    "ShapeError",
-    "SymmetryError",
-    "ConvergenceError",
-    "SingularMatrixError",
-    "SignFunctionError",
-    "NotStabilizableError",
-    "EigenResult",
-    "as_matrix",
-    "sym_eig",
-    "lu_solve",
-    "inverse",
-    "matrix_exp",
-    "matrix_sign",
-    "care_solve",
-    "is_positive_definite",
-    "LEADERLESS",
-    "LEADER_FOLLOWER",
-    "COST_MULTIPLIER",
-    "SynthesisError",
-    "WeightMatrixError",
-    "RegulationError",
-    "GainSet",
-    "CertificateCheck",
-    "LmiReport",
-    "RegulationRequest",
-    "design_leaderless",
-    "design_leader_follower",
-    "verify_riccati_certificate",
-    "verify_lmi_corollary",
-    "regulate_gain",
-    "SimulationError",
-    "ConfigurationError",
-    "DivergenceError",
-    "DIVERGENCE_LIMIT",
-    "SimConfig",
-    "SimState",
-    "Trace",
-    "leaderless_rhs",
-    "leader_follower_rhs",
-    "rk4_step",
-    "run",
-    "consensus_function",
-    "disagreement_norm",
-    "guaranteed_cost_bound",
-    "VerificationError",
-    "EmptyTraceError",
-    "CostReport",
-    "DEFAULT_TOLERANCES",
-    "REFERENCE_TOTALS",
-    "analyze",
-    "render_report",
-    "verify_reference_gains",
-    "__version__",
-]
+__all__ = [*graph.__all__, *matops.__all__, *synthesis.__all__, *sim.__all__, *verify.__all__, "__version__"]

@@ -2,10 +2,12 @@
 
 Integrates the coupled agent-state and adaptive-weight dynamics with a
 fixed-step fourth-order Runge-Kutta scheme over one flat state vector
-``[x.ravel(), w, J, J_bound]``.  The realized quadratic cost and the
-trajectory-dependent integral term of the guaranteed-cost bound ride inside
-the ODE state as augmented coordinates, so both inherit the integrator's
-accuracy order.
+``[x.ravel(), w]``.  The realized cost J and the integral term J_bound of the
+guaranteed-cost bound never feed back into x or w: ``run`` keeps the RK4
+stage states of x and, once per block of steps, evaluates both rates for
+every stage in one batched pass.  Each step adds (dt/6)(r1 + 2 r2 + 2 r3 +
+r4), summed in step order, which is the arithmetic of RK4 over J and J_bound
+as augmented coordinates, so both keep the integrator's accuracy order.
 """
 
 from __future__ import annotations
@@ -35,11 +37,13 @@ __all__ = [
     "rk4_step",
     "run",
     "consensus_function",
-    "disagreement_norm",
     "guaranteed_cost_bound",
 ]
 
 DIVERGENCE_LIMIT = 1e9
+# RK4 steps per batched rate pass, and the most elements of one rate temporary
+_BLOCK_STEPS = 200
+_RATE_CHUNK = 1 << 15
 
 
 class SimulationError(Exception):
@@ -151,8 +155,13 @@ def adaptive_edges(topology: Topology, mode: str) -> tuple[tuple[int, int], ...]
     return topology.leader_edges()
 
 
+def _quad_sums(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Sum of the quadratic forms v_i^T m v_i over the rows of each stacked v."""
+    return ((v @ m) * v).sum(axis=(1, 2))
+
+
 class _Protocol:
-    """Adaptive coupling over the flat state ``y = [x.ravel(), w, J, J_bound]``.
+    """Adaptive coupling over the flat state ``y = [x.ravel(), w]``.
 
     Every edge (i, k) couples its agents with weight w_ik through B K_u:
     dx = x A^T - E^T ((w_all * (E x)) (B K_u)^T), with E the signed incidence
@@ -160,7 +169,9 @@ class _Protocol:
     leader's row of E^T zeroed, so the leader propagates autonomously, and
     with only the leader edges adaptive; follower edges keep their fixed
     weights in ``w_all``.  The leader is agent 1, so its edges lead the
-    canonical edge order.  Only the cost and bound rates depend on the mode.
+    canonical edge order.  ``deriv`` gives dx and dw; ``rates`` gives the cost
+    and bound rates of a stack of agent states, and only they depend on the
+    mode.
     """
 
     def __init__(self, gains: GainSet, topology: Topology, mode: str):
@@ -179,6 +190,8 @@ class _Protocol:
         self.incidence_t = self.incidence.T.copy()
         if mode == LEADER_FOLLOWER:
             self.incidence_t[0] = 0.0
+            # follower rows (agent k - 2) of the leader edges (1, k), in edge order
+            self.pinned = np.array([k - 2 for _, k in self.adaptive_edges], dtype=int)
         self.w_all = topology.initial_weight_vector(topology.edges)
         self.w0 = self.w_all[self.adaptive].copy()
         self.a_t = gains.a.T.copy()
@@ -189,32 +202,36 @@ class _Protocol:
 
     def deriv(self, y: np.ndarray) -> np.ndarray:
         x = y[: self.nd].reshape(self.n, self.d)
-        self.w_all[self.adaptive] = y[self.nd : -2]
+        self.w_all[self.adaptive] = y[self.nd :]
         diffs = self.incidence @ x
         dx = x @ self.a_t - self.incidence_t @ ((self.w_all[:, None] * diffs) @ self.bku_t)
         adaptive = diffs[self.adaptive]
         dw = ((adaptive @ self.k_w) * adaptive).sum(axis=1)
+        return np.concatenate((dx.ravel(), dw))
+
+    def rates(self, x: np.ndarray) -> np.ndarray:
+        """Rows (dJ, dJ_bound) for each agent state of the stack x, shape (m, n, d)."""
+        per = max(1, _RATE_CHUNK // (self.n * self.n * self.d))
+        if len(x) > per:  # bound the all-pairs temporaries of wide networks
+            return np.concatenate([self.rates(x[lo : lo + per]) for lo in range(0, len(x), per)])
         # ordered-pair differences keep the cost rates exactly zero at
         # consensus (mean-deviation forms leave rounding residue)
         if self.mode == LEADERLESS:
-            pairs = (x[None, :, :] - x[:, None, :]).reshape(-1, self.d)
-            dj = float(((pairs @ self.q) * pairs).sum()) / self.n
-            djb = self.gamma * float(((pairs @ self.k_w) * pairs).sum()) / (2.0 * self.n)
+            pairs = (x[:, None] - x[:, :, None]).reshape(len(x), -1, self.d)
+            dj = _quad_sums(pairs, self.q) / self.n
+            djb = self.gamma * _quad_sums(pairs, self.k_w) / (2.0 * self.n)
         else:
-            xf = x[1:]
-            pairs = (xf[None, :, :] - xf[:, None, :]).reshape(-1, self.d)
-            dj = float(((adaptive @ self.q) * adaptive).sum())
-            dj += float(((pairs @ self.q) * pairs).sum()) / (self.n - 1)
-            xi = xf - x[0]
-            djb = self.gamma * float(((xi @ self.k_w) * xi).sum())
-        return np.concatenate((dx.ravel(), dw, (dj, djb)))
+            xf = x[:, 1:]
+            pairs = (xf[:, None] - xf[:, :, None]).reshape(len(x), -1, self.d)
+            xi = xf - x[:, :1]
+            dj = _quad_sums(xi[:, self.pinned], self.q) + _quad_sums(pairs, self.q) / (self.n - 1)
+            djb = self.gamma * _quad_sums(xi, self.k_w)
+        return np.stack((dj, djb), axis=1)
 
     def rhs(self, state: SimState) -> SimState:
-        y = np.concatenate((np.ravel(state.x), state.w, (state.j_realized, state.j_bound_integral)))
-        dy = self.deriv(y)
-        return SimState(
-            t=1.0, x=dy[: self.nd], w=dy[self.nd : -2], j_realized=float(dy[-2]), j_bound_integral=float(dy[-1])
-        )
+        dy = self.deriv(np.concatenate((np.ravel(state.x), state.w)))
+        dj, djb = self.rates(np.reshape(state.x, (1, self.n, self.d)))[0]
+        return SimState(t=1.0, x=dy[: self.nd], w=dy[self.nd :], j_realized=float(dj), j_bound_integral=float(djb))
 
 
 def leaderless_rhs(state: SimState, gains: GainSet, topology: Topology) -> SimState:
@@ -267,19 +284,42 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
     nsteps = horizon_steps(config.t_final, config.dt)
     dt = config.dt
 
-    y = np.concatenate((x0.ravel(), protocol.w0, (0.0, 0.0)))
-    times = [0.0]
+    # the four RK4 stage states of x for each step of the current block
+    stages = np.empty((4 * _BLOCK_STEPS, nd))
+    filled = 0
+
+    def deriv(y):
+        nonlocal filled
+        stages[filled] = y[:nd]
+        filled += 1
+        return protocol.deriv(y)
+
+    y = np.concatenate((x0.ravel(), protocol.w0))
     samples = [y]
+    sample_steps = [0]
+    costs = [np.zeros((1, 2))]  # (J, J_bound) at the samples, one array per block
+    totals = np.zeros((1, 2))  # totals[-1] holds (J, J_bound) after step `base`
+    base = 0
+    rows = []  # rows of the next block's totals that are samples
     for step in range(1, nsteps + 1):
-        y = rk4_step(protocol.deriv, y, dt)
-        magnitude = float(np.abs(y[:-2]).max())
+        y = rk4_step(deriv, y, dt)
+        magnitude = float(np.abs(y).max())
         if not math.isfinite(magnitude) or magnitude > DIVERGENCE_LIMIT:
             raise DivergenceError(time=step * dt, magnitude=magnitude)
         if step % config.sample_stride == 0 or step == nsteps:
-            times.append(step * dt)
             samples.append(y)
+            sample_steps.append(step)
+            rows.append(step - base)
+        if filled == len(stages) or step == nsteps:
+            r = protocol.rates(stages[:filled].reshape(-1, n, d)).reshape(-1, 4, 2)
+            increments = (dt / 6.0) * (r[:, 0] + 2.0 * r[:, 1] + 2.0 * r[:, 2] + r[:, 3])
+            # row k: (J, J_bound) after step base + k, summed in step order
+            totals = np.cumsum(np.concatenate((totals[-1:], increments)), axis=0)
+            costs.append(totals[rows])
+            base, rows, filled = step, [], 0
 
     history = np.array(samples)
+    costs = np.concatenate(costs)
     states = history[:, :nd].copy()
     x = states.reshape(-1, n, d)
     # per-sample disagreement (leaderless) or follower-to-leader errors
@@ -289,11 +329,11 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
         n=n,
         d=d,
         adaptive_edges=protocol.adaptive_edges,
-        times=np.array(times),
+        times=np.array(sample_steps) * dt,
         states=states,
-        weights=history[:, nd:-2].copy(),
-        j_realized=history[:, -2].copy(),
-        j_bound_integral=history[:, -1].copy(),
+        weights=history[:, nd:].copy(),
+        j_realized=costs[:, 0].copy(),
+        j_bound_integral=costs[:, 1].copy(),
         eta_norm=np.sqrt((dev * dev).reshape(len(dev), -1).sum(axis=1)),
     )
 
@@ -303,13 +343,6 @@ def consensus_function(a, initial_states, t: float) -> np.ndarray:
     a = matops.as_matrix(a, "a")
     x0 = matops.as_matrix(initial_states, "initial_states")
     return matops.matrix_exp(a * t) @ x0.mean(axis=0)
-
-
-def disagreement_norm(x, n: int, d: int) -> float:
-    """Norm of the projection of the stacked state onto the disagreement subspace."""
-    arr = np.asarray(x, dtype=float).reshape(n, d)
-    dev = arr - arr.mean(axis=0)
-    return math.sqrt(float((dev * dev).sum()))
 
 
 def guaranteed_cost_bound(trace: Trace, gains: GainSet) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from consensuskit import graph, matops, sim, synthesis, verify
 from consensuskit.graph import Topology
@@ -21,6 +21,13 @@ def leaderless_gains(gamma=2.0):
 def scalar_gains(gamma=2.0):
     # a = 0, b = 1, q = 1: certificate p = sqrt(2 / gamma)
     return synthesis.design_leaderless([[0.0]], [[1.0]], [[1.0]], gamma)
+
+
+def disagreement_norm(x, n, d):
+    """Norm of the projection of the stacked state onto the disagreement subspace."""
+    arr = np.asarray(x, dtype=float).reshape(n, d)
+    dev = arr - arr.mean(axis=0)
+    return math.sqrt(float((dev * dev).sum()))
 
 
 # ---------------------------------------------------------------- SimConfig
@@ -192,6 +199,18 @@ def test_rk4_step_fifth_order_local_error():
     assert stepped[3] == pytest.approx(taylor, abs=1e-15)
 
 
+def augmented_rhs(rhs, gains, topology):
+    """dy/dt over y = [x, w, J, J_bound] from the public rhs, J and J_bound as ODE coordinates."""
+    nd = topology.n * gains.state_dim
+
+    def f(y):
+        state = SimState(t=0.0, x=y[:nd], w=y[nd:-2], j_realized=y[-2], j_bound_integral=y[-1])
+        dy = rhs(state, gains, topology)
+        return np.concatenate((dy.x, dy.w, (dy.j_realized, dy.j_bound_integral)))
+
+    return f
+
+
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
 def test_run_step_is_rk4_step_over_public_rhs(mode):
     # run() and analyze() share one derivative: a one-step run equals one
@@ -206,17 +225,43 @@ def test_run_step_is_rk4_step_over_public_rhs(mode):
     dt = 1e-3
     trace = sim.run(SimConfig(x0=x0, t_final=dt, dt=dt), gains, topology)
     w0 = trace.weights[0]
-
-    def f(y):
-        state = SimState(t=0.0, x=y[:8], w=y[8:-2], j_realized=y[-2], j_bound_integral=y[-1])
-        dy = rhs(state, gains, topology)
-        return np.concatenate((dy.x, dy.w, (dy.j_realized, dy.j_bound_integral)))
-
-    stepped = sim.rk4_step(f, np.concatenate((x0.ravel(), w0, (0.0, 0.0))), dt)
+    stepped = sim.rk4_step(augmented_rhs(rhs, gains, topology), np.concatenate((x0.ravel(), w0, (0.0, 0.0))), dt)
     assert np.array_equal(trace.states[1], stepped[:8])
     assert np.array_equal(trace.weights[1], stepped[8:-2])
     assert trace.j_realized[1] == stepped[-2]
     assert trace.j_bound_integral[1] == stepped[-1]
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+def test_run_cost_columns_equal_the_augmented_rk4_loop(mode):
+    # run() integrates [x, w] and adds the cost and bound rates of buffered
+    # stage states per block of steps; the oracle steps J and J_bound inside
+    # the RK4 state.  537 steps span three blocks, and stride 7 divides
+    # neither the block nor the horizon, so the final sample is off-stride.
+    # With six agents one block's rate pass is split into several slices.
+    edges = ((1, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 6), (5, 6))
+    if mode == LEADERLESS:
+        gains, rhs, topology = leaderless_gains(), sim.leaderless_rhs, Topology(n=6, edges=edges)
+    else:
+        gains = synthesis.design_leader_follower(A1, B1, Q1, 1.0)
+        rhs, topology = sim.leader_follower_rhs, Topology(n=6, edges=edges, leader=1)
+    x0 = np.random.default_rng(43).uniform(-0.25, 0.25, size=(6, 2))
+    dt, stride, nsteps = 1e-3, 7, 537
+    trace = sim.run(SimConfig(x0=x0, t_final=nsteps * dt, dt=dt, sample_stride=stride), gains, topology)
+
+    f = augmented_rhs(rhs, gains, topology)
+    y = np.concatenate((x0.ravel(), trace.weights[0], (0.0, 0.0)))
+    expected = [y]
+    for step in range(1, nsteps + 1):
+        y = sim.rk4_step(f, y, dt)
+        if step % stride == 0 or step == nsteps:
+            expected.append(y)
+    expected = np.array(expected)
+    assert len(expected) == 1 + nsteps // stride + 1
+    assert np.array_equal(trace.states, expected[:, :12])
+    assert np.array_equal(trace.weights, expected[:, 12:-2])
+    assert np.array_equal(trace.j_realized, expected[:, -2])
+    assert np.array_equal(trace.j_bound_integral, expected[:, -1])
 
 
 # ---------------------------------------------------------------------- run
@@ -264,7 +309,7 @@ def test_run_eta_norm_equals_the_per_sample_loop(mode):
     trace = sim.run(SimConfig(x0=x0, t_final=0.5, dt=1e-3, sample_stride=7), gains, topology)
     for eta, state in zip(trace.eta_norm, trace.states):
         if mode == LEADERLESS:
-            expected = sim.disagreement_norm(state, 5, 2)
+            expected = disagreement_norm(state, 5, 2)
         else:
             x = state.reshape(5, 2)
             expected = math.sqrt(float(((x[1:] - x[0]) ** 2).sum()))
@@ -415,7 +460,7 @@ def test_disagreement_norm_matches_projector():
     proj = graph.disagreement_projector(5)
     stacked = proj @ x
     expected = math.sqrt(float((stacked * stacked).sum()))
-    assert abs(sim.disagreement_norm(x.ravel(), 5, 3) - expected) < 1e-12
+    assert abs(disagreement_norm(x.ravel(), 5, 3) - expected) < 1e-12
 
 
 def test_guaranteed_cost_bound_zero_disagreement():
@@ -527,3 +572,38 @@ def test_leaderless_agent_mean_is_conserved_when_a_is_zero(data):
     trace = sim.run(SimConfig(x0=x0, t_final=0.5, dt=1e-3, sample_stride=50), gains, topology)
     means = trace.states.reshape(len(trace.times), n, 2).mean(axis=1)
     assert np.abs(means - x0.mean(axis=0)).max() <= 1e-12 * np.abs(x0).max()
+
+
+def draw_plant(seed):
+    """A random plant as criterion 3 draws them: (a, b, q, gamma)."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 7))
+    m = int(rng.integers(1, 3))
+    a = rng.normal(size=(d, d))
+    b = rng.normal(size=(d, m))
+    factor = rng.normal(size=(d, d))
+    return a, b, factor.T @ factor + 0.1 * np.eye(d), float(rng.uniform(0.5, 4.0))
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_cost_stays_under_the_bound_and_weights_never_decrease(mode, data):
+    a, b, q, gamma = draw_plant(data.draw(st.integers(0, 2**16), label="plant seed"))
+    design = synthesis.design_leaderless if mode == LEADERLESS else synthesis.design_leader_follower
+    try:
+        gains = design(a, b, q, gamma)
+    except matops.NotStabilizableError:
+        reject()
+    n, edges, weights = draw_connected_graph(data)
+    topology = Topology(n=n, edges=tuple(edges), weights=weights, leader=1 if mode == LEADER_FOLLOWER else None)
+    x0 = np.random.default_rng(data.draw(st.integers(0, 2**16))).uniform(-0.5, 0.5, size=(n, len(a)))
+    # keep the fixed RK4 step inside its stability region: at the initial
+    # weights the closed loop's spectral radius is at most
+    # |A| + 2 * max weighted degree * |B K_u|
+    degree = max(sum(w for edge, w in weights.items() if i in edge) for i in range(1, n + 1))
+    dt = min(1e-3, 0.5 / (np.linalg.norm(a, 2) + 2.0 * degree * np.linalg.norm(b @ gains.k_u, 2)))
+    trace = sim.run(SimConfig(x0=x0, t_final=300 * dt, dt=dt, sample_stride=50), gains, topology)
+    report = verify.analyze(trace, gains, topology)
+    assert report.realized_cost <= report.bound
+    assert np.diff(trace.weights, axis=0).min() >= 0.0
