@@ -117,14 +117,22 @@ def _get(section: dict, field_name: str, qualified: str, required: bool = True, 
 
 
 def _as_int(value, qualified: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
+    # float.is_integer is False for NaN and +-Infinity, which JSON also admits
+    if isinstance(value, bool) or not (isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
         raise _fail(qualified, f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _finite(value) -> bool:
+    """False for NaN, +-Infinity and integers beyond the float range."""
+    return abs(value) <= sys.float_info.max
 
 
 def _as_float(value, qualified: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(qualified, f"expected a number, got {value!r}")
+    if not _finite(value):
+        raise _fail(qualified, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -133,6 +141,9 @@ def _as_matrix(value, rows: int, cols: int, qualified: str) -> np.ndarray:
         raise _fail(qualified, "expected a flat list of numbers (row-major)")
     if len(value) != rows * cols:
         raise _fail(qualified, f"expected {rows * cols} numbers for a {rows}x{cols} matrix, got {len(value)}")
+    for idx, v in enumerate(value):
+        if not _finite(v):
+            raise _fail(f"{qualified}[{idx}]", f"expected a finite number, got {v!r}")
     return np.array(value, dtype=float).reshape(rows, cols)
 
 
@@ -234,17 +245,19 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         )
     else:
         initial_seed = _as_int(_get(init, "seed", "initial_states.seed"), "initial_states.seed")
+        if initial_seed < 0:
+            raise _fail("initial_states.seed", f"must be >= 0, got {initial_seed}")
         box = _get(init, "box", "initial_states.box")
         if isinstance(box, (int, float)) and not isinstance(box, bool):
-            half = float(box)
+            half = _as_float(box, "initial_states.box")
             if not half > 0.0:
                 raise _fail("initial_states.box", f"half-width must be positive, got {half}")
             initial_box = (-half, half)
         elif isinstance(box, list) and len(box) == 2:
             lo = _as_float(box[0], "initial_states.box[0]")
             hi = _as_float(box[1], "initial_states.box[1]")
-            if not lo < hi:
-                raise _fail("initial_states.box", f"need low < high, got [{lo}, {hi}]")
+            if not (lo < hi and _finite(hi - lo)):
+                raise _fail("initial_states.box", f"need low < high a finite distance apart, got [{lo}, {hi}]")
             initial_box = (lo, hi)
         else:
             raise _fail("initial_states.box", "expected a half-width number or a [low, high] pair")
@@ -371,6 +384,8 @@ def _checked_tolerances(entries: dict, where: str) -> dict:
             raise CliError(f"{where.format(name)}: unknown tolerance; known: {sorted(verify.DEFAULT_TOLERANCES)}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise CliError(f"{where.format(name)}: expected a number, got {value!r}")
+        if not _finite(value):
+            raise CliError(f"{where.format(name)}: expected a finite number, got {value!r}")
         out[name] = float(value)
     return out
 
@@ -501,6 +516,9 @@ def read_trace_csv(path: str, config: RunConfig) -> Trace:
         raise CliError(f"trace {path}: {exc}")
     if arr.shape[1] != len(expected):
         raise CliError(f"trace {path}: rows have {arr.shape[1]} columns, expected {len(expected)} for this config")
+    if not np.isfinite(arr).all():
+        row, col = np.argwhere(~np.isfinite(arr))[0]
+        raise CliError(f"trace {path}: sample {row + 1} has {expected[col]} = {arr[row, col]}, expected a finite value")
     nd, m = n * d, len(edges)
     return Trace(
         mode=config.mode,
@@ -553,7 +571,7 @@ def _print_gains(gains: GainSet, out, regulated_gamma: Optional[float] = None) -
     check = synthesis.verify_riccati_certificate(
         gains.certificate, gains.a, gains.b, gains.q, gains.gamma, gains.multiplier
     )
-    lam_max = float(matops.sym_eig(gains.certificate).eigenvalues[-1])
+    lam_max = float(matops.sym_eig(gains.certificate)[-1])
     print(f"mode = {gains.mode}", file=out)
     if regulated_gamma is not None:
         print(f"regulated = true", file=out)
@@ -718,7 +736,7 @@ def cmd_demo(args, out=sys.stdout) -> int:
     print(f"reference_gain_check_passed = {str(gain_report['passed']).lower()}", file=out)
     print(f"reference_total_informational = {_format(gain_report['reference_total'])}", file=out)
     if which == "example-2":
-        bbt_max = float(matops.sym_eig(config.b @ config.b.T).eigenvalues[-1])
+        bbt_max = float(matops.sym_eig(config.b @ config.b.T)[-1])
         print(f"strict_gain_regulation_bbt_max_eigenvalue = {_format(bbt_max)}", file=out)
         if bbt_max > 1.0:
             print(

@@ -1,10 +1,9 @@
-"""Interaction-topology representation and Laplacian construction.
+"""Interaction-topology representation and connectivity checks.
 
 Topologies are undirected weighted graphs over agents 1..n with an optional
-leader (agent 1 by convention).  Alongside the weighted Laplacian this module
-builds the structural matrices used by the guaranteed-cost expressions: the
-complete-graph Laplacian, the star-graph Laplacian, and the disagreement
-projector I - (1/n) 1 1^T.
+leader (agent 1 by convention).  The module validates and canonicalizes the
+edge list and weights, answers the connectivity questions each protocol
+mode requires, and builds the path, cycle, complete and star families.
 """
 
 from __future__ import annotations
@@ -19,10 +18,6 @@ __all__ = [
     "TopologyError",
     "Topology",
     "canonical_edge",
-    "laplacian",
-    "complete_laplacian",
-    "star_laplacian",
-    "disagreement_projector",
     "is_connected",
     "is_leader_reachable",
     "path_topology",
@@ -89,88 +84,14 @@ class Topology:
         if self.leader is not None and not (1 <= self.leader <= self.n):
             raise TopologyError(f"leader {self.leader} outside 1..{self.n}")
 
-    def neighbors(self, agent: int) -> list[int]:
-        out = []
-        for i, k in self.edges:
-            if i == agent:
-                out.append(k)
-            elif k == agent:
-                out.append(i)
-        return out
-
     def leader_edges(self) -> tuple[tuple[int, int], ...]:
         """Canonical edges incident to the leader, in canonical order."""
         if self.leader is None:
             return ()
         return tuple(e for e in self.edges if self.leader in e)
 
-    def follower_edges(self) -> tuple[tuple[int, int], ...]:
-        """Canonical edges not incident to the leader, in canonical order."""
-        if self.leader is None:
-            return self.edges
-        return tuple(e for e in self.edges if self.leader not in e)
-
     def initial_weight_vector(self, edges: Sequence[tuple[int, int]]) -> np.ndarray:
         return np.array([self.weights[e] for e in edges], dtype=float)
-
-
-def laplacian(topology: Topology, weights: Mapping[tuple[int, int], float] | None = None) -> np.ndarray:
-    """Weighted Laplacian D - W of the topology.
-
-    ``weights`` overrides the topology's initial weights (used for the
-    time-varying adaptive weights); it must cover every edge with a positive
-    value.
-    """
-    w = topology.weights if weights is None else weights
-    lap = np.zeros((topology.n, topology.n))
-    for pair in topology.edges:
-        try:
-            value = float(w[pair])
-        except KeyError:
-            raise TopologyError(f"missing weight for edge {pair}")
-        if not value > 0.0:
-            raise TopologyError(f"weight for edge {pair} must be positive, got {value}")
-        i, k = pair[0] - 1, pair[1] - 1
-        lap[i, k] -= value
-        lap[k, i] -= value
-        lap[i, i] += value
-        lap[k, k] += value
-    return lap
-
-
-def complete_laplacian(n: int, edge_weight: float) -> np.ndarray:
-    """Laplacian of the complete graph on n agents with uniform edge weight.
-
-    With edge_weight = 1/n this equals the disagreement projector
-    I - (1/n) 1 1^T; all nonzero eigenvalues equal n * edge_weight.
-    """
-    if n < 2:
-        raise TopologyError(f"need at least 2 agents, got n={n}")
-    if not edge_weight > 0.0:
-        raise TopologyError(f"edge weight must be positive, got {edge_weight}")
-    return edge_weight * (n * np.eye(n) - np.ones((n, n)))
-
-
-def star_laplacian(n: int) -> np.ndarray:
-    """Laplacian of the unit-weight star graph with hub at agent 1.
-
-    Entry (1,1) is n-1, the first row and column off-diagonals are -1, and
-    the remaining diagonal block is the identity.
-    """
-    if n < 2:
-        raise TopologyError(f"need at least 2 agents, got n={n}")
-    lap = np.eye(n)
-    lap[0, 0] = n - 1
-    lap[0, 1:] = -1.0
-    lap[1:, 0] = -1.0
-    return lap
-
-
-def disagreement_projector(n: int) -> np.ndarray:
-    """Orthogonal projector I - (1/n) 1 1^T onto the disagreement subspace."""
-    if n < 2:
-        raise TopologyError(f"need at least 2 agents, got n={n}")
-    return np.eye(n) - np.ones((n, n)) / n
 
 
 def _reachable_from(topology: Topology, start: int) -> set[int]:

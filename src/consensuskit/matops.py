@@ -1,17 +1,16 @@
 """Dense linear-algebra kernel.
 
-Provides the linear solve, symmetric eigendecomposition, matrix exponential,
+Provides the linear solve, symmetric eigenvalues, matrix exponential,
 matrix sign function, and continuous algebraic Riccati equation (CARE) solver
-used by the synthesis and simulation layers.  The solve and the
-eigendecomposition call LAPACK through ``np.linalg``, which ships inside
-NumPy, the package's only dependency; the matrix exponential, the sign
-iteration and the CARE checks are written here on top of them.
+used by the synthesis and simulation layers.  The solve and the eigenvalues
+call LAPACK through ``np.linalg``, which ships inside NumPy, the package's
+only dependency; the matrix exponential, the sign iteration and the CARE
+checks are written here on top of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +22,9 @@ __all__ = [
     "SingularMatrixError",
     "SignFunctionError",
     "NotStabilizableError",
-    "EigenResult",
     "as_matrix",
     "sym_eig",
     "lu_solve",
-    "inverse",
     "matrix_exp",
     "matrix_sign",
     "care_solve",
@@ -88,31 +85,14 @@ def _require_symmetric(m: np.ndarray, name: str, rel: float = 1e-10) -> None:
         raise SymmetryError(f"{name} is not symmetric within {rel:g} relative tolerance")
 
 
-def _frobenius(m: np.ndarray) -> float:
-    return math.sqrt(float((m * m).sum()))
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigendecomposition of a symmetric matrix.
-
-    ``eigenvalues`` are ascending; column i of ``eigenvectors`` is the
-    eigenvector for ``eigenvalues[i]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def sym_eig(m) -> EigenResult:
-    """Diagonalize a symmetric matrix with LAPACK's symmetric eigensolver."""
+def sym_eig(m) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, by LAPACK's symmetric eigensolver."""
     a = _square(m, "m")
     _require_symmetric(a, "m")
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (a + a.T))
+        return np.linalg.eigvalsh(0.5 * (a + a.T))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
-    return EigenResult(eigenvalues, eigenvectors)
 
 
 def lu_solve(m, rhs) -> np.ndarray:
@@ -135,12 +115,6 @@ def lu_solve(m, rhs) -> np.ndarray:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"LAPACK solve failed: {exc}") from exc
-
-
-def inverse(m) -> np.ndarray:
-    """Matrix inverse via LU solve against the identity."""
-    a = _square(m, "m")
-    return lu_solve(a, np.eye(a.shape[0]))
 
 
 _PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0)
@@ -177,7 +151,7 @@ def matrix_sign(m, max_iterations: int = 100) -> np.ndarray:
     converged = False
     for _ in range(max_iterations):
         try:
-            z_next = 0.5 * (z + inverse(z))
+            z_next = 0.5 * (z + lu_solve(z, np.eye(len(z))))
         except SingularMatrixError as exc:
             raise SignFunctionError("sign iteration hit a singular iterate") from exc
         delta = float(np.abs(z_next - z).max())
@@ -229,11 +203,11 @@ def care_solve(a, b, q_hat, gamma: float) -> np.ndarray:
     except SingularMatrixError as exc:
         raise NotStabilizableError("stable-subspace system is singular") from exc
     p = 0.5 * (p + p.T)
-    eigenvalues = sym_eig(p).eigenvalues
+    eigenvalues = sym_eig(p)
     if eigenvalues[0] < -1e-9 * max(1.0, float(np.abs(eigenvalues).max())):
         raise NotStabilizableError(f"solution is indefinite (min eigenvalue {eigenvalues[0]:.3e})")
     residual = p @ a + a.T @ p - gamma * (p @ b_mat) @ (b_mat.T @ p) + q
-    limit = 1e-7 * (1.0 + _frobenius(p) ** 2)
+    limit = 1e-7 * (1.0 + float((p * p).sum()))
     if float(np.abs(residual).max()) > limit:
         raise NotStabilizableError(
             f"Riccati residual {float(np.abs(residual).max()):.3e} exceeds {limit:.3e}"
@@ -243,4 +217,4 @@ def care_solve(a, b, q_hat, gamma: float) -> np.ndarray:
 
 def is_positive_definite(m, tol: float = 1e-9) -> bool:
     """True when every eigenvalue of the symmetric input is >= tol."""
-    return float(sym_eig(m).eigenvalues[0]) >= tol
+    return float(sym_eig(m)[0]) >= tol

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matops
-from .matops import NotStabilizableError, SymmetryError
 
 __all__ = [
     "LEADERLESS",
@@ -191,12 +190,10 @@ def verify_riccati_certificate(
     p = matops.as_matrix(certificate, "certificate")
     if p.shape != a.shape:
         raise matops.ShapeError(f"certificate is {p.shape[0]}x{p.shape[1]}, expected {a.shape[0]}x{a.shape[1]}")
-    scale = max(1.0, float(np.abs(p).max()))
-    if float(np.abs(p - p.T).max()) > 1e-10 * scale:
-        raise SymmetryError("certificate is not symmetric")
+    matops._require_symmetric(p, "certificate")
     pb = p @ b
     form = p @ a + a.T @ p - gamma * (pb @ pb.T) + multiplier * q
-    margin = float(matops.sym_eig(form).eigenvalues[-1])
+    margin = float(matops.sym_eig(form)[-1])
     return CertificateCheck(is_certificate=margin <= tol, margin=margin)
 
 
@@ -218,11 +215,9 @@ def verify_lmi_corollary(
     d = a.shape[0]
     if pt.shape != (d, d):
         raise matops.ShapeError(f"p_tilde is {pt.shape[0]}x{pt.shape[1]}, expected {d}x{d}")
-    scale = max(1.0, float(np.abs(pt).max()))
-    if float(np.abs(pt - pt.T).max()) > 1e-10 * scale:
-        raise SymmetryError("p_tilde is not symmetric")
+    matops._require_symmetric(pt, "p_tilde")
     bbt = b @ b.T
-    bbt_max = float(matops.sym_eig(bbt).eigenvalues[-1])
+    bbt_max = float(matops.sym_eig(bbt)[-1])
     bbt_ok = bbt_max <= 1.0 + 1e-9
     rescale = 1.0
     gamma_equivalent = gamma
@@ -237,9 +232,9 @@ def verify_lmi_corollary(
             [multiplier * (q @ pt), -multiplier * q],
         ]
     )
-    xi_max = float(matops.sym_eig(xi).eigenvalues[-1])
+    xi_max = float(matops.sym_eig(xi)[-1])
     xi_nd = xi_max < -1e-12 * max(1.0, float(np.abs(xi).max()))
-    pt_min = float(matops.sym_eig(pt).eigenvalues[0])
+    pt_min = float(matops.sym_eig(pt)[0])
     floor = 0.0 if math.isinf(delta) else 1.0 / delta
     floor_ok = pt_min >= floor - 1e-9 * max(1.0, floor)
     feasible = xi_nd and floor_ok and (bbt_ok or not strict)
@@ -272,7 +267,7 @@ def regulate_gain(
         raise ValueError(f"mode must be one of {sorted(COST_MULTIPLIER)}, got {mode!r}")
     a, b, q = _checked_plant(a, b, q)
     if strict:
-        bbt_max = float(matops.sym_eig(b @ b.T).eigenvalues[-1])
+        bbt_max = float(matops.sym_eig(b @ b.T)[-1])
         if bbt_max > 1.0 + 1e-9:
             raise RegulationError(
                 f"strict mode requires lambda_max(B B^T) <= 1, got {bbt_max:.6g}"
@@ -281,7 +276,7 @@ def regulate_gain(
 
     def evaluate(gamma: float) -> tuple[float, GainSet]:
         gains = _design(mode, a, b, q, gamma)
-        lam = float(matops.sym_eig(gains.certificate).eigenvalues[-1])
+        lam = float(matops.sym_eig(gains.certificate)[-1])
         return lam, gains
 
     def check_monotone(lam_low_gamma: float, lam_high_gamma: float) -> None:

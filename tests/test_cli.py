@@ -122,6 +122,45 @@ def test_topology_errors_rejected_before_any_work(mode, topology, field_name, tm
     assert f"config field '{field_name}':" in err
 
 
+@pytest.mark.parametrize(
+    "overrides, env, where",
+    [
+        ({"initial_states": {"seed": 3, "box": math.inf}}, "", "config field 'initial_states.box':"),
+        ({"initial_states": {"seed": 3, "box": [-1e308, 1e308]}}, "", "config field 'initial_states.box':"),
+        ({"initial_states": {"values": [-1.0, math.nan]}}, "", "config field 'initial_states.values[1]':"),
+        (
+            {"topology": {"n": 2, "edges": [[1, 2]], "weights": [[1, 2, math.inf]]}},
+            "",
+            "config field 'topology.weights[0][2]':",
+        ),
+        ({"gamma": math.inf}, "", "config field 'gamma':"),
+        ({"initial_states": {"seed": -1, "box": 1.0}}, "", "config field 'initial_states.seed':"),
+        ({"plant": {"d": 1, "p": 1, "a": [-math.inf], "b": [1.0], "q": [1.0]}}, "", "config field 'plant.a[0]':"),
+        ({"topology": {"n": math.inf, "edges": [[1, 2]]}}, "", "config field 'topology.n':"),
+        ({"dt": math.nan}, "", "config field 'dt':"),
+        ({"tolerances": {"consensus": math.nan}}, "", "config field 'tolerances.consensus':"),
+        ({}, "consensus=nan", f"{cli.TOLERANCE_ENV_VAR} entry 'consensus':"),
+    ],
+    ids=[
+        "box-infinity", "box-width-overflows", "values-nan", "weight-infinity", "gamma-infinity",
+        "seed-negative", "plant-minus-infinity", "n-infinity", "dt-nan", "tolerance-nan", "env-tolerance-nan",
+    ],
+)
+def test_non_finite_numbers_rejected_before_any_work(overrides, env, where, tmp_path, monkeypatch):
+    # JSON admits NaN and +-Infinity; each is a parse error naming its field
+    path = write_config(tmp_path, scalar_pair_config(**overrides))
+
+    def forbidden(config):
+        raise AssertionError("synthesized before the numbers were checked")
+
+    monkeypatch.setattr(cli, "synthesize_gains", forbidden)
+    monkeypatch.setenv(cli.TOLERANCE_ENV_VAR, env)
+    code, out, err = run_cli(["simulate", path])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert where in err
+
+
 def test_parse_config_box_forms(tmp_path):
     seeded = scalar_pair_config(initial_states={"seed": 3, "box": 0.5})
     config = cli.parse_config(write_config(tmp_path, seeded))
@@ -487,6 +526,22 @@ def test_verify_checks_row_width_against_the_header(cut, tmp_path):
     assert code == EXIT_PARSE
     assert out == ""
     assert str(bad) in err and "columns" in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_verify_rejects_non_finite_cells(cell, tmp_path):
+    path = write_config(tmp_path, scalar_pair_config(t_final=1.0))
+    csv_path = tmp_path / "trace.csv"
+    assert run_cli(["simulate", path, "--out", str(csv_path)])[0] == EXIT_OK
+    header, *rows = csv_path.read_text(encoding="utf-8").splitlines()
+    cells = rows[-1].split(",")
+    cells[-2] = cell  # J_realized of the last sample
+    bad = tmp_path / "non-finite.csv"
+    bad.write_text("\n".join([header] + rows[:-1] + [",".join(cells)]) + "\n", encoding="utf-8")
+    code, out, err = run_cli(["verify", path, str(bad)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert f"trace {bad}: sample {len(rows)} has J_realized = {cell}" in err
 
 
 def test_verify_skips_blank_lines_before_the_header(tmp_path):

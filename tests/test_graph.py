@@ -48,71 +48,14 @@ def test_topology_rejects_tiny_graph_and_bad_leader():
         Topology(n=3, edges=((1, 2),), leader=9)
 
 
-def test_neighbors():
-    t = graph.cycle_topology(4)
-    assert sorted(t.neighbors(1)) == [2, 4]
-    assert sorted(t.neighbors(3)) == [2, 4]
-
-
 def test_leader_and_follower_edges():
     t = Topology(n=4, edges=((1, 2), (1, 3), (2, 3), (3, 4)), leader=1)
     assert t.leader_edges() == ((1, 2), (1, 3))
-    assert t.follower_edges() == ((2, 3), (3, 4))
 
 
 def test_initial_weight_vector_follows_given_order():
     t = Topology(n=3, edges=((1, 2), (2, 3)), weights={(1, 2): 2.0, (2, 3): 5.0})
     assert np.allclose(t.initial_weight_vector(((2, 3), (1, 2))), [5.0, 2.0])
-
-
-def test_laplacian_path_frozen():
-    t = graph.path_topology(3)
-    expected = [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]
-    assert np.allclose(graph.laplacian(t), expected, atol=0.0)
-
-
-def test_laplacian_weight_override():
-    t = graph.path_topology(3)
-    lap = graph.laplacian(t, weights={(1, 2): 2.0, (2, 3): 3.0})
-    expected = [[2.0, -2.0, 0.0], [-2.0, 5.0, -3.0], [0.0, -3.0, 3.0]]
-    assert np.allclose(lap, expected, atol=0.0)
-
-
-def test_laplacian_rows_sum_to_zero():
-    t = graph.complete_topology(5, weight=1.7)
-    lap = graph.laplacian(t)
-    assert np.abs(lap.sum(axis=1)).max() < 1e-14
-    assert np.abs(lap - lap.T).max() == 0.0
-
-
-def test_complete_laplacian_spectrum():
-    lap = graph.complete_laplacian(4, 2.0)
-    from consensuskit import matops
-
-    eigs = matops.sym_eig(lap).eigenvalues
-    assert np.allclose(eigs, [0.0, 8.0, 8.0, 8.0], atol=1e-10)
-    t = graph.complete_topology(4, weight=2.0)
-    assert np.allclose(lap, graph.laplacian(t), atol=0.0)
-
-
-def test_star_laplacian_matches_star_topology():
-    lap = graph.star_laplacian(4)
-    expected = [
-        [3.0, -1.0, -1.0, -1.0],
-        [-1.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 1.0, 0.0],
-        [-1.0, 0.0, 0.0, 1.0],
-    ]
-    assert np.allclose(lap, expected, atol=0.0)
-    t = graph.star_topology(4)
-    assert np.allclose(lap, graph.laplacian(t), atol=0.0)
-
-
-def test_disagreement_projector_properties():
-    p = graph.disagreement_projector(5)
-    assert np.abs(p @ p - p).max() < 1e-14
-    assert np.abs(p @ np.ones(5)).max() < 1e-14
-    assert np.abs(p - p.T).max() == 0.0
 
 
 def test_is_connected():

@@ -36,8 +36,8 @@ def test_as_matrix_rejects_non_finite():
 
 
 def test_sym_eig_2x2_closed_form():
-    result = matops.sym_eig([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(result.eigenvalues, [1.0, 3.0], atol=1e-12)
+    eigenvalues = matops.sym_eig([[2.0, 1.0], [1.0, 2.0]])
+    assert np.allclose(eigenvalues, [1.0, 3.0], atol=1e-12)
 
 
 def test_sym_eig_tridiagonal_closed_form():
@@ -45,20 +45,7 @@ def test_sym_eig_tridiagonal_closed_form():
     # are 4 + 2 cos(k pi / 4), k = 1..3
     m = [[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]
     expected = sorted(4.0 + 2.0 * math.cos(k * math.pi / 4.0) for k in (1, 2, 3))
-    result = matops.sym_eig(m)
-    assert np.allclose(result.eigenvalues, expected, atol=1e-12)
-
-
-def test_sym_eig_eigenvectors_reconstruct_and_are_orthonormal():
-    rng = np.random.default_rng(7)
-    base = rng.normal(size=(6, 6))
-    m = base + base.T
-    result = matops.sym_eig(m)
-    v = result.eigenvectors
-    assert np.abs(v.T @ v - np.eye(6)).max() < 1e-10
-    recon = v @ np.diag(result.eigenvalues) @ v.T
-    assert np.abs(recon - m).max() < 1e-9 * max(1.0, np.abs(m).max())
-    assert np.all(np.diff(result.eigenvalues) >= -1e-12)
+    assert np.allclose(matops.sym_eig(m), expected, atol=1e-12)
 
 
 def test_sym_eig_rejects_asymmetric():
@@ -101,8 +88,6 @@ def test_near_singular_matrix_rejected(m):
     # LAPACK alone would solve these; the singular-value check rejects them
     with pytest.raises(matops.SingularMatrixError):
         matops.lu_solve(m, [1.0, 2.0])
-    with pytest.raises(matops.SingularMatrixError):
-        matops.inverse(m)
 
 
 def test_ill_conditioned_matrix_above_the_threshold_solves():
@@ -110,14 +95,6 @@ def test_ill_conditioned_matrix_above_the_threshold_solves():
     m = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
     # condition number ~4e12 leaves a relative error of up to ~5e-4
     assert np.allclose(matops.lu_solve(m, [1.0, 2.0]), [1.0 - 1.0 / eps, 1.0 / eps], rtol=1e-2)
-    assert np.allclose(matops.inverse(m), np.array([[1.0 + eps, -1.0], [-1.0, 1.0]]) / eps, rtol=1e-2)
-
-
-def test_inverse_roundtrip():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
-    inv = matops.inverse(m)
-    assert np.abs(m @ inv - np.eye(5)).max() < 1e-10
 
 
 # --------------------------------------------------------------- matrix_exp
