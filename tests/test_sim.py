@@ -42,6 +42,13 @@ def test_sim_config_validation():
         SimConfig(x0=np.zeros((2, 1)), t_final=1.0, sample_stride=0)
 
 
+@pytest.mark.parametrize("stride", [2.5, float("nan"), True, 0])
+def test_sim_config_rejects_a_sample_stride_that_is_not_a_positive_integer(stride):
+    # 2.5 would sample every 5 steps and NaN would keep only the end samples
+    with pytest.raises(sim.ConfigurationError, match="sample_stride"):
+        SimConfig(x0=np.zeros((2, 1)), t_final=1.0, sample_stride=stride)
+
+
 def test_sim_config_rejects_horizon_off_the_dt_grid():
     with pytest.raises(sim.ConfigurationError, match="t_final"):
         SimConfig(x0=np.zeros((2, 1)), t_final=1.0005, dt=1e-3)
@@ -180,23 +187,37 @@ def test_leader_follower_requires_leader_one():
         sim.leader_follower_rhs(state, gains, topology)
 
 
-# ----------------------------------------------------------------- rk4_step
+# ------------------------------------------------------------ the RK4 step
+
+
+def rk4_step(f, y, dt):
+    """One textbook Runge-Kutta step of dy/dt = f(y): the oracle for run()."""
+    k1 = f(y)
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def test_rk4_step_fifth_order_local_error():
-    # dy/dt = y has exact solution e^t; one RK4 step reproduces the Taylor
-    # polynomial through fourth order.  Component 0 is the clock t.
-    def rhs(y):
-        return np.concatenate(([1.0], y[1:]))
-
-    dt = 0.1
-    stepped = sim.rk4_step(rhs, np.array([0.0, 1.0, 1.0, 1.0, 1.0]), dt)
-    taylor = 1.0 + dt + dt**2 / 2 + dt**3 / 6 + dt**4 / 24
-    assert stepped[0] == pytest.approx(dt)
-    assert stepped[1] == pytest.approx(taylor, abs=1e-15)
-    assert abs(stepped[1] - math.exp(dt)) < 1e-7
-    assert stepped[2] == pytest.approx(taylor, abs=1e-15)
-    assert stepped[3] == pytest.approx(taylor, abs=1e-15)
+    # at consensus every edge difference is zero, so the coupling and dw
+    # vanish exactly and each agent follows dx/dt = A x: one run() step is
+    # the Taylor polynomial of e^{hA} through fourth order
+    gains, topology = leaderless_gains(), graph.complete_topology(3)
+    x0 = np.array([0.3, -0.7])
+    dt = 1e-2
+    trace = sim.run(SimConfig(x0=np.tile(x0, (3, 1)), t_final=dt, dt=dt), gains, topology)
+    ha = dt * A1
+    taylor = (np.eye(2) + ha + ha @ ha / 2 + ha @ ha @ ha / 6 + ha @ ha @ ha @ ha / 24) @ x0
+    exact = matops.matrix_exp(ha) @ x0
+    # the remainder sum_{k >= 5} (hA)^k x0 / k! bounds RK4's local error
+    h_norm = np.linalg.norm(ha, 2)
+    local_error = math.exp(h_norm) * h_norm**5 / 120 * np.linalg.norm(x0)
+    for agent in trace.states[1].reshape(3, 2):
+        assert np.abs(agent - taylor).max() <= 1e-15
+        assert 0.0 < np.linalg.norm(agent - exact) <= local_error
+    assert np.array_equal(trace.weights[1], trace.weights[0])
+    assert trace.j_realized[1] == 0.0 and trace.j_bound_integral[1] == 0.0
 
 
 def augmented_rhs(rhs, gains, topology):
@@ -209,6 +230,18 @@ def augmented_rhs(rhs, gains, topology):
         return np.concatenate((dy.x, dy.w, (dy.j_realized, dy.j_bound_integral)))
 
     return f
+
+
+def rk4_loop(rhs, gains, topology, y0, dt, nsteps, stride):
+    """Augmented y = [x, w, J, J_bound] at the steps run() samples, by the textbook RK4 loop."""
+    f = augmented_rhs(rhs, gains, topology)
+    y = np.concatenate((y0, (0.0, 0.0)))
+    samples = [y]
+    for step in range(1, nsteps + 1):
+        y = rk4_step(f, y, dt)
+        if step % stride == 0 or step == nsteps:
+            samples.append(y)
+    return np.array(samples)
 
 
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
@@ -225,7 +258,7 @@ def test_run_step_is_rk4_step_over_public_rhs(mode):
     dt = 1e-3
     trace = sim.run(SimConfig(x0=x0, t_final=dt, dt=dt), gains, topology)
     w0 = trace.weights[0]
-    stepped = sim.rk4_step(augmented_rhs(rhs, gains, topology), np.concatenate((x0.ravel(), w0, (0.0, 0.0))), dt)
+    stepped = rk4_step(augmented_rhs(rhs, gains, topology), np.concatenate((x0.ravel(), w0, (0.0, 0.0))), dt)
     assert np.array_equal(trace.states[1], stepped[:8])
     assert np.array_equal(trace.weights[1], stepped[8:-2])
     assert trace.j_realized[1] == stepped[-2]
@@ -249,14 +282,7 @@ def test_run_cost_columns_equal_the_augmented_rk4_loop(mode):
     dt, stride, nsteps = 1e-3, 7, 537
     trace = sim.run(SimConfig(x0=x0, t_final=nsteps * dt, dt=dt, sample_stride=stride), gains, topology)
 
-    f = augmented_rhs(rhs, gains, topology)
-    y = np.concatenate((x0.ravel(), trace.weights[0], (0.0, 0.0)))
-    expected = [y]
-    for step in range(1, nsteps + 1):
-        y = sim.rk4_step(f, y, dt)
-        if step % stride == 0 or step == nsteps:
-            expected.append(y)
-    expected = np.array(expected)
+    expected = rk4_loop(rhs, gains, topology, np.concatenate((x0.ravel(), trace.weights[0])), dt, nsteps, stride)
     assert len(expected) == 1 + nsteps // stride + 1
     assert np.array_equal(trace.states, expected[:, :12])
     assert np.array_equal(trace.weights, expected[:, 12:-2])
@@ -345,6 +371,18 @@ def test_run_rejects_unreachable_followers():
         sim.run(config, gains, topology)
 
 
+def first_divergence(rhs, gains, topology, y0, dt):
+    """(time, magnitude) at the first textbook RK4 step whose |x| or |w| passes the guard."""
+    f = augmented_rhs(rhs, gains, topology)
+    y, step = np.concatenate((y0, (0.0, 0.0))), 0
+    while step < 10**5:
+        y, step = rk4_step(f, y, dt), step + 1
+        magnitude = float(np.abs(y[:-2]).max())
+        if not magnitude <= sim.DIVERGENCE_LIMIT:
+            return step * dt, magnitude
+    raise AssertionError("the textbook loop never diverged")
+
+
 def test_run_divergence_guard():
     # flipping the sign of k_u turns the coupling into repulsion; on an
     # unstable scalar plant the states blow past the guard
@@ -365,6 +403,8 @@ def test_run_divergence_guard():
         sim.run(config, wrong, topology)
     assert excinfo.value.time > 0.0
     assert excinfo.value.magnitude > sim.DIVERGENCE_LIMIT
+    y0 = np.concatenate((config.x0.ravel(), topology.initial_weight_vector(topology.edges)))
+    assert (excinfo.value.time, excinfo.value.magnitude) == first_divergence(sim.leaderless_rhs, wrong, topology, y0, 1e-3)
 
 
 def test_run_divergence_guard_covers_adaptive_weights():
@@ -392,6 +432,9 @@ def test_run_divergence_guard_covers_adaptive_weights():
     with pytest.raises(sim.DivergenceError) as excinfo:
         sim.run(config, override(1e12 * np.eye(2)), topology)
     assert excinfo.value.magnitude > sim.DIVERGENCE_LIMIT
+    y0 = np.concatenate((x0.ravel(), topology.initial_weight_vector(topology.edges)))
+    first = first_divergence(sim.leaderless_rhs, override(1e12 * np.eye(2)), topology, y0, 1e-3)
+    assert (excinfo.value.time, excinfo.value.magnitude) == first
 
 
 def test_run_leader_follower_smoke():
@@ -607,3 +650,30 @@ def test_cost_stays_under_the_bound_and_weights_never_decrease(mode, data):
     report = verify.analyze(trace, gains, topology)
     assert report.realized_cost <= report.bound
     assert np.diff(trace.weights, axis=0).min() >= 0.0
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_run_equals_the_textbook_rk4_loop_over_the_public_rhs(mode, data):
+    # 201-260 steps cross one block boundary, where the step's result is
+    # carried to the block's first row; leader-follower graphs keep their
+    # follower-follower edges at fixed weights
+    n, edges, weights = draw_connected_graph(data)
+    if mode == LEADERLESS:
+        gains, rhs = leaderless_gains(), sim.leaderless_rhs
+    else:
+        gains, rhs = synthesis.design_leader_follower(A1, B1, Q1, 1.0), sim.leader_follower_rhs
+    topology = Topology(n=n, edges=tuple(edges), weights=weights, leader=1 if mode == LEADER_FOLLOWER else None)
+    x0 = np.random.default_rng(data.draw(st.integers(0, 2**16))).uniform(-0.5, 0.5, size=(n, 2))
+    nsteps = data.draw(st.integers(201, 260), label="steps")
+    stride = data.draw(st.integers(1, 60), label="stride")
+    dt = 1e-3
+    trace = sim.run(SimConfig(x0=x0, t_final=nsteps * dt, dt=dt, sample_stride=stride), gains, topology)
+    expected = rk4_loop(rhs, gains, topology, np.concatenate((x0.ravel(), trace.weights[0])), dt, nsteps, stride)
+    steps = [0] + [k for k in range(1, nsteps + 1) if k % stride == 0 or k == nsteps]
+    assert np.array_equal(trace.times, np.array(steps) * dt)
+    assert np.array_equal(trace.states, expected[:, : 2 * n])
+    assert np.array_equal(trace.weights, expected[:, 2 * n : -2])
+    assert np.array_equal(trace.j_realized, expected[:, -2])
+    assert np.array_equal(trace.j_bound_integral, expected[:, -1])
