@@ -77,6 +77,7 @@ class RunConfig:
     factor versus a gain-factor target for regulation.  ``initial_seed`` and
     ``initial_box`` describe seeded uniform draws; ``initial_values`` is an
     explicit state array.  Exactly one initial-state form is set.
+    ``gains_override`` maps certificate, k_u and k_w to matrices (or None) and needs ``gamma``.
     """
 
     mode: str
@@ -108,18 +109,40 @@ def _fail(field_name: str, message: str) -> CliError:
     return CliError(f"config field '{field_name}': {message}")
 
 
-def _get(section: dict, field_name: str, qualified: str, required: bool = True, default=None):
-    if field_name not in section:
-        if required:
-            raise _fail(qualified, "missing")
-        return default
-    return section[field_name]
+_REQUIRED = object()
 
 
-def _as_int(value, qualified: str) -> int:
+class _Section:
+    """One JSON object of a config.  ``get`` names a key once and qualifies it
+    with the section's name in errors; ``close`` rejects every key no ``get``
+    asked for, so a misspelt field fails instead of leaving its default."""
+
+    def __init__(self, value, name: str):
+        if not isinstance(value, dict):
+            raise _fail(name, "expected an object")
+        self.value, self.prefix, self.read = value, f"{name}." if name else "", set()
+
+    def get(self, key: str, convert, *args, default=_REQUIRED):
+        """``convert(value, qualified_name, *args)``, or ``default`` when the key is absent."""
+        self.read.add(key)
+        if key not in self.value:
+            if default is _REQUIRED:
+                raise _fail(self.prefix + key, "missing")
+            return default
+        return convert(self.value[key], self.prefix + key, *args)
+
+    def close(self) -> None:
+        unknown = sorted(set(self.value) - self.read)
+        if unknown:
+            raise _fail(self.prefix + unknown[0], "unknown field")
+
+
+def _as_int(value, qualified: str, minimum: Optional[int] = None) -> int:
     # float.is_integer is False for NaN and +-Infinity, which JSON also admits
     if isinstance(value, bool) or not (isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
         raise _fail(qualified, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise _fail(qualified, f"must be >= {minimum}, got {int(value)}")
     return int(value)
 
 
@@ -136,7 +159,20 @@ def _as_float(value, qualified: str) -> float:
     return float(value)
 
 
-def _as_matrix(value, rows: int, cols: int, qualified: str) -> np.ndarray:
+def _as_positive(value, qualified: str) -> float:
+    number = _as_float(value, qualified)
+    if not number > 0.0:
+        raise _fail(qualified, f"must be positive, got {number}")
+    return number
+
+
+def _as_mode(value, qualified: str) -> str:
+    if value not in (LEADERLESS, LEADER_FOLLOWER):
+        raise _fail(qualified, f"expected '{LEADERLESS}' or '{LEADER_FOLLOWER}', got {value!r}")
+    return value
+
+
+def _as_matrix(value, qualified: str, rows: int, cols: int) -> np.ndarray:
     if not isinstance(value, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
         raise _fail(qualified, "expected a flat list of numbers (row-major)")
     if len(value) != rows * cols:
@@ -147,41 +183,69 @@ def _as_matrix(value, rows: int, cols: int, qualified: str) -> np.ndarray:
     return np.array(value, dtype=float).reshape(rows, cols)
 
 
-def _parse_topology(section, qualified: str) -> Topology:
-    if not isinstance(section, dict):
-        raise _fail(qualified, "expected an object")
-    n = _as_int(_get(section, "n", f"{qualified}.n"), f"{qualified}.n")
-    raw_edges = _get(section, "edges", f"{qualified}.edges")
-    if not isinstance(raw_edges, list):
-        raise _fail(f"{qualified}.edges", "expected a list of [i, k] pairs")
-    edges = []
-    for idx, item in enumerate(raw_edges):
-        if not isinstance(item, list) or len(item) != 2:
-            raise _fail(f"{qualified}.edges[{idx}]", "expected a pair [i, k]")
-        i = _as_int(item[0], f"{qualified}.edges[{idx}][0]")
-        k = _as_int(item[1], f"{qualified}.edges[{idx}][1]")
-        edges.append((i, k))
-    leader = _get(section, "leader", f"{qualified}.leader", required=False)
-    if leader is not None:
-        leader = _as_int(leader, f"{qualified}.leader")
+def _as_edge_list(value, qualified: str, weighted: bool) -> list[tuple]:
+    """[i, k] pairs as (i, k), or [i, k, weight] triples as (i, k, weight) when weighted."""
+    kind, shape = ("triple", "[i, k, weight]") if weighted else ("pair", "[i, k]")
+    if not isinstance(value, list):
+        raise _fail(qualified, f"expected a list of {shape} {kind}s")
+    rows = []
+    for idx, item in enumerate(value):
+        where = f"{qualified}[{idx}]"
+        if not isinstance(item, list) or len(item) != (3 if weighted else 2):
+            raise _fail(where, f"expected a {kind} {shape}")
+        row = (_as_int(item[0], f"{where}[0]"), _as_int(item[1], f"{where}[1]"))
+        rows.append(row + (_as_float(item[2], f"{where}[2]"),) if weighted else row)
+    return rows
+
+
+def _as_topology(value, qualified: str) -> Topology:
+    section = _Section(value, qualified)
+    n = section.get("n", _as_int)
+    edges = section.get("edges", _as_edge_list, False)
+    leader = section.get("leader", _as_int, default=None)
+    weighted = section.get("weights", _as_edge_list, True, default=[])
+    section.close()
     weights = {graph.canonical_edge(i, k): 1.0 for i, k in edges}
-    raw_weights = _get(section, "weights", f"{qualified}.weights", required=False, default=[])
-    if not isinstance(raw_weights, list):
-        raise _fail(f"{qualified}.weights", "expected a list of [i, k, weight] triples")
-    for idx, item in enumerate(raw_weights):
-        if not isinstance(item, list) or len(item) != 3:
-            raise _fail(f"{qualified}.weights[{idx}]", "expected a triple [i, k, weight]")
-        i = _as_int(item[0], f"{qualified}.weights[{idx}][0]")
-        k = _as_int(item[1], f"{qualified}.weights[{idx}][1]")
+    given = set()
+    for idx, (i, k, weight) in enumerate(weighted):
         pair = graph.canonical_edge(i, k)
         if pair not in weights:
             raise _fail(f"{qualified}.weights[{idx}]", f"edge {pair} is not in the edge list")
-        weights[pair] = _as_float(item[2], f"{qualified}.weights[{idx}][2]")
+        if pair in given:
+            raise _fail(f"{qualified}.weights[{idx}]", f"edge {pair} already has a weight")
+        given.add(pair)
+        weights[pair] = weight
     try:
-        topology = Topology(n=n, edges=tuple(edges), weights=weights, leader=leader)
+        return Topology(n=n, edges=tuple(edges), weights=weights, leader=leader)
     except TopologyError as exc:
         raise _fail(qualified, str(exc))
-    return topology
+
+
+def _as_box(value, qualified: str) -> tuple[float, float]:
+    """A half-width h as (-h, h), or a [low, high] pair."""
+    if isinstance(value, list) and len(value) == 2:
+        lo, hi = _as_float(value[0], f"{qualified}[0]"), _as_float(value[1], f"{qualified}[1]")
+        if not (lo < hi and _finite(hi - lo)):
+            raise _fail(qualified, f"need low < high a finite distance apart, got [{lo}, {hi}]")
+        return lo, hi
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        half = _as_positive(value, qualified)
+        return -half, half
+    raise _fail(qualified, "expected a half-width number or a [low, high] pair")
+
+
+def _tolerances(entries: dict, where: str) -> dict:
+    """verify.checked_tolerances(entries, where), raising its error as a CliError."""
+    try:
+        return verify.checked_tolerances(entries, where)
+    except verify.VerificationError as exc:
+        raise CliError(str(exc)) from None
+
+
+def _as_tolerances(value, qualified: str) -> dict:
+    if not isinstance(value, dict):
+        raise _fail(qualified, "expected an object of name -> value")
+    return _tolerances(value, f"config field '{qualified}.{{}}'")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -192,107 +256,64 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         raise CliError(f"{source}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise CliError(f"{source}: top level must be an object")
+    top = _Section(raw, "")
+    mode = top.get("mode", _as_mode)
 
-    mode = _get(raw, "mode", "mode")
-    if mode not in (LEADERLESS, LEADER_FOLLOWER):
-        raise _fail("mode", f"expected '{LEADERLESS}' or '{LEADER_FOLLOWER}', got {mode!r}")
+    plant = top.get("plant", _Section)
+    d = plant.get("d", _as_int, 1)
+    p = plant.get("p", _as_int, 1, default=1)
+    a = plant.get("a", _as_matrix, d, d)
+    b = plant.get("b", _as_matrix, d, p)
+    q = plant.get("q", _as_matrix, d, d)
+    plant.close()
 
-    plant = _get(raw, "plant", "plant")
-    if not isinstance(plant, dict):
-        raise _fail("plant", "expected an object")
-    d = _as_int(_get(plant, "d", "plant.d"), "plant.d")
-    p = _as_int(_get(plant, "p", "plant.p", required=False, default=1), "plant.p")
-    if d < 1 or p < 1:
-        raise _fail("plant.d", "state and input dimensions must be at least 1")
-    a = _as_matrix(_get(plant, "a", "plant.a"), d, d, "plant.a")
-    b = _as_matrix(_get(plant, "b", "plant.b"), d, p, "plant.b")
-    q = _as_matrix(_get(plant, "q", "plant.q"), d, d, "plant.q")
-
-    gamma = _get(raw, "gamma", "gamma", required=False)
-    if gamma is not None:
-        gamma = _as_float(gamma, "gamma")
-        if not gamma > 0.0:
-            raise _fail("gamma", f"must be positive, got {gamma}")
-    delta = _get(raw, "delta", "delta", required=False)
-    if delta is not None:
-        delta = _as_float(delta, "delta")
-        if not delta > 0.0:
-            raise _fail("delta", f"must be positive, got {delta}")
+    gamma = top.get("gamma", _as_positive, default=None)
+    delta = top.get("delta", _as_positive, default=None)
     if gamma is None and delta is None:
         raise _fail("gamma", "either gamma or delta is required")
     if gamma is not None and delta is not None:
         raise _fail("gamma", "gamma and delta are mutually exclusive")
 
-    topology = _parse_topology(_get(raw, "topology", "topology"), "topology")
+    topology = top.get("topology", _as_topology)
+    for check, field_name in ((sim.adaptive_edges, "topology.leader"), (sim.check_connected, "topology")):
+        try:
+            check(topology, mode)
+        except sim.ConfigurationError as exc:
+            raise _fail(field_name, str(exc))
+
+    init = top.get("initial_states", _Section)
+    initial_values = init.get("values", _as_matrix, topology.n, d, default=None)
+    initial_seed = initial_box = None
+    if initial_values is None:
+        initial_seed = init.get("seed", _as_int, 0)
+        initial_box = init.get("box", _as_box)
+    elif "seed" in init.value or "box" in init.value:
+        raise _fail("initial_states.values", "cannot be combined with seed or box")
+    init.close()
+
+    dt = top.get("dt", _as_positive, default=1e-3)
+    t_final = top.get("t_final", _as_float, default=3.0)
     try:
-        sim.adaptive_edges(topology, mode)
+        sim.horizon_steps(t_final, dt)
     except sim.ConfigurationError as exc:
-        raise _fail("topology.leader", str(exc))
-    if mode == LEADERLESS and not graph.is_connected(topology):
-        raise _fail("topology", "leaderless mode requires a connected topology")
-    if mode == LEADER_FOLLOWER and not graph.is_leader_reachable(topology):
-        raise _fail("topology", "every follower needs an undirected path to the leader")
-
-    init = _get(raw, "initial_states", "initial_states")
-    if not isinstance(init, dict):
-        raise _fail("initial_states", "expected an object")
-    initial_values = None
-    initial_seed = None
-    initial_box = None
-    if "values" in init:
-        initial_values = _as_matrix(
-            _get(init, "values", "initial_states.values"), topology.n, d, "initial_states.values"
-        )
-    else:
-        initial_seed = _as_int(_get(init, "seed", "initial_states.seed"), "initial_states.seed")
-        if initial_seed < 0:
-            raise _fail("initial_states.seed", f"must be >= 0, got {initial_seed}")
-        box = _get(init, "box", "initial_states.box")
-        if isinstance(box, (int, float)) and not isinstance(box, bool):
-            half = _as_float(box, "initial_states.box")
-            if not half > 0.0:
-                raise _fail("initial_states.box", f"half-width must be positive, got {half}")
-            initial_box = (-half, half)
-        elif isinstance(box, list) and len(box) == 2:
-            lo = _as_float(box[0], "initial_states.box[0]")
-            hi = _as_float(box[1], "initial_states.box[1]")
-            if not (lo < hi and _finite(hi - lo)):
-                raise _fail("initial_states.box", f"need low < high a finite distance apart, got [{lo}, {hi}]")
-            initial_box = (lo, hi)
-        else:
-            raise _fail("initial_states.box", "expected a half-width number or a [low, high] pair")
-
-    dt = _as_float(_get(raw, "dt", "dt", required=False, default=1e-3), "dt")
-    t_final = _as_float(_get(raw, "t_final", "t_final", required=False, default=3.0), "t_final")
-    stride = _as_int(_get(raw, "sample_stride", "sample_stride", required=False, default=1), "sample_stride")
-
-    tolerances = _get(raw, "tolerances", "tolerances", required=False, default={})
-    if not isinstance(tolerances, dict):
-        raise _fail("tolerances", "expected an object of name -> value")
-    tolerances = _checked_tolerances(tolerances, "config field 'tolerances.{}'")
+        raise _fail("t_final", str(exc))
+    stride = top.get("sample_stride", _as_int, 1, default=1)
+    tolerances = top.get("tolerances", _as_tolerances, default={})
 
     gains_override = None
-    if "gains" in raw:
-        section = raw["gains"]
-        if not isinstance(section, dict):
-            raise _fail("gains", "expected an object")
+    gains = top.get("gains", _Section, default=None)
+    if gains is not None:
+        if delta is not None:
+            raise _fail("delta", "a gains override takes gamma, not delta")
         gains_override = {
-            "certificate": _as_matrix(_get(section, "certificate", "gains.certificate"), d, d, "gains.certificate")
+            "certificate": gains.get("certificate", _as_matrix, d, d),
+            "k_u": gains.get("k_u", _as_matrix, p, d, default=None),
+            "k_w": gains.get("k_w", _as_matrix, d, d, default=None),
         }
-        if "k_u" in section:
-            gains_override["k_u"] = _as_matrix(section["k_u"], p, d, "gains.k_u")
-        if "k_w" in section:
-            gains_override["k_w"] = _as_matrix(section["k_w"], d, d, "gains.k_w")
+        gains.close()
+    top.close()
 
-    known = {
-        "mode", "plant", "gamma", "delta", "topology", "initial_states",
-        "dt", "t_final", "sample_stride", "tolerances", "gains",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise _fail(sorted(unknown)[0], "unknown field")
-
-    config = RunConfig(
+    return RunConfig(
         mode=mode,
         a=a,
         b=b,
@@ -309,15 +330,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         tolerances=tolerances,
         gains_override=gains_override,
     )
-    if config.dt <= 0.0:
-        raise _fail("dt", f"must be positive, got {config.dt}")
-    try:
-        sim.horizon_steps(config.t_final, config.dt)
-    except sim.ConfigurationError as exc:
-        raise _fail("t_final", str(exc))
-    if config.sample_stride < 1:
-        raise _fail("sample_stride", f"must be >= 1, got {config.sample_stride}")
-    return config
 
 
 def parse_config(path: str) -> RunConfig:
@@ -364,37 +376,14 @@ def render_config(config: RunConfig) -> str:
     if config.tolerances:
         doc["tolerances"] = dict(sorted(config.tolerances.items()))
     if config.gains_override is not None:
-        section = {"certificate": list(config.gains_override["certificate"].ravel())}
-        if "k_u" in config.gains_override:
-            section["k_u"] = list(config.gains_override["k_u"].ravel())
-        if "k_w" in config.gains_override:
-            section["k_w"] = list(config.gains_override["k_w"].ravel())
-        doc["gains"] = section
+        doc["gains"] = {key: list(m.ravel()) for key, m in config.gains_override.items() if m is not None}
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _checked_tolerances(entries: dict, where: str) -> dict:
-    """Tolerance overrides as floats, each named in verify.DEFAULT_TOLERANCES.
-
-    ``where`` names one entry in an error message, with ``{}`` for its name.
-    """
-    out = {}
-    for name, value in entries.items():
-        if name not in verify.DEFAULT_TOLERANCES:
-            raise CliError(f"{where.format(name)}: unknown tolerance; known: {sorted(verify.DEFAULT_TOLERANCES)}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CliError(f"{where.format(name)}: expected a number, got {value!r}")
-        if not _finite(value):
-            raise CliError(f"{where.format(name)}: expected a finite number, got {value!r}")
-        out[name] = float(value)
-    return out
-
-
-def env_tolerances(environ=None) -> dict:
+def env_tolerances() -> dict:
     """Tolerance overrides from the environment, e.g. 'consensus=1e-3,bound_rel=1e-9'."""
-    environ = os.environ if environ is None else environ
     entries = {}
-    for part in environ.get(TOLERANCE_ENV_VAR, "").split(","):
+    for part in os.environ.get(TOLERANCE_ENV_VAR, "").split(","):
         if not part.strip():
             continue
         if "=" not in part:
@@ -403,13 +392,13 @@ def env_tolerances(environ=None) -> dict:
         try:
             entries[name.strip()] = float(text)
         except ValueError:
-            entries[name.strip()] = text  # _checked_tolerances reports it
-    return _checked_tolerances(entries, f"{TOLERANCE_ENV_VAR} entry '{{}}'")
+            entries[name.strip()] = text  # checked_tolerances reports it
+    return _tolerances(entries, f"{TOLERANCE_ENV_VAR} entry '{{}}'")
 
 
-def merged_tolerances(config: RunConfig, environ=None) -> dict:
+def merged_tolerances(config: RunConfig) -> dict:
     """Config tolerances, overridden by the environment; analyze fills in the defaults."""
-    return {**config.tolerances, **env_tolerances(environ)}
+    return {**config.tolerances, **env_tolerances()}
 
 
 def initial_states(config: RunConfig, seed_offset: int = 0) -> np.ndarray:
@@ -427,14 +416,13 @@ def synthesize_gains(config: RunConfig) -> tuple[GainSet, Optional[float]]:
     Returns the gain set and the regulated gamma (None unless delta mode).
     """
     if config.gains_override is not None:
-        gamma = config.gamma if config.gamma is not None else 1.0
         try:
             gains = GainSet(
                 mode=config.mode,
                 a=config.a,
                 b=config.b,
                 q=config.q,
-                gamma=gamma,
+                gamma=config.gamma,
                 certificate=config.gains_override["certificate"],
                 k_u=config.gains_override.get("k_u"),
                 k_w=config.gains_override.get("k_w"),

@@ -141,14 +141,14 @@ def matrix_exp(m) -> np.ndarray:
     return result
 
 
-def matrix_sign(m, max_iterations: int = 100) -> np.ndarray:
+def matrix_sign(m) -> np.ndarray:
     """Matrix sign function by Newton iteration Z <- (Z + Z^-1)/2.
 
     Fails when the input has eigenvalues on (or numerically touching) the
     imaginary axis, which makes the iteration singular or divergent.
     """
     z = _square(m, "m")
-    converged = False
+    max_iterations = 100
     for _ in range(max_iterations):
         try:
             z_next = 0.5 * (z + lu_solve(z, np.eye(len(z))))
@@ -158,9 +158,8 @@ def matrix_sign(m, max_iterations: int = 100) -> np.ndarray:
         scale = max(float(np.abs(z).max()), np.finfo(float).tiny)
         z = z_next
         if delta < 1e-12 * scale:
-            converged = True
             break
-    if not converged:
+    else:
         raise SignFunctionError(f"sign iteration did not converge in {max_iterations} iterations")
     residual = float(np.abs(z @ z - np.eye(z.shape[0])).max())
     if residual > 1e-8:

@@ -33,6 +33,7 @@ __all__ = [
     "Trace",
     "horizon_steps",
     "adaptive_edges",
+    "check_connected",
     "leaderless_rhs",
     "leader_follower_rhs",
     "run",
@@ -157,6 +158,14 @@ def adaptive_edges(topology: Topology, mode: str) -> tuple[tuple[int, int], ...]
     return topology.leader_edges()
 
 
+def check_connected(topology: Topology, mode: str) -> None:
+    """Raise ConfigurationError unless the graph links every agent as the mode needs."""
+    if mode == LEADERLESS and not graph.is_connected(topology):
+        raise ConfigurationError("leaderless mode requires a connected topology")
+    if mode == LEADER_FOLLOWER and not graph.is_leader_reachable(topology):
+        raise ConfigurationError("every follower needs an undirected path to the leader")
+
+
 def _quad_sums(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Sum of the quadratic forms v_i^T m v_i over the rows of each stacked v."""
     return ((v @ m) * v).sum(axis=(1, 2))
@@ -279,10 +288,7 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
     initial and final samples.
     """
     protocol = _Protocol(gains, topology, gains.mode)
-    if gains.mode == LEADERLESS and not graph.is_connected(topology):
-        raise ConfigurationError("leaderless mode requires a connected topology")
-    if gains.mode == LEADER_FOLLOWER and not graph.is_leader_reachable(topology):
-        raise ConfigurationError("every follower needs an undirected path to the leader")
+    check_connected(topology, gains.mode)
     n, d, nd = protocol.n, protocol.d, protocol.nd
     x0 = config.x0
     if x0.shape != (n, d):

@@ -8,6 +8,8 @@ values for the two bundled example plants.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -25,6 +27,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "REFERENCE_TOTALS",
     "HORIZON_RATE",
+    "checked_tolerances",
     "analyze",
     "render_report",
     "verify_reference_gains",
@@ -81,14 +84,16 @@ class CostReport:
     warnings: tuple[str, ...] = ()
 
 
-def _merged_tolerances(tolerances: Optional[Mapping[str, float]]) -> dict:
-    merged = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise VerificationError(f"unknown tolerance keys: {sorted(unknown)}")
-        merged.update({k: float(v) for k, v in tolerances.items()})
-    return merged
+def checked_tolerances(entries: Mapping, where: str = "tolerance '{}'") -> dict:
+    """Tolerance overrides as floats, each named in DEFAULT_TOLERANCES and a
+    real, finite number; ``where`` names an entry in errors, ``{}`` its name."""
+    for name, value in entries.items():
+        if name not in DEFAULT_TOLERANCES:
+            raise VerificationError(f"{where.format(name)}: unknown tolerance; known: {sorted(DEFAULT_TOLERANCES)}")
+        # bool is a numbers.Real; abs() <= max is False for NaN, +-Infinity and ints beyond the float range
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+            raise VerificationError(f"{where.format(name)}: expected a real, finite number, got {value!r}")
+    return {name: float(value) for name, value in entries.items()}
 
 
 def analyze(
@@ -104,7 +109,7 @@ def analyze(
     """
     if len(trace.times) == 0:
         raise EmptyTraceError("trace contains no samples")
-    tol = _merged_tolerances(tolerances)
+    tol = {**DEFAULT_TOLERANCES, **checked_tolerances(tolerances or {})}
 
     realized = float(trace.j_realized[-1])
     bound = sim.guaranteed_cost_bound(trace, gains)
@@ -234,12 +239,12 @@ _REFERENCE_CASES = {
 }
 
 
-def verify_reference_gains(which: str, tol: float = 1e-3, certificate=None) -> dict:
+def verify_reference_gains(which: str, certificate=None) -> dict:
     """Check the gain algebra against embedded reference values.
 
     Recomputes K_u = B^T P and K_w = P B B^T P from the stored certificate
-    and compares entrywise against the reference gains at the given
-    tolerance.  Returns a report dict with per-entry deviations.
+    and compares entrywise against the reference gains to 1e-3 (they carry
+    four decimals).  Returns a report dict with per-entry deviations.
     ``certificate`` replaces the embedded matrix for sensitivity checks.
     """
     if which not in _REFERENCE_CASES:
@@ -247,6 +252,7 @@ def verify_reference_gains(which: str, tol: float = 1e-3, certificate=None) -> d
             f"unknown reference case {which!r}; expected one of {sorted(_REFERENCE_CASES)}"
         )
     case = _REFERENCE_CASES[which]
+    tol = 1e-3
     p = case["certificate"] if certificate is None else matops.as_matrix(certificate, "certificate")
     b = case["b"]
     k_u = b.T @ p

@@ -1,15 +1,19 @@
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consensuskit import cli, matops, sim, synthesis, verify
 from consensuskit.graph import TopologyError
+from consensuskit.synthesis import LEADERLESS, LEADER_FOLLOWER
 from consensuskit.cli import (
     EXIT_BOUND,
     EXIT_DIVERGENCE,
@@ -17,6 +21,7 @@ from consensuskit.cli import (
     EXIT_PARSE,
     EXIT_SYNTHESIS,
 )
+from test_sim import draw_connected_graph
 
 
 def scalar_pair_config(**overrides):
@@ -161,6 +166,55 @@ def test_non_finite_numbers_rejected_before_any_work(overrides, env, where, tmp_
     assert where in err
 
 
+def simulate_rejects_before_any_work(tmp_path, monkeypatch, config):
+    """Exit code, stdout and stderr of ``simulate`` on config, failing if it synthesizes."""
+
+    def forbidden(config):
+        raise AssertionError("synthesized a config the parser should have rejected")
+
+    monkeypatch.setattr(cli, "synthesize_gains", forbidden)
+    return run_cli(["simulate", write_config(tmp_path, config)])
+
+
+def with_gains(**overrides):
+    """scalar_pair_config with a gains override; an override of None drops that field."""
+    config = scalar_pair_config(gains={"certificate": [1.0], "k_u": [1.0]}, **overrides)
+    return {key: value for key, value in config.items() if value is not None}
+
+
+@pytest.mark.parametrize(
+    "section, key", [("plant", "qq"), ("topology", "wieghts"), ("initial_states", "sede"), ("gains", "k_v")]
+)
+def test_every_section_rejects_an_unknown_key(section, key, tmp_path, monkeypatch):
+    config = with_gains()
+    config[section][key] = [1.0]
+    code, out, err = simulate_rejects_before_any_work(tmp_path, monkeypatch, config)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert f"config field '{section}.{key}': unknown field" in err
+
+
+@pytest.mark.parametrize(
+    "config, where",
+    [
+        (scalar_pair_config(initial_states={"values": [-1.0, 1.0], "seed": 3}), "initial_states.values"),
+        (scalar_pair_config(initial_states={"values": [-1.0, 1.0], "box": 1.0}), "initial_states.values"),
+        (
+            scalar_pair_config(topology={"n": 2, "edges": [[1, 2]], "weights": [[1, 2, 2.0], [2, 1, 3.0]]}),
+            "topology.weights[1]",
+        ),
+        (with_gains(gamma=None, delta=0.5), "delta"),
+    ],
+    ids=["values-and-seed", "values-and-box", "two-weights-for-one-edge", "delta-with-gains"],
+)
+def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path, monkeypatch):
+    # each of these used to parse, silently dropping one of the two inputs
+    code, out, err = simulate_rejects_before_any_work(tmp_path, monkeypatch, config)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert f"config field '{where}':" in err
+
+
 def test_parse_config_box_forms(tmp_path):
     seeded = scalar_pair_config(initial_states={"seed": 3, "box": 0.5})
     config = cli.parse_config(write_config(tmp_path, seeded))
@@ -200,6 +254,76 @@ def test_config_echo_round_trip(tmp_path):
     assert first.tolerances == second.tolerances
     # byte-level fixed point: echoing the echo is identical
     assert cli.render_config(second) == echoed
+
+
+def comparable(config):
+    """The fields of a RunConfig, with arrays as (shape, entries), for ==."""
+
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.shape, value.tolist()
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value
+
+    return {f.name: plain(getattr(config, f.name)) for f in dataclasses.fields(config)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_config_echo_round_trips_over_random_configs(data):
+    mode = data.draw(st.sampled_from([LEADERLESS, LEADER_FOLLOWER]), label="mode")
+    d, p = data.draw(st.integers(1, 3), label="d"), data.draw(st.integers(1, 2), label="p")
+    n, edges, weights = draw_connected_graph(data)
+    number = st.floats(-1e3, 1e3)
+
+    def flat(rows, cols):
+        return data.draw(st.lists(number, min_size=rows * cols, max_size=rows * cols))
+
+    topology = {"n": n, "edges": [list(e) for e in edges], "weights": [[i, k, w] for (i, k), w in weights.items()]}
+    if mode == LEADER_FOLLOWER:
+        topology["leader"] = 1
+    dt = data.draw(st.sampled_from([1e-3, 2.5e-3, 0.01]), label="dt")
+    doc = {
+        "mode": mode,
+        "plant": {"d": d, "p": p, "a": flat(d, d), "b": flat(d, p), "q": flat(d, d)},
+        "topology": topology,
+        "dt": dt,
+        "t_final": dt * data.draw(st.integers(1, 5000), label="steps"),
+        "sample_stride": data.draw(st.integers(1, 50), label="sample_stride"),
+        "tolerances": data.draw(st.dictionaries(st.sampled_from(sorted(verify.DEFAULT_TOLERANCES)), number)),
+    }
+    if data.draw(st.booleans(), label="explicit initial states"):
+        doc["initial_states"] = {"values": flat(n, d)}
+    else:
+        low = data.draw(st.floats(-10.0, 10.0))
+        box = st.one_of(st.floats(1e-3, 10.0), st.just([low, low + data.draw(st.floats(1e-2, 10.0))]))
+        doc["initial_states"] = {"seed": data.draw(st.integers(0, 2**32)), "box": data.draw(box, label="box")}
+    if data.draw(st.booleans(), label="gains override"):
+        doc["gains"] = {"certificate": flat(d, d)}
+        for key, rows in (("k_u", p), ("k_w", d)):
+            if data.draw(st.booleans(), label=f"gains.{key}"):
+                doc["gains"][key] = flat(rows, d)
+        doc["gamma"] = data.draw(st.floats(1e-3, 1e3))
+    else:
+        doc[data.draw(st.sampled_from(["gamma", "delta"]))] = data.draw(st.floats(1e-3, 1e3))
+
+    first = cli.parse_config_text(json.dumps(doc))
+    echoed = cli.render_config(first)
+    second = cli.parse_config_text(echoed, source="echo")
+    assert comparable(second) == comparable(first)
+    assert cli.render_config(second) == echoed
+
+
+def test_readme_config_example_parses_and_synthesizes(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    cli.parse_config_text(example, source="README.md")
+    path = tmp_path / "readme.json"
+    path.write_text(example, encoding="utf-8")
+    code, out, err = run_cli(["synthesize", str(path)])
+    assert (code, err) == (EXIT_OK, "")
+    assert "certificate_ok = true" in out
 
 
 def test_initial_states_deterministic_draw(tmp_path):

@@ -136,6 +136,16 @@ def test_analyze_tolerance_overrides():
         verify.analyze(trace, gains, topology, tolerances={"no_such_tolerance": 1.0})
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), True, "0.5"], ids=["nan", "inf", "-inf", "bool", "string"]
+)
+def test_analyze_rejects_a_tolerance_that_is_not_a_real_finite_number(value):
+    gains, topology = leaderless_setup()
+    trace = run_trace(gains, topology, np.tile([0.25, -0.5], (3, 1)), t_final=0.02, stride=1)
+    with pytest.raises(verify.VerificationError, match="tolerance 'consensus': expected a real, finite number"):
+        verify.analyze(trace, gains, topology, tolerances={"consensus": value})
+
+
 def test_render_report_key_value_block():
     gains, topology = leaderless_setup()
     x0 = np.tile([0.0, 0.0], (3, 1))
