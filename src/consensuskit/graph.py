@@ -8,7 +8,7 @@ mode requires, and builds the path, cycle, complete and star families.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -94,32 +94,38 @@ class Topology:
         return np.array([self.weights[e] for e in edges], dtype=float)
 
 
-def _reachable_from(topology: Topology, start: int) -> set[int]:
-    adjacency: dict[int, list[int]] = {i: [] for i in range(1, topology.n + 1)}
+def _reaches_all(topology: Topology, start: int) -> bool:
+    """True when every agent has an undirected path to start.
+
+    Fewer than n - 1 edges cannot connect n agents, so that is decided before
+    the search, which then touches only the agents the edges name.
+    """
+    if len(topology.edges) < topology.n - 1:
+        return False
+    adjacency: dict[int, list[int]] = defaultdict(list)
     for i, k in topology.edges:
         adjacency[i].append(k)
         adjacency[k].append(i)
     seen = {start}
     queue = deque([start])
     while queue:
-        node = queue.popleft()
-        for neighbor in adjacency[node]:
+        for neighbor in adjacency[queue.popleft()]:
             if neighbor not in seen:
                 seen.add(neighbor)
                 queue.append(neighbor)
-    return seen
+    return len(seen) == topology.n
 
 
 def is_connected(topology: Topology) -> bool:
     """Breadth-first connectivity verdict over the undirected edges."""
-    return len(_reachable_from(topology, 1)) == topology.n
+    return _reaches_all(topology, 1)
 
 
 def is_leader_reachable(topology: Topology) -> bool:
     """True when every follower has an undirected path to the leader."""
     if topology.leader is None:
         raise TopologyError("topology has no leader")
-    return len(_reachable_from(topology, topology.leader)) == topology.n
+    return _reaches_all(topology, topology.leader)
 
 
 def _uniform(edges: Sequence[tuple[int, int]], weight: float) -> dict[tuple[int, int], float]:

@@ -100,7 +100,7 @@ def lu_solve(m, rhs) -> np.ndarray:
 
     LAPACK only rejects an exactly zero pivot, so m is first rejected as
     singular when its smallest singular value is at most 1e-13 times its
-    largest; ``matrix_sign`` relies on this to fail near the imaginary axis.
+    largest; ``matrix_exp`` and ``care_solve``'s subspace solve rely on this.
     """
     a = _square(m, "m")
     b = np.array(rhs, dtype=float)
@@ -142,23 +142,35 @@ def matrix_exp(m) -> np.ndarray:
 
 
 def matrix_sign(m) -> np.ndarray:
-    """Matrix sign function by Newton iteration Z <- (Z + Z^-1)/2.
+    """Matrix sign function by Newton iteration Z <- (mu Z + Z^-1 / mu)/2.
 
-    Fails when the input has eigenvalues on (or numerically touching) the
-    imaginary axis, which makes the iteration singular or divergent.
+    mu is Byers' determinant scaling |det Z|^(-1/n), taken from ``slogdet``
+    so it cannot overflow, until a step moves Z by less than 1e-2 relative;
+    the iteration then finishes unscaled (mu = 1).  Fails when the input has
+    eigenvalues on (or numerically touching) the imaginary axis: an iterate
+    whose 1-norm condition ||Z||_1 ||Z^-1||_1, read off the inverse each step
+    computes anyway, reaches 1e13 is rejected, as is a result that is not an
+    involution.
     """
     z = _square(m, "m")
     max_iterations = 100
+    scaled = True
     for _ in range(max_iterations):
         try:
-            z_next = 0.5 * (z + lu_solve(z, np.eye(len(z))))
-        except SingularMatrixError as exc:
+            z_inv = np.linalg.inv(z)
+        except np.linalg.LinAlgError as exc:
             raise SignFunctionError("sign iteration hit a singular iterate") from exc
+        condition = float(np.abs(z).sum(axis=0).max() * np.abs(z_inv).sum(axis=0).max())
+        if not condition < 1e13:
+            raise SignFunctionError(f"sign iterate has 1-norm condition {condition:.3e}, at least 1e13")
+        mu = math.exp(-np.linalg.slogdet(z)[1] / len(z)) if scaled else 1.0
+        z_next = 0.5 * (mu * z + z_inv / mu)
         delta = float(np.abs(z_next - z).max())
-        scale = max(float(np.abs(z).max()), np.finfo(float).tiny)
+        scale = float(np.abs(z_next).max())
         z = z_next
         if delta < 1e-12 * scale:
             break
+        scaled = scaled and delta >= 1e-2 * scale
     else:
         raise SignFunctionError(f"sign iteration did not converge in {max_iterations} iterations")
     residual = float(np.abs(z @ z - np.eye(z.shape[0])).max())

@@ -257,11 +257,17 @@ def regulate_gain(
 ) -> tuple[float, GainSet]:
     """Find the smallest gamma whose certificate satisfies lambda_max <= delta.
 
-    Brackets by doubling from gamma_min, then runs up to 60 bisection steps,
-    stopping once the midpoint rounds onto an end of the bracket.  The
-    expected monotone nonincrease of lambda_max(P(gamma)) in gamma is checked
-    empirically; a violation raises RegulationError instead of silently
-    bisecting a non-monotone function.
+    Works in u = log gamma on f(u) = log(lambda_max(P(gamma)) / (delta
+    (1 + 1e-9))).  Brackets the root by factors of 16 from gamma_min, then
+    runs the Illinois method (regula falsi that halves the kept end's f when
+    the same end is kept twice) until the bracket is 1e-13 wide in u, i.e.
+    relative in gamma.  A secant point outside the bracket falls back to
+    bisection, and every point stays 2.5e-14 inside it, so a point next to
+    the root closes the bracket with the next solve.  Returns the feasible
+    end, whose lambda_max is at most delta (1 + 1e-9).
+    The expected monotone nonincrease of lambda_max(P(gamma)) in gamma is
+    checked at every evaluation; a violation raises RegulationError instead
+    of silently searching a non-monotone function.
     """
     if mode not in COST_MULTIPLIER:
         raise ValueError(f"mode must be one of {sorted(COST_MULTIPLIER)}, got {mode!r}")
@@ -272,54 +278,47 @@ def regulate_gain(
             raise RegulationError(
                 f"strict mode requires lambda_max(B B^T) <= 1, got {bbt_max:.6g}"
             )
-    delta = request.delta
+    target = request.delta * (1.0 + 1e-9)
 
-    def evaluate(gamma: float) -> tuple[float, GainSet]:
+    def evaluate(gamma: float, lam_lo: float, lam_hi: float) -> tuple[float, GainSet]:
+        """lambda_max(P(gamma)), checked to lie between the bracket ends' values."""
         gains = _design(mode, a, b, q, gamma)
         lam = float(matops.sym_eig(gains.certificate)[-1])
+        slack = 1e-9 * (1.0 + abs(lam_lo) + abs(lam))
+        if lam > lam_lo + slack or lam < lam_hi - slack:
+            raise RegulationError(
+                "lambda_max(P(gamma)) is not nonincreasing in gamma; the search bracket is invalid"
+            )
         return lam, gains
 
-    def check_monotone(lam_low_gamma: float, lam_high_gamma: float) -> None:
-        slack = 1e-9 * (1.0 + abs(lam_low_gamma) + abs(lam_high_gamma))
-        if lam_high_gamma > lam_low_gamma + slack:
+    gamma, lam_lo = request.gamma_min, math.inf
+    lam_hi, gains_hi = evaluate(gamma, lam_lo, -math.inf)
+    while lam_hi > target:
+        if gamma >= request.gamma_max:
             raise RegulationError(
-                "lambda_max(P(gamma)) increased with gamma; bisection bracket is invalid"
+                f"no gamma in [{request.gamma_min:g}, {request.gamma_max:g}] achieves "
+                f"lambda_max <= {request.delta:g} (best {lam_hi:.6g})"
             )
-
-    gamma_lo = request.gamma_min
-    lam_lo, gains_lo = evaluate(gamma_lo)
-    if lam_lo <= delta * (1.0 + 1e-9):
-        return gamma_lo, gains_lo
-    gamma_hi = gamma_lo
-    lam_hi = lam_lo
-    gains_hi = None
-    while gamma_hi < request.gamma_max:
-        gamma_next = min(2.0 * gamma_hi, request.gamma_max)
-        lam_next, gains_next = evaluate(gamma_next)
-        check_monotone(lam_hi, lam_next)
-        gamma_lo, lam_lo = gamma_hi, lam_hi
-        gamma_hi, lam_hi = gamma_next, lam_next
-        if lam_hi <= delta * (1.0 + 1e-9):
-            gains_hi = gains_next
-            break
-    if gains_hi is None:
-        raise RegulationError(
-            f"no gamma in [{request.gamma_min:g}, {request.gamma_max:g}] achieves "
-            f"lambda_max <= {delta:g} (best {lam_hi:.6g})"
-        )
-    for _ in range(60):
-        gamma_mid = 0.5 * (gamma_lo + gamma_hi)
-        if gamma_mid in (gamma_lo, gamma_hi):
-            # every further step would re-evaluate an end of the bracket
-            break
-        lam_mid, gains_mid = evaluate(gamma_mid)
-        slack = 1e-9 * (1.0 + abs(lam_lo) + abs(lam_hi))
-        if lam_mid > lam_lo + slack or lam_mid < lam_hi - slack:
-            raise RegulationError(
-                "lambda_max(P(gamma)) is not monotone on the bisection bracket"
-            )
-        if lam_mid <= delta * (1.0 + 1e-9):
-            gamma_hi, lam_hi, gains_hi = gamma_mid, lam_mid, gains_mid
+        u_lo, lam_lo = math.log(gamma), lam_hi
+        gamma = min(16.0 * gamma, request.gamma_max)
+        lam_hi, gains_hi = evaluate(gamma, lam_lo, -math.inf)
+    if lam_lo == math.inf:  # gamma_min already meets the target
+        return gamma, gains_hi
+    u_hi = math.log(gamma)
+    f_lo, f_hi = math.log(lam_lo / target), math.log(lam_hi / target)
+    side = 0  # +1 after a step that moved the feasible end, -1 after one that moved the other
+    while u_hi - u_lo > 1e-13:
+        u = u_hi - f_hi * (u_hi - u_lo) / (f_hi - f_lo) if f_lo > f_hi else math.nan
+        if not u_lo <= u <= u_hi:
+            u = 0.5 * (u_lo + u_hi)
+        u = min(max(u, u_lo + 2.5e-14), u_hi - 2.5e-14)
+        lam, gains = evaluate(math.exp(u), lam_lo, lam_hi)
+        if lam <= target:
+            u_hi, lam_hi, f_hi, gains_hi = u, lam, math.log(lam / target), gains
+            f_lo *= 0.5 if side == 1 else 1.0
+            side = 1
         else:
-            gamma_lo, lam_lo = gamma_mid, lam_mid
-    return gamma_hi, gains_hi
+            u_lo, lam_lo, f_lo = u, lam, math.log(lam / target)
+            f_hi *= 0.5 if side == -1 else 1.0
+            side = -1
+    return gains_hi.gamma, gains_hi

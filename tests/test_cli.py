@@ -110,8 +110,10 @@ def test_parse_config_field_named_errors(tmp_path):
         ("leaderless", {"n": 3, "edges": [[1, 2]]}, "topology"),
         ("leader-follower", {"n": 3, "edges": [[1, 2], [2, 3]], "leader": 2}, "topology.leader"),
         ("leader-follower", {"n": 3, "edges": [[1, 2]], "leader": 1}, "topology"),
+        ("leaderless", {"n": 1000000, "edges": [[1, 2]]}, "topology"),
+        ("leader-follower", {"n": 1000000, "edges": [[1, 2]], "leader": 1}, "topology"),
     ],
-    ids=["disconnected", "leader-not-agent-1", "follower-unreachable"],
+    ids=["disconnected", "leader-not-agent-1", "follower-unreachable", "one-edge-million-agents", "one-edge-million-followers"],
 )
 def test_topology_errors_rejected_before_any_work(mode, topology, field_name, tmp_path, monkeypatch):
     config = scalar_pair_config(mode=mode, topology=topology, initial_states={"values": [-1.0, 0.0, 1.0]})
@@ -448,6 +450,33 @@ def test_synthesize_regulation_mode(tmp_path):
         line.split(" = ", 1) for line in out.splitlines() if " = " in line
     )
     assert float(lines["certificate_max_eigenvalue"]) <= 0.5 * (1 + 1e-9)
+
+
+def test_synthesize_regulates_the_certify_config_within_24_solves(tmp_path, monkeypatch):
+    # the example-1 plant on a 6-cycle at delta 300, as the benchmark's
+    # cli-certify operations synthesize it; a slower search or sign iteration
+    # fails here by count
+    config = scalar_pair_config(
+        plant={"d": 2, "p": 1, "a": [0.0, 1.0, -100.0, 0.0], "b": [0.0, 1.0], "q": [1.0, 0.0, 0.0, 2.0]},
+        topology={"n": 6, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]]},
+        initial_states={"seed": 500, "box": 0.25},
+        delta=300.0,
+        t_final=3.0,
+        sample_stride=1,
+    )
+    del config["gamma"]
+    calls = []
+    original = matops.care_solve
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(matops, "care_solve", counting)
+    code, out, err = run_cli(["synthesize", write_config(tmp_path, config)])
+    assert (code, err) == (EXIT_OK, "")
+    assert "regulated = true" in out
+    assert len(calls) <= 24
 
 
 # ---------------------------------------------------------------- simulate

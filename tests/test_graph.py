@@ -64,6 +64,15 @@ def test_is_connected():
     assert not graph.is_connected(disconnected)
 
 
+def test_too_few_edges_never_connect():
+    # n - 1 edges are needed; one edge among a million agents is decided
+    # without visiting the agents
+    huge = Topology(n=1000000, edges=((1, 2),), leader=1)
+    assert not graph.is_connected(huge)
+    assert not graph.is_leader_reachable(huge)
+    assert graph.is_connected(graph.path_topology(7))
+
+
 def test_is_leader_reachable():
     t = Topology(n=4, edges=((1, 2), (2, 3), (3, 4)), leader=1)
     assert graph.is_leader_reachable(t)

@@ -9,6 +9,7 @@ import pytest
 
 import consensuskit
 from consensuskit import matops
+from test_synthesis import A1, A2, B1, B2, Q1, Q2
 
 
 # ---------------------------------------------------------------- as_matrix
@@ -160,6 +161,51 @@ def test_matrix_sign_involution():
 def test_matrix_sign_imaginary_axis_fails():
     with pytest.raises(matops.LinearAlgebraError):
         matops.matrix_sign([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def hamiltonian(a, b, q_hat, gamma):
+    """The matrix care_solve takes the sign of."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.block([[a, -gamma * (b @ b.T)], [-np.asarray(q_hat, dtype=float), -a.T]])
+
+
+@pytest.mark.parametrize(
+    "plant, multiplier, gamma",
+    [
+        ("example-1", 2, 2.0),
+        ("example-1", 2, 0.4467),
+        ("example-2", 3, 0.2),
+        ("example-2", 3, 0.00152),
+        ("example-2", 2, 0.00646),
+        ("example-2", 2, 16.78),
+    ],
+)
+def test_matrix_sign_converges_within_10_steps_on_the_example_hamiltonians(plant, multiplier, gamma, monkeypatch):
+    # the demos' gammas, the regulated gammas of the cli-certify and ROADMAP
+    # cases, and a bracketing gamma; one inverse per Newton step
+    a, b, q = {"example-1": (A1, B1, Q1), "example-2": (A2, B2, Q2)}[plant]
+    steps = []
+    original = np.linalg.inv
+
+    def counting(m):
+        steps.append(m)
+        return original(m)
+
+    monkeypatch.setattr(matops.np.linalg, "inv", counting)
+    s = matops.matrix_sign(hamiltonian(a, b, multiplier * q, gamma))
+    assert len(steps) <= 10
+    assert np.abs(s @ s - np.eye(len(s))).max() < 1e-8
+
+
+def test_sign_iterate_condition_rejects_near_imaginary_axis_hamiltonian():
+    # an uncontrolled mode at +1e-14 puts Hamiltonian eigenvalues +-1e-14
+    # beside +-sqrt(2); the first iterate's 1-norm condition is about 1e28
+    a = np.diag([1e-14, -1.0])
+    b = [[0.0], [1.0]]
+    with pytest.raises(matops.SignFunctionError, match="1-norm condition"):
+        matops.matrix_sign(hamiltonian(a, b, np.eye(2), 1.0))
+    with pytest.raises(matops.NotStabilizableError):
+        matops.care_solve(a, b, np.eye(2), 1.0)
 
 
 # --------------------------------------------------------------- care_solve

@@ -195,27 +195,35 @@ def test_regulate_gain_returns_cheap_gamma_when_already_feasible():
     assert np.abs(gains.certificate - P1_EXPECTED).max() < 1e-9
 
 
-def test_regulate_gain_stops_bisection_on_a_collapsed_bracket(monkeypatch):
-    # a plain 60-step bisection keeps re-solving an end of the bracket once
-    # the midpoint stops moving; regulate_gain returns the same bits without
-    # those solves
-    request = RegulationRequest(delta=300.0)
+REGULATION_CASES = [
+    pytest.param(A1, B1, Q1, 300.0, LEADERLESS, id="example-1-leaderless-300"),
+    pytest.param(A2, B2, Q2, 200.0, LEADER_FOLLOWER, id="example-2-leader-follower-200"),
+    pytest.param(A2, B2, Q2, 50.0, LEADERLESS, id="example-2-leaderless-50"),
+]
 
-    def lam(gamma):
-        gains = synthesis.design_leaderless(A1, B1, Q1, gamma)
-        return matops.sym_eig(gains.certificate)[-1], gains
 
-    lo = request.gamma_min
-    hi = lo
-    while lam(hi)[0] > request.delta * (1.0 + 1e-9):
+def bisection_oracle(a, b, q, delta, mode):
+    """gamma at the feasible end of a plain bisection run to float resolution."""
+    design = synthesis.design_leaderless if mode == LEADERLESS else synthesis.design_leader_follower
+
+    def feasible(gamma):
+        return matops.sym_eig(design(a, b, q, gamma).certificate)[-1] <= delta * (1.0 + 1e-9)
+
+    lo = hi = RegulationRequest(delta=delta).gamma_min
+    while not feasible(hi):
         lo, hi = hi, 2.0 * hi
-    for _ in range(60):
+    while 0.5 * (lo + hi) not in (lo, hi):
         mid = 0.5 * (lo + hi)
-        if lam(mid)[0] <= request.delta * (1.0 + 1e-9):
+        if feasible(mid):
             hi = mid
         else:
             lo = mid
+    return hi
 
+
+@pytest.mark.parametrize("a, b, q, delta, mode", REGULATION_CASES)
+def test_regulate_gain_matches_bisection_within_24_solves(a, b, q, delta, mode, monkeypatch):
+    oracle = bisection_oracle(a, b, q, delta, mode)
     calls = []
     original = matops.care_solve
 
@@ -224,10 +232,47 @@ def test_regulate_gain_stops_bisection_on_a_collapsed_bracket(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(matops, "care_solve", counting)
-    gamma, gains = synthesis.regulate_gain(A1, B1, Q1, request)
-    assert len(calls) <= 72
-    assert gamma == hi
-    assert np.array_equal(gains.certificate, lam(hi)[1].certificate)
+    gamma, gains = synthesis.regulate_gain(a, b, q, RegulationRequest(delta=delta), mode=mode)
+    assert len(calls) <= 24
+    assert abs(gamma - oracle) <= 1e-12 * oracle
+    assert gains.gamma == gamma
+    assert matops.sym_eig(gains.certificate)[-1] <= delta * (1.0 + 1e-9)
+
+
+def patch_design(monkeypatch, lam):
+    """Make regulate_gain's designs return lam(gamma) I, recording each gamma."""
+    evaluated = []
+
+    def fake_design(mode, a, b, q, gamma):
+        evaluated.append(gamma)
+        return GainSet(mode=mode, a=a, b=b, q=q, gamma=gamma, certificate=lam(gamma) * np.eye(2))
+
+    monkeypatch.setattr(synthesis, "_design", fake_design)
+    return evaluated
+
+
+@pytest.mark.parametrize("bump", [10.0, 0.1], ids=["above-the-low-end", "below-the-high-end"])
+def test_regulate_gain_rejects_non_monotone_lambda_inside_the_search(bump, monkeypatch):
+    # lambda = 200 / sqrt(gamma), times bump on (2, 8).  Bracketing by factors
+    # of 16 from 1e-6 ends on [1.048576, 16.777216] without touching the bump,
+    # and the first secant point in log gamma lands on the delta = 100
+    # boundary, gamma = 4, where lambda leaves [lambda(16.78), lambda(1.05)].
+    evaluated = patch_design(monkeypatch, lambda g: 200.0 / math.sqrt(g) * (bump if 2.0 < g < 8.0 else 1.0))
+    with pytest.raises(RegulationError, match="not nonincreasing"):
+        synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=100.0))
+    assert len(evaluated) == 8
+    assert abs(evaluated[-1] - 4.0) < 1e-6
+
+
+def test_regulate_gain_closes_the_bracket_after_a_secant_point_on_the_root(monkeypatch):
+    # log lambda is linear in log gamma, so the first secant point is the root
+    # to rounding; a secant that keeps returning to that end of the bracket
+    # would re-solve it tens of thousands of times before the other end moves
+    evaluated = patch_design(monkeypatch, lambda g: 200.0 / math.sqrt(g))
+    gamma, _ = synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=100.0))
+    assert len(evaluated) <= 12
+    root = (200.0 / (100.0 * (1.0 + 1e-9))) ** 2
+    assert abs(gamma - root) <= 1e-12 * root
 
 
 def test_regulate_gain_exhausted_bounds():
