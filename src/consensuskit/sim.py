@@ -1,9 +1,11 @@
 """Simulation of the adaptive consensus protocols.
 
-Integrates the coupled agent-state and adaptive-weight dynamics with a
-fixed-step fourth-order Runge-Kutta scheme over one flat state vector
-``[x.ravel(), w]``.  ``run`` is the only RK4; it writes the stage states in
-place into a preallocated block of rows.  The realized cost J and the
+Integrates the coupled agent-state and edge-weight dynamics with a fixed-step
+fourth-order Runge-Kutta scheme over one flat state vector
+``[x.ravel(), w_all]`` that holds every edge weight.  Fixed (follower) weights
+have a zero slope, so RK4 leaves them bit-constant.  ``run`` is the only RK4;
+it writes the stage states in place into a preallocated block of rows and
+scans each finished block once for divergence.  The realized cost J and the
 integral term J_bound of the guaranteed-cost bound never feed back into x or
 w: once per block of steps, one batched pass evaluates both rates at every
 stored stage state.  Each step adds (dt/6)(r1 + 2 r2 + 2 r3 + r4), summed in
@@ -42,9 +44,8 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e9
-# RK4 steps per batched rate pass, and the most elements of one rate temporary
+# RK4 steps per block: one divergence scan, one rate pass, one history copy
 _BLOCK_STEPS = 200
-_RATE_CHUNK = 1 << 15
 
 
 class SimulationError(Exception):
@@ -171,19 +172,34 @@ def _quad_sums(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return ((v @ m) * v).sum(axis=(1, 2))
 
 
+def _pair_sums(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Sum of (x_i - x_k)^T m (x_i - x_k) over the ordered agent pairs of each stacked x.
+
+    O(n d^2) by the shifted-data identity of Chan, Golub and LeVeque
+    ("Algorithms for computing the sample variance", 1983): with
+    e_i = x_i - x_1 and s = sum_i e_i, the sum is 2 n sum_i e_i^T m e_i -
+    2 s^T m s.  At consensus every e_i is exactly zero, and so is the sum;
+    for positive semidefinite m the rounding stays within about (n + 1) eps
+    relative, because |x_1 - mean|^2 is at most sum_i |x_i - mean|^2.
+    """
+    e = x - x[:, :1]
+    return 2.0 * x.shape[1] * _quad_sums(e, m) - 2.0 * _quad_sums(e.sum(axis=1, keepdims=True), m)
+
+
 class _Protocol:
-    """Adaptive coupling over the flat state ``y = [x.ravel(), w]``.
+    """Adaptive coupling over the flat state ``y = [x.ravel(), w_all]``.
 
     Every edge (i, k) couples its agents with weight w_ik through B K_u:
     dx = x A^T - E^T ((w_all * (E x)) (B K_u)^T), with E the signed incidence
     (-1 at i, +1 at k).  Leader-follower mode is the same coupling with the
     leader's row of E^T zeroed, so the leader propagates autonomously, and
     with only the leader edges adaptive; follower edges keep their fixed
-    weights in ``w_all``.  The leader is agent 1, so its edges lead the
-    canonical edge order.  ``deriv`` writes dx and dw into a caller's buffer
-    through preallocated scratch, with ``ndarray.dot`` on 2-D operands, which
-    costs a third of ``@`` on such small arrays.  ``rates`` gives the cost and
-    bound rates of a stack of agent states; only they depend on the mode.
+    weights, whose slope is zero.  The leader is agent 1, so its edges lead
+    the canonical edge order and the adaptive weights lead ``w_all``.
+    ``deriv`` writes dx and the adaptive dw into a caller's views through
+    preallocated scratch, with ``ndarray.dot`` on 2-D operands, which costs a
+    third of ``@`` on such small arrays.  ``rates`` gives the cost and bound
+    rates of a stack of agent states; only they depend on the mode.
     """
 
     def __init__(self, gains: GainSet, topology: Topology, mode: str):
@@ -194,7 +210,6 @@ class _Protocol:
         self.d = gains.state_dim
         self.nd = self.n * self.d
         self.adaptive_edges = adaptive_edges(topology, mode)
-        self.adaptive = slice(0, len(self.adaptive_edges))
         self.incidence = np.zeros((len(topology.edges), self.n))
         for row, (i, k) in enumerate(topology.edges):
             self.incidence[row, i - 1] = -1.0
@@ -205,57 +220,55 @@ class _Protocol:
             # follower rows (agent k - 2) of the leader edges (1, k), in edge order
             self.pinned = np.array([k - 2 for _, k in self.adaptive_edges], dtype=int)
         self.w_all = topology.initial_weight_vector(topology.edges)
-        self.w_col = self.w_all[:, None]
-        self.w0 = self.w_all[self.adaptive].copy()
-        self.size = self.nd + len(self.w0)
+        self.size = self.nd + len(self.w_all)
+        self.guarded = self.nd + len(self.adaptive_edges)  # [x, adaptive w]: what moves
         self.a_t = gains.a.T.copy()
         self.bku_t = (gains.b @ gains.k_u).T.copy()
         self.k_w = gains.k_w
         self.q = gains.q
         self.gamma = gains.gamma
         self.diffs, self.weighted, self.coupling = np.empty((3, len(topology.edges), self.d))
+        self.adaptive_diffs = self.diffs[: len(self.adaptive_edges)]
         self.pull = np.empty((self.n, self.d))
-        self.quad = np.empty((len(self.w0), self.d))
+        self.quad = np.empty_like(self.adaptive_diffs)
 
-    def deriv(self, y: np.ndarray, out: np.ndarray) -> None:
-        """Write dy/dt = [dx.ravel(), dw] at y into out, a C-contiguous vector."""
-        x = y[: self.nd].reshape(self.n, self.d)
-        self.w_all[self.adaptive] = y[self.nd :]
+    def views(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (x, w column, adaptive w) views of a flat state or slope vector y."""
+        return y[: self.nd].reshape(self.n, self.d), y[self.nd :, None], y[self.nd : self.guarded]
+
+    def deriv(self, x: np.ndarray, w: np.ndarray, dx: np.ndarray, dw: np.ndarray) -> None:
+        """Write dx/dt and the adaptive dw/dt at agent states x and weight column w into dx and dw.
+
+        dx must be C-contiguous; the fixed weights' slope is zero and is not written.
+        """
         diffs = self.incidence.dot(x, self.diffs)
-        np.multiply(self.w_col, diffs, self.weighted)
+        np.multiply(w, diffs, self.weighted)
         self.weighted.dot(self.bku_t, self.coupling)
         self.incidence_t.dot(self.coupling, self.pull)
-        dx = x.dot(self.a_t, out[: self.nd].reshape(self.n, self.d))
+        x.dot(self.a_t, dx)
         np.subtract(dx, self.pull, dx)
-        adaptive = diffs[self.adaptive]
-        quad = adaptive.dot(self.k_w, self.quad)
-        np.multiply(quad, adaptive, quad)
-        np.add.reduce(quad, 1, None, out[self.nd :])
+        quad = self.adaptive_diffs.dot(self.k_w, self.quad)
+        np.multiply(quad, self.adaptive_diffs, quad)
+        np.add.reduce(quad, 1, None, dw)
 
     def rates(self, x: np.ndarray) -> np.ndarray:
         """Rows (dJ, dJ_bound) for each agent state of the stack x, shape (m, n, d)."""
-        per = max(1, _RATE_CHUNK // (self.n * self.n * self.d))
-        if len(x) > per:  # bound the all-pairs temporaries of wide networks
-            return np.concatenate([self.rates(x[lo : lo + per]) for lo in range(0, len(x), per)])
-        # ordered-pair differences keep the cost rates exactly zero at
-        # consensus (mean-deviation forms leave rounding residue)
         if self.mode == LEADERLESS:
-            pairs = (x[:, None] - x[:, :, None]).reshape(len(x), -1, self.d)
-            dj = _quad_sums(pairs, self.q) / self.n
-            djb = self.gamma * _quad_sums(pairs, self.k_w) / (2.0 * self.n)
+            dj = _pair_sums(x, self.q) / self.n
+            djb = self.gamma * _pair_sums(x, self.k_w) / (2.0 * self.n)
         else:
-            xf = x[:, 1:]
-            pairs = (xf[:, None] - xf[:, :, None]).reshape(len(x), -1, self.d)
-            xi = xf - x[:, :1]
-            dj = _quad_sums(xi[:, self.pinned], self.q) + _quad_sums(pairs, self.q) / (self.n - 1)
+            xi = x[:, 1:] - x[:, :1]
+            dj = _quad_sums(xi[:, self.pinned], self.q) + _pair_sums(x[:, 1:], self.q) / (self.n - 1)
             djb = self.gamma * _quad_sums(xi, self.k_w)
         return np.stack((dj, djb), axis=1)
 
     def rhs(self, state: SimState) -> SimState:
-        dy = np.empty(self.size)
-        self.deriv(np.concatenate((np.ravel(state.x), state.w)), dy)
-        dj, djb = self.rates(np.reshape(state.x, (1, self.n, self.d)))[0]
-        return SimState(t=1.0, x=dy[: self.nd], w=dy[self.nd :], j_realized=float(dj), j_bound_integral=float(djb))
+        x = np.reshape(np.asarray(state.x, dtype=float), (self.n, self.d))
+        w = np.concatenate((state.w, self.w_all[len(state.w) :]))[:, None]
+        dx, dw = np.empty((self.n, self.d)), np.empty(self.guarded - self.nd)
+        self.deriv(x, w, dx, dw)
+        dj, djb = self.rates(x[None])[0]
+        return SimState(t=1.0, x=dx.ravel(), w=dw, j_realized=float(dj), j_bound_integral=float(djb))
 
 
 def leaderless_rhs(state: SimState, gains: GainSet, topology: Topology) -> SimState:
@@ -283,64 +296,74 @@ def leader_follower_rhs(state: SimState, gains: GainSet, topology: Topology) -> 
 def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
     """Integrate a full run and return the sampled Trace.
 
-    Aborts with DivergenceError when any agent state or adaptive weight
-    exceeds the divergence guard in magnitude.  The trace always contains the
-    initial and final samples.
+    Aborts with DivergenceError at the first step whose agent states or
+    adaptive weights are non-finite or exceed the divergence guard in
+    magnitude.  The trace always contains the initial and final samples.
     """
     protocol = _Protocol(gains, topology, gains.mode)
     check_connected(topology, gains.mode)
-    n, d, nd = protocol.n, protocol.d, protocol.nd
+    n, d, nd, guarded = protocol.n, protocol.d, protocol.nd, protocol.guarded
     x0 = config.x0
     if x0.shape != (n, d):
         raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({n}, {d})")
     nsteps = horizon_steps(config.t_final, config.dt)
     dt, stride = config.dt, config.sample_stride
+    half, sixth = 0.5 * dt, dt / 6.0
+    sample_steps = np.array([0, *range(stride, nsteps + 1, stride)] + ([nsteps] if nsteps % stride else []))
 
     # rows 4k .. 4k + 3: the stage states of the block's step k; row 4k + 4: its result
     block = np.empty((4 * _BLOCK_STEPS + 1, protocol.size))
     rows = list(block)
-    k1, k2, k3, k4 = slopes = np.empty((4, protocol.size))
-    chain = tuple(zip(slopes[:3], (0.5 * dt, 0.5 * dt, dt), slopes[1:]))  # stage s + 1 is y + h_s k_s
-    history = np.empty((nsteps // stride + 1 + (nsteps % stride > 0), protocol.size))
-    history[0] = block[0] = np.concatenate((x0.ravel(), protocol.w0))
-    sample_steps = [0]
-    costs = [np.zeros((1, 2))]  # (J, J_bound) at the samples, one array per block
+    xs, ws, _ = zip(*map(protocol.views, rows))
+    k1, k2, k3, k4 = slopes = np.zeros((4, protocol.size))  # the fixed weights' slopes stay zero
+    (dx1, _, dw1), (dx2, _, dw2), (dx3, _, dw3), (dx4, _, dw4) = map(protocol.views, slopes)
+    deriv = protocol.deriv
+    block[0] = np.concatenate((x0.ravel(), protocol.w_all))
+    history = np.empty((len(sample_steps), guarded))  # [x, adaptive w] at the samples
+    history[0] = block[0, :guarded]
+    costs = np.zeros((len(sample_steps), 2))  # (J, J_bound) at the samples
     totals = np.zeros((1, 2))  # totals[-1] holds (J, J_bound) after step `base`
-    sampled = []  # rows of the next block's totals that are samples
-    base = top = 0  # the current step starts from row `top`
-    for step in range(1, nsteps + 1):
-        y, y_next = rows[top], rows[top + 4]
-        protocol.deriv(y, k1)
-        for stage, (k, h, k_next) in zip(rows[top + 1 : top + 4], chain):
-            np.multiply(k, h, stage)
-            stage += y
-            protocol.deriv(stage, k_next)
-        # y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in the textbook's order of operations, which fixes the bits
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k2 += k3
-        k2 += k4
-        k2 *= dt / 6.0
-        np.add(y, k2, y_next)
-        magnitude = float(np.abs(y_next).max())
-        if not math.isfinite(magnitude) or magnitude > DIVERGENCE_LIMIT:
-            raise DivergenceError(time=step * dt, magnitude=magnitude)
-        if step % stride == 0 or step == nsteps:
-            history[len(sample_steps)] = y_next
-            sample_steps.append(step)
-            sampled.append(step - base)
-        top += 4
-        if top == 4 * _BLOCK_STEPS or step == nsteps:
-            r = protocol.rates(block[:top, :nd].reshape(-1, n, d)).reshape(-1, 4, 2)
-            increments = (dt / 6.0) * (r[:, 0] + 2.0 * r[:, 1] + 2.0 * r[:, 2] + r[:, 3])
+    done = 1  # samples recorded so far
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported by the block scan
+        for base in range(0, nsteps, _BLOCK_STEPS):
+            top = 4 * min(_BLOCK_STEPS, nsteps - base)
+            for r in range(0, top, 4):
+                y, s1, s2, s3 = rows[r : r + 4]
+                deriv(xs[r], ws[r], dx1, dw1)
+                np.multiply(k1, half, s1)
+                s1 += y
+                deriv(xs[r + 1], ws[r + 1], dx2, dw2)
+                np.multiply(k2, half, s2)
+                s2 += y
+                deriv(xs[r + 2], ws[r + 2], dx3, dw3)
+                np.multiply(k3, dt, s3)
+                s3 += y
+                deriv(xs[r + 3], ws[r + 3], dx4, dw4)
+                # y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in the textbook's order of operations, which fixes the bits
+                k2 *= 2.0
+                k2 += k1
+                k3 *= 2.0
+                k2 += k3
+                k2 += k4
+                k2 *= sixth
+                np.add(y, k2, rows[r + 4])
+            # the first step whose result is non-finite or past the guard
+            magnitude = np.abs(block[4 : top + 1 : 4, :guarded]).max(axis=1)
+            failed = np.flatnonzero(~(magnitude <= DIVERGENCE_LIMIT))
+            if len(failed):
+                k = int(failed[0])
+                raise DivergenceError(time=(base + k + 1) * dt, magnitude=float(magnitude[k]))
+            rates = protocol.rates(block[:top, :nd].reshape(-1, n, d)).reshape(-1, 4, 2)
+            increments = sixth * (rates[:, 0] + 2.0 * rates[:, 1] + 2.0 * rates[:, 2] + rates[:, 3])
             # row k: (J, J_bound) after step base + k, summed in step order
             totals = np.cumsum(np.concatenate((totals[-1:], increments)), axis=0)
-            costs.append(totals[sampled])
-            block[0] = y_next
-            base, sampled, top = step, [], 0
+            end = done + int(np.searchsorted(sample_steps[done:], base + top // 4, side="right"))
+            offsets = sample_steps[done:end] - base
+            history[done:end] = block[4 * offsets, :guarded]
+            costs[done:end] = totals[offsets]
+            block[0] = block[top]
+            done = end
 
-    costs = np.concatenate(costs)
     states = history[:, :nd].copy()
     x = states.reshape(-1, n, d)
     # per-sample disagreement (leaderless) or follower-to-leader errors
@@ -350,7 +373,7 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
         n=n,
         d=d,
         adaptive_edges=protocol.adaptive_edges,
-        times=np.array(sample_steps) * dt,
+        times=sample_steps * dt,
         states=states,
         weights=history[:, nd:].copy(),
         j_realized=costs[:, 0].copy(),
@@ -376,8 +399,7 @@ def guaranteed_cost_bound(trace: Trace, gains: GainSet) -> float:
     """
     x0 = trace.states[0].reshape(trace.n, trace.d)
     if gains.mode == LEADERLESS:
-        pairs = (x0[None, :, :] - x0[:, None, :]).reshape(-1, trace.d)
-        quad = float(((pairs @ gains.certificate) * pairs).sum()) / (2.0 * trace.n)
+        quad = float(_pair_sums(x0[None], gains.certificate)[0]) / (2.0 * trace.n)
     else:
         xi0 = x0[1:] - x0[0]
         quad = float(((xi0 @ gains.certificate) * xi0).sum())

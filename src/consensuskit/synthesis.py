@@ -267,7 +267,9 @@ def regulate_gain(
     end, whose lambda_max is at most delta (1 + 1e-9).
     The expected monotone nonincrease of lambda_max(P(gamma)) in gamma is
     checked at every evaluation; a violation raises RegulationError instead
-    of silently searching a non-monotone function.
+    of silently searching a non-monotone function.  So does a CARE solve
+    that fails while bracketing upward from a solvable gamma_min, with the
+    best lambda_max reached.
     """
     if mode not in COST_MULTIPLIER:
         raise ValueError(f"mode must be one of {sorted(COST_MULTIPLIER)}, got {mode!r}")
@@ -291,17 +293,25 @@ def regulate_gain(
             )
         return lam, gains
 
+    def infeasible(best: float, detail: str = "") -> RegulationError:
+        return RegulationError(
+            f"no gamma in [{request.gamma_min:g}, {request.gamma_max:g}] achieves "
+            f"lambda_max <= {request.delta:g} (best {best:.6g}{detail})"
+        )
+
     gamma, lam_lo = request.gamma_min, math.inf
     lam_hi, gains_hi = evaluate(gamma, lam_lo, -math.inf)
     while lam_hi > target:
         if gamma >= request.gamma_max:
-            raise RegulationError(
-                f"no gamma in [{request.gamma_min:g}, {request.gamma_max:g}] achieves "
-                f"lambda_max <= {request.delta:g} (best {lam_hi:.6g})"
-            )
+            raise infeasible(lam_hi)
         u_lo, lam_lo = math.log(gamma), lam_hi
         gamma = min(16.0 * gamma, request.gamma_max)
-        lam_hi, gains_hi = evaluate(gamma, lam_lo, -math.inf)
+        try:
+            lam_hi, gains_hi = evaluate(gamma, lam_lo, -math.inf)
+        except matops.NotStabilizableError as exc:
+            # lambda_max(P) levels off as gamma grows while the Hamiltonian
+            # becomes too ill-conditioned to solve: report the best value reached
+            raise infeasible(lam_lo, f"; the CARE solve fails at gamma {gamma:g}") from exc
     if lam_lo == math.inf:  # gamma_min already meets the target
         return gamma, gains_hi
     u_hi = math.log(gamma)

@@ -430,6 +430,15 @@ def test_synthesize_not_stabilizable_exit_code(tmp_path):
     assert "infeasible" in err
 
 
+def test_synthesize_unreachable_delta_exit_code(tmp_path):
+    # example-2's leader-follower lambda_max(P) never falls below about 7.42
+    config = {key: value for key, value in cli._DEMO_CONFIGS["example-2"].items() if key != "gamma"}
+    code, out, err = run_cli(["synthesize", write_config(tmp_path, dict(config, delta=5.0))])
+    assert code == EXIT_SYNTHESIS
+    assert err.startswith("error: synthesis failed: no gamma in [")
+    assert "achieves lambda_max <= 5 (best 7.416" in err
+
+
 def test_synthesize_malformed_dimension_exit_code(tmp_path):
     config = scalar_pair_config()
     config["plant"]["b"] = [1.0, 2.0, 3.0]

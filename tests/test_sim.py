@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -271,7 +272,8 @@ def test_run_cost_columns_equal_the_augmented_rk4_loop(mode):
     # stage states per block of steps; the oracle steps J and J_bound inside
     # the RK4 state.  537 steps span three blocks, and stride 7 divides
     # neither the block nor the horizon, so the final sample is off-stride.
-    # With six agents one block's rate pass is split into several slices.
+    # One batched rate pass covers each block's stage states, and the oracle
+    # evaluates the same rates one state at a time.
     edges = ((1, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 6), (5, 6))
     if mode == LEADERLESS:
         gains, rhs, topology = leaderless_gains(), sim.leaderless_rhs, Topology(n=6, edges=edges)
@@ -435,6 +437,57 @@ def test_run_divergence_guard_covers_adaptive_weights():
     y0 = np.concatenate((x0.ravel(), topology.initial_weight_vector(topology.edges)))
     first = first_divergence(sim.leaderless_rhs, override(1e12 * np.eye(2)), topology, y0, 1e-3)
     assert (excinfo.value.time, excinfo.value.magnitude) == first
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_divergence_scan_reports_the_first_step_of_a_block_that_overflows():
+    # repulsive coupling with adaptive weights blows up in finite time: with
+    # e = x2 - x1, de/dt = 2 w e and dw/dt = e^2, so w = tan(2 t + pi / 4)
+    # escapes at t = pi / 8.  Step 394, in the second block of 200, first
+    # passes the guard; the state overflows to inf on the next step, and NaN
+    # follows, before the block ends and is scanned
+    plant = scalar_gains(2.0)
+    wrong = dataclasses.replace(plant, k_u=-plant.k_u)
+    topology = Topology(n=2, edges=((1, 2),))
+    config = SimConfig(x0=np.array([[-1.0], [1.0]]), t_final=1.0, dt=1e-3)
+    with pytest.raises(sim.DivergenceError) as excinfo:
+        sim.run(config, wrong, topology)
+    y0 = np.concatenate((config.x0.ravel(), np.ones(1)))
+    time, magnitude = first_divergence(sim.leaderless_rhs, wrong, topology, y0, 1e-3)
+    assert (excinfo.value.time, excinfo.value.magnitude) == (time, magnitude)
+    assert round(time / 1e-3) == 394
+    # the textbook loop, carried one step past the guard, overflows
+    f = augmented_rhs(sim.leaderless_rhs, wrong, topology)
+    y = np.concatenate((y0, (0.0, 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(395):
+            y = rk4_step(f, y, 1e-3)
+    assert not np.isfinite(y[:3]).all()
+
+
+def test_run_keeps_fixed_follower_weights_bit_constant(monkeypatch):
+    # follower-follower weights ride in the state with a zero slope: every
+    # derivative evaluation sees exactly the configured weights
+    gains = synthesis.design_leader_follower(A1, B1, Q1, 1.0)
+    weights = {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 0.1 + 0.2, (3, 4): 1.7}
+    topology = Topology(n=4, edges=tuple(weights), leader=1, weights=weights)
+    seen = []
+    deriv = sim._Protocol.deriv
+
+    def recording(self, x, w, dx, dw):
+        seen.append(w[2:, 0].copy())
+        deriv(self, x, w, dx, dw)
+
+    monkeypatch.setattr(sim._Protocol, "deriv", recording)
+    x0 = np.random.default_rng(29).uniform(-0.25, 0.25, size=(4, 2))
+    trace = sim.run(SimConfig(x0=x0, t_final=0.25, dt=1e-3, sample_stride=10), gains, topology)
+    assert len(seen) == 4 * 250
+    assert all(np.array_equal(w, [0.1 + 0.2, 1.7]) for w in seen)
+    # Trace.weights holds only the adaptive (leader) edges' columns
+    assert trace.adaptive_edges == ((1, 2), (1, 3))
+    assert trace.weights.shape == (len(trace.times), 2)
+    assert np.array_equal(trace.weights[0], [1.0, 1.0])
+    assert np.diff(trace.weights, axis=0).min() >= 0.0 and trace.weights[-1].min() > 1.0
 
 
 def test_run_leader_follower_smoke():
@@ -650,6 +703,100 @@ def test_cost_stays_under_the_bound_and_weights_never_decrease(mode, data):
     report = verify.analyze(trace, gains, topology)
     assert report.realized_cost <= report.bound
     assert np.diff(trace.weights, axis=0).min() >= 0.0
+
+
+def ordered_pair_sum(x, m):
+    """Sum of (x_i - x_k)^T m (x_i - x_k) over ordered agent pairs, from every pair difference."""
+    pairs = (x[None, :, :] - x[:, None, :]).reshape(-1, x.shape[1])
+    return float(((pairs @ m) * pairs).sum())
+
+
+def pair_sum_tolerance(x, m):
+    """(n + 1)-scaled rounding bound of the shifted-data pair sum against the ordered-pair form."""
+    n, d = x.shape
+    return 4.0 * (n + 1) * (d + 1) * np.finfo(float).eps * np.linalg.norm(m) * ordered_pair_sum(x, np.eye(d))
+
+
+def draw_states(data, n, d):
+    """Agent states spread around a common offset up to 1e6 times larger than the spread."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="state seed"))
+    spread = 10.0 ** data.draw(st.integers(-8, 2), label="log10 spread")
+    offset = 10.0 ** data.draw(st.integers(-3, 6), label="log10 offset") * rng.normal(size=d)
+    return offset + spread * rng.normal(size=(n, d))
+
+
+def one_sample_trace(mode, x):
+    """A Trace holding only x(0) = x, with a zero bound integral."""
+    n, d = x.shape
+    zero = np.zeros(1)
+    return sim.Trace(mode, n, d, (), zero, x.reshape(1, -1), np.ones((1, n - 1)), zero, zero, zero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pair_sums_match_the_ordered_pair_form(data):
+    n, d = data.draw(st.integers(2, 8), label="n"), data.draw(st.integers(1, 4), label="d")
+    stack = np.array([draw_states(data, n, d) for _ in range(data.draw(st.integers(1, 3), label="stack"))])
+    factor = np.random.default_rng(data.draw(st.integers(0, 2**16))).normal(size=(d, d))
+    m = factor.T @ factor * 10.0 ** data.draw(st.integers(-3, 3), label="log10 scale")
+    for got, x in zip(sim._pair_sums(stack, m), stack):
+        assert abs(got - ordered_pair_sum(x, m)) <= pair_sum_tolerance(x, m)
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cost_rates_and_bound_match_the_ordered_pair_form(mode, data):
+    # the rhs rates and the x(0) form of the bound against the ordered-pair
+    # sums they replace
+    n = data.draw(st.integers(2, 8), label="n")
+    x = draw_states(data, n, 2)
+    edges = tuple((1, k) for k in range(2, n + 1))
+    if mode == LEADERLESS:
+        gains = leaderless_gains()
+        deriv = sim.leaderless_rhs(SimState(0.0, x.ravel(), np.ones(n - 1), 0.0, 0.0), gains, Topology(n=n, edges=edges))
+        dj, dj_tol = ordered_pair_sum(x, Q1) / n, pair_sum_tolerance(x, Q1) / n
+        quad = ordered_pair_sum(x, gains.certificate) / (2.0 * n)
+        quad_tol = pair_sum_tolerance(x, gains.certificate) / (2.0 * n)
+        djb = gains.gamma * ordered_pair_sum(x, gains.k_w) / (2.0 * n)
+        djb_tol = gains.gamma * pair_sum_tolerance(x, gains.k_w) / (2.0 * n)
+    else:
+        gains = synthesis.design_leader_follower(A1, B1, Q1, 1.0)
+        topology = Topology(n=n, edges=edges, leader=1)
+        deriv = sim.leader_follower_rhs(SimState(0.0, x.ravel(), np.ones(n - 1), 0.0, 0.0), gains, topology)
+        xi = x[1:] - x[0]
+        pinned = float(((xi @ Q1) * xi).sum())
+        dj = pinned + ordered_pair_sum(x[1:], Q1) / (n - 1)
+        dj_tol = 8.0 * np.finfo(float).eps * pinned + pair_sum_tolerance(x[1:], Q1) / (n - 1)
+        quad, quad_tol = float(((xi @ gains.certificate) * xi).sum()), 0.0
+        djb = gains.gamma * float(((xi @ gains.k_w) * xi).sum())
+        djb_tol = 8.0 * np.finfo(float).eps * djb
+    assert abs(deriv.j_realized - dj) <= dj_tol
+    assert abs(deriv.j_bound_integral - djb) <= djb_tol
+    # the bound of a one-sample trace is the x(0) quadratic form
+    assert abs(sim.guaranteed_cost_bound(one_sample_trace(mode, x), gains) - quad) <= quad_tol
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cost_rates_and_bound_are_exactly_zero_at_common_states(mode, data):
+    n, d = data.draw(st.integers(2, 8), label="n"), data.draw(st.integers(1, 4), label="d")
+    common = draw_states(data, 1, d)[0]
+    x = np.tile(common, (n, 1))
+    a, b, q = np.ones((d, d)), np.eye(d), np.eye(d)
+    design = synthesis.design_leaderless if mode == LEADERLESS else synthesis.design_leader_follower
+    gains = design(a, b, q, 1.0)
+    edges = tuple((1, k) for k in range(2, n + 1))
+    topology = Topology(n=n, edges=edges, leader=1 if mode == LEADER_FOLLOWER else None)
+    rhs = sim.leaderless_rhs if mode == LEADERLESS else sim.leader_follower_rhs
+    deriv = rhs(SimState(0.0, x.ravel(), np.ones(n - 1), 0.0, 0.0), gains, topology)
+    assert deriv.j_realized == 0.0 and deriv.j_bound_integral == 0.0
+    assert np.abs(deriv.w).max() == 0.0
+    assert sim.guaranteed_cost_bound(one_sample_trace(mode, x), gains) == 0.0
+    # followers in consensus among themselves, away from the leader
+    x[0] += 1.0
+    assert sim._pair_sums(x[None, 1:], gains.q)[0] == 0.0
 
 
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])

@@ -282,6 +282,15 @@ def test_regulate_gain_exhausted_bounds():
         )
 
 
+@pytest.mark.parametrize("delta", [5.0, 7.0])
+def test_regulate_gain_reports_a_target_below_the_cheap_control_level(delta):
+    # lambda_max(P) of the example-2 leader-follower design levels off near
+    # 7.42 as gamma grows, and the CARE solve fails from gamma ~1.1e6 on:
+    # that failure means no gamma meets the target, not an unstabilizable pair
+    with pytest.raises(RegulationError, match=rf"no gamma .* achieves lambda_max <= {delta:g} \(best 7\.416"):
+        synthesis.regulate_gain(A2, B2, Q2, RegulationRequest(delta=delta), mode=LEADER_FOLLOWER)
+
+
 def test_regulate_gain_strict_precondition():
     with pytest.raises(RegulationError):
         synthesis.regulate_gain(A2, B2, Q2, RegulationRequest(delta=10.0), mode=LEADER_FOLLOWER, strict=True)
