@@ -31,7 +31,6 @@ __all__ = [
     "DivergenceError",
     "DIVERGENCE_LIMIT",
     "SimConfig",
-    "SimState",
     "Trace",
     "horizon_steps",
     "adaptive_edges",
@@ -104,21 +103,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SimState:
-    """Instantaneous simulation state (also used for state derivatives).
-
-    ``x`` is the stacked agent state of length n*d with agent i occupying
-    block i; ``w`` holds the adaptive weights in canonical edge order.
-    """
-
-    t: float
-    x: np.ndarray
-    w: np.ndarray
-    j_realized: float
-    j_bound_integral: float
-
-
-@dataclass(frozen=True)
 class Trace:
     """Sampled simulation history: what the integrator produced.
 
@@ -137,15 +121,6 @@ class Trace:
     j_realized: np.ndarray
     j_bound_integral: np.ndarray
     eta_norm: np.ndarray
-
-    def final_state(self) -> SimState:
-        return SimState(
-            t=float(self.times[-1]),
-            x=self.states[-1].copy(),
-            w=self.weights[-1].copy(),
-            j_realized=float(self.j_realized[-1]),
-            j_bound_integral=float(self.j_bound_integral[-1]),
-        )
 
 
 def adaptive_edges(topology: Topology, mode: str) -> tuple[tuple[int, int], ...]:
@@ -262,35 +237,44 @@ class _Protocol:
             djb = self.gamma * _quad_sums(xi, self.k_w)
         return np.stack((dj, djb), axis=1)
 
-    def rhs(self, state: SimState) -> SimState:
-        x = np.reshape(np.asarray(state.x, dtype=float), (self.n, self.d))
-        w = np.concatenate((state.w, self.w_all[len(state.w) :]))[:, None]
-        dx, dw = np.empty((self.n, self.d)), np.empty(self.guarded - self.nd)
-        self.deriv(x, w, dx, dw)
-        dj, djb = self.rates(x[None])[0]
-        return SimState(t=1.0, x=dx.ravel(), w=dw, j_realized=float(dj), j_bound_integral=float(djb))
+
+def _rhs(x, w, gains: GainSet, topology: Topology, mode: str) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(dx, dw, dJ, dJ_bound) at the flat agent states x and the adaptive weights w, as in a Trace row."""
+    protocol = _Protocol(gains, topology, mode)
+    x, w = np.asarray(x, dtype=float).ravel(), np.asarray(w, dtype=float).ravel()
+    adaptive = protocol.guarded - protocol.nd
+    if len(x) != protocol.nd or len(w) != adaptive:
+        raise ConfigurationError(
+            f"x has {len(x)} values and w {len(w)}; expected n*d = {protocol.nd} and one per adaptive edge, {adaptive}"
+        )
+    x = x.reshape(protocol.n, protocol.d)
+    w_all = np.concatenate((w, protocol.w_all[adaptive:]))  # the adaptive weights lead w_all
+    dx, dw = np.empty((protocol.n, protocol.d)), np.empty(adaptive)
+    protocol.deriv(x, w_all[:, None], dx, dw)
+    dj, djb = protocol.rates(x[None])[0]
+    return dx.ravel(), dw, float(dj), float(djb)
 
 
-def leaderless_rhs(state: SimState, gains: GainSet, topology: Topology) -> SimState:
-    """Time derivative of the leaderless protocol state.
+def leaderless_rhs(x, w, gains: GainSet, topology: Topology) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Time derivative (dx, dw, dJ, dJ_bound) of the leaderless protocol.
 
     Agent blocks receive A x_i + B K_u sum_k w_ik (x_k - x_i); each edge
     weight receives its error quadratic form; the cost coordinate receives
     the all-pairs quadratic cost rate and the bound coordinate receives the
     translated disagreement quadratic form.
     """
-    return _Protocol(gains, topology, LEADERLESS).rhs(state)
+    return _rhs(x, w, gains, topology, LEADERLESS)
 
 
-def leader_follower_rhs(state: SimState, gains: GainSet, topology: Topology) -> SimState:
-    """Time derivative of the leader-follower protocol state.
+def leader_follower_rhs(x, w, gains: GainSet, topology: Topology) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Time derivative (dx, dw, dJ, dJ_bound) of the leader-follower protocol.
 
     The leaderless coupling with the leader's input removed: the leader
     propagates autonomously, followers combine the adaptively weighted leader
     coupling with fixed-weight follower coupling, and only leader-incident
     edge weights adapt.
     """
-    return _Protocol(gains, topology, LEADER_FOLLOWER).rhs(state)
+    return _rhs(x, w, gains, topology, LEADER_FOLLOWER)
 
 
 def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:

@@ -253,7 +253,7 @@ def test_criterion_08():
     errors = {}
     for dt in (1e-3, 5e-4):
         trace = run(SimConfig(x0=x0, t_final=1.0, dt=dt, sample_stride=100), gains, topology)
-        errors[dt] = float(np.abs(trace.final_state().x - reference).max())
+        errors[dt] = float(np.abs(trace.states[-1] - reference).max())
 
     assert errors[1e-3] / errors[5e-4] >= 12.0
     assert time.perf_counter() - start < 5.0

@@ -7,7 +7,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from consensuskit import graph, matops, sim, synthesis, verify
 from consensuskit.graph import Topology
-from consensuskit.sim import SimConfig, SimState
+from consensuskit.sim import SimConfig
 from consensuskit.synthesis import LEADERLESS, LEADER_FOLLOWER, GainSet
 
 A1 = np.array([[0.0, 1.0], [-100.0, 0.0]])
@@ -17,6 +17,13 @@ Q1 = np.diag([1.0, 2.0])
 
 def leaderless_gains(gamma=2.0):
     return synthesis.design_leaderless(A1, B1, Q1, gamma)
+
+
+def gains_and_rhs(mode):
+    """The A1 plant's gains for the mode and the mode's public rhs."""
+    if mode == LEADERLESS:
+        return leaderless_gains(), sim.leaderless_rhs
+    return synthesis.design_leader_follower(A1, B1, Q1, 1.0), sim.leader_follower_rhs
 
 
 def scalar_gains(gamma=2.0):
@@ -61,65 +68,22 @@ def test_sim_config_rejects_horizon_off_the_dt_grid():
 # -------------------------------------------------------------- leaderless
 
 
-def test_leaderless_rhs_matches_explicit_neighbor_sums():
-    gains = leaderless_gains()
-    topology = Topology(n=4, edges=((1, 2), (2, 3), (3, 4), (1, 4), (1, 3)))
-    rng = np.random.default_rng(17)
-    x = rng.normal(size=(4, 2))
-    w = rng.uniform(0.5, 2.0, size=len(topology.edges))
-    state = SimState(t=0.0, x=x.ravel(), w=w.copy(), j_realized=0.0, j_bound_integral=0.0)
-    deriv = sim.leaderless_rhs(state, gains, topology)
-
-    weight_of = dict(zip(topology.edges, w))
-    k_u = gains.k_u
-    b = gains.b
-    dx_expected = np.zeros_like(x)
-    for i in range(1, 5):
-        u_i = np.zeros(1)
-        for edge in topology.edges:
-            if i in edge:
-                k = edge[1] if edge[0] == i else edge[0]
-                u_i = u_i + weight_of[edge] * (k_u @ (x[k - 1] - x[i - 1]))
-        dx_expected[i - 1] = A1 @ x[i - 1] + (b @ u_i)
-    assert np.abs(deriv.x.reshape(4, 2) - dx_expected).max() < 1e-12
-
-    for row, (i, k) in enumerate(topology.edges):
-        diff = x[k - 1] - x[i - 1]
-        assert abs(deriv.w[row] - diff @ gains.k_w @ diff) < 1e-12
-
-    # realized-cost rate: ordered pairs over all agents with 1/N prefactor
-    dj_expected = 0.0
-    for i in range(4):
-        for k in range(4):
-            diff = x[k] - x[i]
-            dj_expected += diff @ Q1 @ diff
-    dj_expected /= 4.0
-    assert abs(deriv.j_realized - dj_expected) < 1e-12
-
-    # bound-integrand rate: gamma times the disagreement quadratic form
-    dev = x - x.mean(axis=0)
-    djb_expected = gains.gamma * sum(dev[i] @ gains.k_w @ dev[i] for i in range(4))
-    assert abs(deriv.j_bound_integral - djb_expected) < 1e-12
-
-
 def test_leaderless_rhs_zero_disagreement():
     gains = leaderless_gains()
     topology = graph.complete_topology(3)
     x = np.tile([0.3, -0.7], (3, 1))
-    state = SimState(t=0.0, x=x.ravel(), w=np.ones(3), j_realized=0.0, j_bound_integral=0.0)
-    deriv = sim.leaderless_rhs(state, gains, topology)
-    assert np.abs(deriv.w).max() == 0.0
-    assert deriv.j_realized == 0.0
-    assert deriv.j_bound_integral == 0.0
-    assert np.abs(deriv.x.reshape(3, 2) - x @ A1.T).max() == 0.0
+    dx, dw, dj, djb = sim.leaderless_rhs(x.ravel(), np.ones(3), gains, topology)
+    assert np.abs(dw).max() == 0.0
+    assert dj == 0.0
+    assert djb == 0.0
+    assert np.abs(dx.reshape(3, 2) - x @ A1.T).max() == 0.0
 
 
 def test_leaderless_rhs_rejects_leader_follower_gains():
     gains = synthesis.design_leader_follower([[0.0]], [[1.0]], [[1.0]], 1.0)
     topology = graph.complete_topology(3)
-    state = SimState(t=0.0, x=np.zeros(3), w=np.ones(3), j_realized=0.0, j_bound_integral=0.0)
     with pytest.raises(sim.ConfigurationError):
-        sim.leaderless_rhs(state, gains, topology)
+        sim.leaderless_rhs(np.zeros(3), np.ones(3), gains, topology)
 
 
 # ----------------------------------------------------------- leader-follower
@@ -129,63 +93,25 @@ def lf_topology():
     return Topology(n=4, edges=((1, 2), (1, 3), (2, 3), (3, 4)), leader=1)
 
 
-def test_leader_follower_rhs_matches_explicit_form():
-    gains = synthesis.design_leader_follower(A1, B1, Q1, 1.0)
-    topology = lf_topology()
-    rng = np.random.default_rng(23)
-    x = rng.normal(size=(4, 2))
-    w = rng.uniform(0.5, 2.0, size=2)  # leader edges (1,2), (1,3)
-    state = SimState(t=0.0, x=x.ravel(), w=w.copy(), j_realized=0.0, j_bound_integral=0.0)
-    deriv = sim.leader_follower_rhs(state, gains, topology)
-    dx = deriv.x.reshape(4, 2)
-
-    # the leader is autonomous
-    assert np.abs(dx[0] - A1 @ x[0]).max() < 1e-12
-
-    k_u = gains.k_u
-    b = gains.b
-    pinned = {2: w[0], 3: w[1]}
-    ff_weights = topology.weights
-    for i in (2, 3, 4):
-        u_i = np.zeros(1)
-        if i in pinned:
-            u_i = u_i + pinned[i] * (k_u @ (x[0] - x[i - 1]))
-        for edge in topology.edges:
-            if i in edge and 1 not in edge:
-                k = edge[1] if edge[0] == i else edge[0]
-                u_i = u_i + ff_weights[edge] * (k_u @ (x[k - 1] - x[i - 1]))
-        expected = A1 @ x[i - 1] + (b @ u_i)
-        assert np.abs(dx[i - 1] - expected).max() < 1e-12
-
-    # only pinned-edge weights adapt, driven by the leader error
-    for row, follower in enumerate((2, 3)):
-        xi = x[follower - 1] - x[0]
-        assert abs(deriv.w[row] - xi @ gains.k_w @ xi) < 1e-12
-
-    # cost rate: pinned leader errors plus follower pairs at 1/(N-1)
-    dj_expected = 0.0
-    for follower in (2, 3):
-        xi = x[0] - x[follower - 1]
-        dj_expected += xi @ Q1 @ xi
-    for i in range(1, 4):
-        for k in range(1, 4):
-            diff = x[k] - x[i]
-            dj_expected += (diff @ Q1 @ diff) / 3.0
-    assert abs(deriv.j_realized - dj_expected) < 1e-12
-
-    # bound integrand runs over every follower error
-    djb_expected = gains.gamma * sum(
-        (x[i] - x[0]) @ gains.k_w @ (x[i] - x[0]) for i in range(1, 4)
-    )
-    assert abs(deriv.j_bound_integral - djb_expected) < 1e-12
-
-
 def test_leader_follower_requires_leader_one():
     gains = synthesis.design_leader_follower([[0.0]], [[1.0]], [[1.0]], 1.0)
     topology = Topology(n=3, edges=((1, 2), (2, 3)), leader=2)
-    state = SimState(t=0.0, x=np.zeros(3), w=np.ones(1), j_realized=0.0, j_bound_integral=0.0)
     with pytest.raises(sim.ConfigurationError):
-        sim.leader_follower_rhs(state, gains, topology)
+        sim.leader_follower_rhs(np.zeros(3), np.ones(1), gains, topology)
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@pytest.mark.parametrize("extra_x, extra_w", [(0, -1), (0, 1), (-1, 0)], ids=["short-w", "long-w", "short-x"])
+def test_rhs_rejects_a_state_or_weight_vector_of_the_wrong_size(mode, extra_x, extra_w):
+    # a short w is not filled up with the initial weights, and a long one is
+    # not cut: x holds n*d values and w one per adaptive edge
+    gains, rhs = gains_and_rhs(mode)
+    topology = Topology(n=4, edges=lf_topology().edges, leader=1 if mode == LEADER_FOLLOWER else None)
+    adaptive = len(sim.adaptive_edges(topology, mode))
+    with pytest.raises(sim.ConfigurationError, match="expected n\\*d = 8 and one per adaptive edge"):
+        rhs(np.ones(8 + extra_x), np.full(adaptive + extra_w, 5.0), gains, topology)
+    dx, dw, _, _ = rhs(np.ones(8), np.full(adaptive, 5.0), gains, topology)
+    assert (dx.shape, dw.shape) == ((8,), (adaptive,))
 
 
 # ------------------------------------------------------------ the RK4 step
@@ -226,9 +152,8 @@ def augmented_rhs(rhs, gains, topology):
     nd = topology.n * gains.state_dim
 
     def f(y):
-        state = SimState(t=0.0, x=y[:nd], w=y[nd:-2], j_realized=y[-2], j_bound_integral=y[-1])
-        dy = rhs(state, gains, topology)
-        return np.concatenate((dy.x, dy.w, (dy.j_realized, dy.j_bound_integral)))
+        dx, dw, dj, djb = rhs(y[:nd], y[nd:-2], gains, topology)
+        return np.concatenate((dx, dw, (dj, djb)))
 
     return f
 
@@ -249,11 +174,10 @@ def rk4_loop(rhs, gains, topology, y0, dt, nsteps, stride):
 def test_run_step_is_rk4_step_over_public_rhs(mode):
     # run() and analyze() share one derivative: a one-step run equals one
     # rk4_step over the public rhs, bit for bit
+    gains, rhs = gains_and_rhs(mode)
     if mode == LEADERLESS:
-        gains, rhs = leaderless_gains(), sim.leaderless_rhs
         topology = Topology(n=4, edges=((1, 2), (2, 3), (3, 4), (1, 4), (1, 3)))
     else:
-        gains, rhs = synthesis.design_leader_follower(A1, B1, Q1, 1.0), sim.leader_follower_rhs
         topology = lf_topology()
     x0 = np.random.default_rng(41).uniform(-0.25, 0.25, size=(4, 2))
     dt = 1e-3
@@ -275,11 +199,8 @@ def test_run_cost_columns_equal_the_augmented_rk4_loop(mode):
     # One batched rate pass covers each block's stage states, and the oracle
     # evaluates the same rates one state at a time.
     edges = ((1, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 6), (5, 6))
-    if mode == LEADERLESS:
-        gains, rhs, topology = leaderless_gains(), sim.leaderless_rhs, Topology(n=6, edges=edges)
-    else:
-        gains = synthesis.design_leader_follower(A1, B1, Q1, 1.0)
-        rhs, topology = sim.leader_follower_rhs, Topology(n=6, edges=edges, leader=1)
+    gains, rhs = gains_and_rhs(mode)
+    topology = Topology(n=6, edges=edges, leader=1 if mode == LEADER_FOLLOWER else None)
     x0 = np.random.default_rng(43).uniform(-0.25, 0.25, size=(6, 2))
     dt, stride, nsteps = 1e-3, 7, 537
     trace = sim.run(SimConfig(x0=x0, t_final=nsteps * dt, dt=dt, sample_stride=stride), gains, topology)
@@ -492,7 +413,9 @@ def test_run_keeps_fixed_follower_weights_bit_constant(monkeypatch):
 
 def test_run_leader_follower_smoke():
     gains = synthesis.design_leader_follower(A1, B1, Q1, 1.0)
-    topology = graph.star_topology(4, weight=3.0, leader=1)
+    # the star plus one follower-follower edge, which keeps a fixed weight
+    edges = ((1, 2), (1, 3), (1, 4), (2, 3))
+    topology = Topology(n=4, edges=edges, weights=dict.fromkeys(edges, 3.0), leader=1)
     rng = np.random.default_rng(9)
     config = SimConfig(x0=rng.uniform(-0.25, 0.25, size=(4, 2)), t_final=3.0, dt=1e-3, sample_stride=10)
     trace = sim.run(config, gains, topology)
@@ -500,7 +423,7 @@ def test_run_leader_follower_smoke():
     assert trace.adaptive_edges == ((1, 2), (1, 3), (1, 4))
     # followers converge to the leader trajectory
     assert trace.eta_norm[-1] < 1e-2 * (trace.eta_norm[0] + 1.0)
-    # follower-follower edges keep no adaptive state
+    # follower-follower edges keep no adaptive state: 3 columns of 4 edges
     assert trace.weights.shape[1] == 3
 
 
@@ -754,7 +677,7 @@ def test_cost_rates_and_bound_match_the_ordered_pair_form(mode, data):
     edges = tuple((1, k) for k in range(2, n + 1))
     if mode == LEADERLESS:
         gains = leaderless_gains()
-        deriv = sim.leaderless_rhs(SimState(0.0, x.ravel(), np.ones(n - 1), 0.0, 0.0), gains, Topology(n=n, edges=edges))
+        _, _, got_dj, got_djb = sim.leaderless_rhs(x.ravel(), np.ones(n - 1), gains, Topology(n=n, edges=edges))
         dj, dj_tol = ordered_pair_sum(x, Q1) / n, pair_sum_tolerance(x, Q1) / n
         quad = ordered_pair_sum(x, gains.certificate) / (2.0 * n)
         quad_tol = pair_sum_tolerance(x, gains.certificate) / (2.0 * n)
@@ -763,7 +686,7 @@ def test_cost_rates_and_bound_match_the_ordered_pair_form(mode, data):
     else:
         gains = synthesis.design_leader_follower(A1, B1, Q1, 1.0)
         topology = Topology(n=n, edges=edges, leader=1)
-        deriv = sim.leader_follower_rhs(SimState(0.0, x.ravel(), np.ones(n - 1), 0.0, 0.0), gains, topology)
+        _, _, got_dj, got_djb = sim.leader_follower_rhs(x.ravel(), np.ones(n - 1), gains, topology)
         xi = x[1:] - x[0]
         pinned = float(((xi @ Q1) * xi).sum())
         dj = pinned + ordered_pair_sum(x[1:], Q1) / (n - 1)
@@ -771,8 +694,8 @@ def test_cost_rates_and_bound_match_the_ordered_pair_form(mode, data):
         quad, quad_tol = float(((xi @ gains.certificate) * xi).sum()), 0.0
         djb = gains.gamma * float(((xi @ gains.k_w) * xi).sum())
         djb_tol = 8.0 * np.finfo(float).eps * djb
-    assert abs(deriv.j_realized - dj) <= dj_tol
-    assert abs(deriv.j_bound_integral - djb) <= djb_tol
+    assert abs(got_dj - dj) <= dj_tol
+    assert abs(got_djb - djb) <= djb_tol
     # the bound of a one-sample trace is the x(0) quadratic form
     assert abs(sim.guaranteed_cost_bound(one_sample_trace(mode, x), gains) - quad) <= quad_tol
 
@@ -790,13 +713,78 @@ def test_cost_rates_and_bound_are_exactly_zero_at_common_states(mode, data):
     edges = tuple((1, k) for k in range(2, n + 1))
     topology = Topology(n=n, edges=edges, leader=1 if mode == LEADER_FOLLOWER else None)
     rhs = sim.leaderless_rhs if mode == LEADERLESS else sim.leader_follower_rhs
-    deriv = rhs(SimState(0.0, x.ravel(), np.ones(n - 1), 0.0, 0.0), gains, topology)
-    assert deriv.j_realized == 0.0 and deriv.j_bound_integral == 0.0
-    assert np.abs(deriv.w).max() == 0.0
+    _, dw, dj, djb = rhs(x.ravel(), np.ones(n - 1), gains, topology)
+    assert dj == 0.0 and djb == 0.0
+    assert np.abs(dw).max() == 0.0
     assert sim.guaranteed_cost_bound(one_sample_trace(mode, x), gains) == 0.0
     # followers in consensus among themselves, away from the leader
     x[0] += 1.0
     assert sim._pair_sums(x[None, 1:], gains.q)[0] == 0.0
+
+
+def per_agent_rhs(mode, gains, topology, x, w):
+    """(dx, dw, dJ, dJ_bound) from the paper's per-agent equations, one neighbour at a time.
+
+    u_i = K_u sum_k w_ik (x_k - x_i) over the neighbours k of agent i, and
+    the leader (agent 1) of leader-follower mode takes no input; each
+    adaptive edge gets w_ik' = (x_i - x_k)^T K_w (x_i - x_k).  Leaderless:
+    J' = (1/n) sum over ordered pairs of (x_i - x_k)^T Q (x_i - x_k), and
+    J_bound' = gamma sum_i (x_i - avg x)^T K_w (x_i - avg x).  Leader-follower:
+    J' sums the leader errors of the followers on a leader edge plus the
+    follower pairs at 1/(n - 1), and J_bound' = gamma sum_i over followers of
+    (x_i - x_1)^T K_w (x_i - x_1).
+    """
+    n = topology.n
+    adaptive = sim.adaptive_edges(topology, mode)
+    weight = {**topology.weights, **dict(zip(adaptive, w))}
+    dx = np.empty_like(x)
+    for i in range(1, n + 1):
+        u_i = np.zeros(gains.k_u.shape[0])
+        if not (mode == LEADER_FOLLOWER and i == 1):
+            for edge in topology.edges:
+                if i in edge:
+                    k = edge[1] if edge[0] == i else edge[0]
+                    u_i = u_i + weight[edge] * (gains.k_u @ (x[k - 1] - x[i - 1]))
+        dx[i - 1] = gains.a @ x[i - 1] + gains.b @ u_i
+    dw = np.array([(x[i - 1] - x[k - 1]) @ gains.k_w @ (x[i - 1] - x[k - 1]) for i, k in adaptive])
+    if mode == LEADERLESS:
+        dj = sum((x[i] - x[k]) @ gains.q @ (x[i] - x[k]) for i in range(n) for k in range(n)) / n
+        dev = x - x.mean(axis=0)
+        djb = gains.gamma * sum(dev[i] @ gains.k_w @ dev[i] for i in range(n))
+    else:
+        dj = sum((x[0] - x[k - 1]) @ gains.q @ (x[0] - x[k - 1]) for _, k in adaptive)
+        dj += sum((x[i] - x[k]) @ gains.q @ (x[i] - x[k]) for i in range(1, n) for k in range(1, n)) / (n - 1)
+        djb = gains.gamma * sum((x[i] - x[0]) @ gains.k_w @ (x[i] - x[0]) for i in range(1, n))
+    return dx.ravel(), dw, dj, djb
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rhs_matches_the_per_agent_equations(mode, data):
+    # the vectorized coupling against the paper's per-agent sums on random
+    # graphs, initial weights and adaptive weights; with run() equal to the
+    # textbook RK4 over the public rhs bit for bit, this checks what run()
+    # integrates
+    n, edges, weights = draw_connected_graph(data)
+    gains, rhs = gains_and_rhs(mode)
+    topology = Topology(n=n, edges=tuple(edges), weights=weights, leader=1 if mode == LEADER_FOLLOWER else None)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    x = rng.normal(size=(n, 2))
+    w = rng.uniform(0.5, 4.0, size=len(sim.adaptive_edges(topology, mode)))
+    dx, dw, dj, djb = rhs(x.ravel(), w, gains, topology)
+    want_dx, want_dw, want_dj, want_djb = per_agent_rhs(mode, gains, topology, x, w)
+    # Both forms round each term to about 1e-16 relative, so they agree to
+    # 1e-12 of the largest sum each can hold.  With every |x_i| and
+    # |x_i - x_k| below r and every weight at most 4, that is
+    # (|A| + 4 n |B K_u|) r for dx, r^2 |K_w| for dw, and n^2 r^2 |M| for
+    # the rates over quadratic forms in M (Frobenius norms).
+    r = 2.0 * np.linalg.norm(x, axis=1).max()
+    norm = np.linalg.norm
+    assert np.abs(dx - want_dx).max() <= 1e-12 * (norm(gains.a) + 4.0 * n * norm(gains.b @ gains.k_u)) * r
+    assert np.abs(dw - want_dw).max() <= 1e-12 * r * r * norm(gains.k_w)
+    assert abs(dj - want_dj) <= 1e-12 * n * n * r * r * norm(gains.q)
+    assert abs(djb - want_djb) <= 1e-12 * n * n * r * r * gains.gamma * norm(gains.k_w)
 
 
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
@@ -807,10 +795,7 @@ def test_run_equals_the_textbook_rk4_loop_over_the_public_rhs(mode, data):
     # carried to the block's first row; leader-follower graphs keep their
     # follower-follower edges at fixed weights
     n, edges, weights = draw_connected_graph(data)
-    if mode == LEADERLESS:
-        gains, rhs = leaderless_gains(), sim.leaderless_rhs
-    else:
-        gains, rhs = synthesis.design_leader_follower(A1, B1, Q1, 1.0), sim.leader_follower_rhs
+    gains, rhs = gains_and_rhs(mode)
     topology = Topology(n=n, edges=tuple(edges), weights=weights, leader=1 if mode == LEADER_FOLLOWER else None)
     x0 = np.random.default_rng(data.draw(st.integers(0, 2**16))).uniform(-0.5, 0.5, size=(n, 2))
     nsteps = data.draw(st.integers(201, 260), label="steps")

@@ -6,7 +6,7 @@ import pytest
 from consensuskit import graph, sim, synthesis, verify
 from consensuskit.graph import Topology
 from consensuskit.sim import SimConfig, Trace
-from consensuskit.synthesis import LEADERLESS, GainSet
+from consensuskit.synthesis import LEADERLESS, LEADER_FOLLOWER, GainSet
 
 A1 = np.array([[0.0, 1.0], [-100.0, 0.0]])
 B1 = np.array([[0.0], [1.0]])
@@ -134,6 +134,29 @@ def test_analyze_tolerance_overrides():
     assert loose.consensus_achieved
     with pytest.raises(verify.VerificationError):
         verify.analyze(trace, gains, topology, tolerances={"no_such_tolerance": 1.0})
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+def test_analyze_calls_the_modes_public_rhs_once_per_report(mode, monkeypatch):
+    # analyze reads the final weight rate and bound integrand through the
+    # sim module attribute, where the benchmark's sim.rhs_call_us wraps it
+    calls = []
+    for name in ("leaderless_rhs", "leader_follower_rhs"):
+        original = getattr(sim, name)
+
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(sim, name, counting)
+    if mode == LEADERLESS:
+        gains, topology = leaderless_setup()
+    else:
+        gains, topology = synthesis.design_leader_follower(A1, B1, Q1, 1.0), graph.star_topology(3, 3.0, leader=1)
+    trace = run_trace(gains, topology, np.random.default_rng(8).uniform(-0.25, 0.25, size=(3, 2)), t_final=0.1)
+    verify.analyze(trace, gains, topology)
+    verify.analyze(trace, gains, topology)
+    assert calls == 2 * ["leaderless_rhs" if mode == LEADERLESS else "leader_follower_rhs"]
 
 
 @pytest.mark.parametrize(
