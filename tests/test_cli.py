@@ -622,6 +622,39 @@ def test_verify_round_trip(tmp_path):
         assert report == out2.splitlines()
 
 
+@pytest.mark.parametrize("samples", [1, 256, 257, 3001])
+def test_trace_csv_bytes_equal_savetxt(samples, tmp_path):
+    # chunk edges (256, 257 rows), a signed zero, the smallest subnormal, a
+    # value near the top of the range and integral floats
+    rng = np.random.default_rng(samples)
+    special = [-0.0, 5e-324, 1e308, -1e308, 3.0, -42.0, 0.0, 1e16]
+    n, d, edges = 2, 2, ((1, 2),)
+    scales = 10.0 ** rng.integers(-300, 300, size=(samples, 1))
+    columns = rng.normal(size=(samples, 1 + n * d + len(edges) + 3)) * scales
+    flat = columns.ravel()
+    picked = rng.choice(flat.size, size=min(flat.size, 40), replace=False)
+    flat[picked] = rng.choice(special, size=len(picked))
+    times, states, weights, eta, j, jb = np.split(columns, [1, 1 + n * d, 1 + n * d + len(edges), -2, -1], axis=1)
+    trace = sim.Trace(
+        mode=LEADERLESS,
+        n=n,
+        d=d,
+        adaptive_edges=edges,
+        times=times[:, 0],
+        states=states,
+        weights=weights,
+        j_realized=j[:, 0],
+        j_bound_integral=jb[:, 0],
+        eta_norm=eta[:, 0],
+    )
+    path = tmp_path / "trace.csv"
+    cli.write_trace_csv(str(path), trace)
+    expected = io.StringIO(newline="\n")
+    header = ",".join(cli._trace_header(n, d, edges))
+    np.savetxt(expected, columns, fmt="%.17g", delimiter=",", header=header, comments="")
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
 def test_tracking_error_is_distance_to_consensus_function_at_t_final(tmp_path):
     # simulate and verify both measure the agents at t_final against
     # e^{A t_final} avg x(0), with x(0) the first CSV row

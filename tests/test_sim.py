@@ -758,19 +758,13 @@ def per_agent_rhs(mode, gains, topology, x, w):
     return dx.ravel(), dw, dj, djb
 
 
-@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_rhs_matches_the_per_agent_equations(mode, data):
-    # the vectorized coupling against the paper's per-agent sums on random
-    # graphs, initial weights and adaptive weights; with run() equal to the
-    # textbook RK4 over the public rhs bit for bit, this checks what run()
-    # integrates
+def assert_rhs_matches_the_per_agent_equations(mode, gains, data):
+    """The mode's public rhs against per_agent_rhs on a drawn graph, initial weights and adaptive weights."""
+    rhs = sim.leaderless_rhs if mode == LEADERLESS else sim.leader_follower_rhs
     n, edges, weights = draw_connected_graph(data)
-    gains, rhs = gains_and_rhs(mode)
     topology = Topology(n=n, edges=tuple(edges), weights=weights, leader=1 if mode == LEADER_FOLLOWER else None)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
-    x = rng.normal(size=(n, 2))
+    x = rng.normal(size=(n, gains.state_dim))
     w = rng.uniform(0.5, 4.0, size=len(sim.adaptive_edges(topology, mode)))
     dx, dw, dj, djb = rhs(x.ravel(), w, gains, topology)
     want_dx, want_dw, want_dj, want_djb = per_agent_rhs(mode, gains, topology, x, w)
@@ -785,6 +779,38 @@ def test_rhs_matches_the_per_agent_equations(mode, data):
     assert np.abs(dw - want_dw).max() <= 1e-12 * r * r * norm(gains.k_w)
     assert abs(dj - want_dj) <= 1e-12 * n * n * r * r * norm(gains.q)
     assert abs(djb - want_djb) <= 1e-12 * n * n * r * r * gains.gamma * norm(gains.k_w)
+    if mode == LEADER_FOLLOWER:
+        # the leader takes no input: its row of dx is its drift, bit for bit
+        assert np.array_equal(dx[: gains.state_dim], (x @ gains.a.T)[0])
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rhs_matches_the_per_agent_equations(mode, data):
+    # the vectorized coupling against the paper's per-agent sums on random
+    # graphs, initial weights and adaptive weights; with run() equal to the
+    # textbook RK4 over the public rhs bit for bit, this checks what run()
+    # integrates
+    gains, _ = gains_and_rhs(mode)
+    assert_rhs_matches_the_per_agent_equations(mode, gains, data)
+
+
+# d = 4, p = 2: two inputs on a chain of two coupled oscillators
+A4 = np.array([[0.0, 1.0, 0.0, 0.0], [-2.0, -0.5, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, -3.0, 0.2]])
+B4 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.3, 1.0]])
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rhs_matches_the_per_agent_equations_for_an_override_k_w(mode, data):
+    # a config gains override may set any k_w, so the weight rates may not
+    # lean on k_w = K_u^T K_u: draw a non-symmetric one on a d = 4, p = 2 plant
+    design = synthesis.design_leaderless if mode == LEADERLESS else synthesis.design_leader_follower
+    designed = design(A4, B4, np.eye(4), 1.0)
+    k_w = np.random.default_rng(data.draw(st.integers(0, 2**16), label="k_w seed")).normal(size=(4, 4))
+    assert_rhs_matches_the_per_agent_equations(mode, dataclasses.replace(designed, k_w=k_w), data)
 
 
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
