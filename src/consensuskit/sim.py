@@ -2,19 +2,23 @@
 
 Integrates the coupled agent-state and edge-weight dynamics with a fixed-step
 fourth-order Runge-Kutta scheme over one flat state vector
-``[x.ravel(), w_all]`` that holds every edge weight.  Fixed (follower) weights
-have a zero slope, so RK4 leaves them bit-constant.  ``run`` is the only RK4;
-it writes the stage states in place into a preallocated block of rows and
-scans each finished block once for divergence.  The realized cost J and the
-integral term J_bound of the guaranteed-cost bound never feed back into x or
-w: once per block of steps, one batched pass evaluates both rates at every
-stored stage state.  Each step adds (dt/6)(r1 + 2 r2 + 2 r3 + r4), summed in
+``[x.ravel(), w_all]`` that holds every edge weight once per state component,
+so the weights form an (edges, d) block of d bit-identical replicas.  Fixed
+(follower) weights have a zero slope, so RK4 leaves them bit-constant.
+``run`` is the only RK4; it writes the stage states in place into a
+preallocated block of rows and scans each finished block once for divergence.
+Its second and third stages evaluate 2 k2 and 2 k3 directly, which is exact
+except where a slope entry is subnormal, so a step has the textbook RK4's
+bits.  The realized cost J and the integral term J_bound of the
+guaranteed-cost bound never feed back into x or w: once per block of steps,
+one batched pass evaluates both rates at every stored stage state.  Each step adds (dt/6)(r1 + 2 r2 + 2 r3 + r4), summed in
 step order, which is the arithmetic of RK4 over J and J_bound as augmented
 coordinates, so both keep the integrator's accuracy order.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from dataclasses import dataclass
@@ -146,10 +150,13 @@ def _quad_sums(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Sum of the quadratic forms v_i^T m v_i over the rows of each stacked v.
 
     One 2-D product over all the rows, which costs about half of a batched
-    ``v @ m`` on small stacks.
+    ``v @ m`` on small stacks, multiplied by the rows in place, which keeps
+    one fewer stack-sized temporary alive in a run's rate pass.
     """
     flat = v.reshape(-1, m.shape[0])
-    return (flat.dot(m) * flat).reshape(len(v), -1).sum(axis=1)
+    terms = flat.dot(m)
+    terms *= flat
+    return terms.reshape(len(v), -1).sum(axis=1)
 
 
 def _pair_sums(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -167,7 +174,7 @@ def _pair_sums(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 class _Protocol:
-    """Adaptive coupling over the flat state ``y = [x.ravel(), w_all]``.
+    """Adaptive coupling over the flat state ``y = [x.ravel(), w_all replicated d times]``.
 
     Every edge (i, k) couples its agents with weight w_ik through B K_u:
     dx = x A^T - E^T (w_all * ((E x) (B K_u)^T)), with E the signed incidence
@@ -176,67 +183,83 @@ class _Protocol:
     zeroed, so the leader propagates autonomously, and with only the leader
     edges adaptive; follower edges keep their fixed weights, whose slope is
     zero.  The leader is agent 1, so its edges lead the canonical edge order
-    and the adaptive weights lead ``w_all``.  ``deriv`` makes seven NumPy
-    calls into preallocated scratch: one product of the edge differences
-    with ``[K_w | (B K_u)^T]`` gives both edge images, and one product of
-    ``[I | -E^T]`` with the stacked rows ``[x A^T ; w_all * coupling]``
-    assembles dx.  It uses ``ndarray.dot`` on 2-D operands, which costs a
-    third of ``@`` on such small arrays.  ``rates`` gives the cost and bound
-    rates of a stack of agent states; only they depend on the mode.
+    and the adaptive weights lead ``w_all``.  Each weight is held once per
+    state component, so the state is an (n + edges, d) block of rows and
+    every elementwise product in ``deriv`` reads contiguous (rows, d)
+    operands of one shape; summing the weight rate's terms against a (d, d)
+    block of ones writes it replicated.  ``deriv`` makes eight NumPy calls
+    into preallocated scratch: the edge differences times (B K_u)^T and,
+    for the adaptive edges, times K_w, and one product of ``[I | -E^T]``
+    with the stacked rows ``[x A^T ; w_all * coupling]`` assembles dx.  It
+    uses ``ndarray.dot`` on 2-D operands, which costs a third of ``@`` on
+    such small arrays.  ``rates`` gives the cost and bound rates of a stack
+    of agent states; only they depend on the mode.
     """
 
     def __init__(self, gains: GainSet, topology: Topology, mode: str):
         if gains.mode != mode:
             raise ConfigurationError(f"gains are for mode {gains.mode!r}, expected {mode!r}")
         self.mode = mode
-        self.n = topology.n
-        self.d = gains.state_dim
-        self.nd = self.n * self.d
+        self.n = n = topology.n
+        self.d = d = gains.state_dim
+        self.nd = n * d
         self.adaptive_edges = adaptive_edges(topology, mode)
-        edge_count = len(topology.edges)
-        self.incidence = np.zeros((edge_count, self.n))
+        edge_count, adaptive = len(topology.edges), len(self.adaptive_edges)
+        self.incidence = np.zeros((edge_count, n))
         for row, (i, k) in enumerate(topology.edges):
             self.incidence[row, i - 1] = -1.0
             self.incidence[row, k - 1] = 1.0
         # [I | -E^T], with the leader's row of E^T zeroed in leader-follower mode
-        self.assembly = np.eye(self.n, self.n + edge_count)
-        np.negative(self.incidence.T, self.assembly[:, self.n :])
+        self.assembly = np.eye(n, n + edge_count)
+        np.negative(self.incidence.T, self.assembly[:, n:])
         if mode == LEADER_FOLLOWER:
-            self.assembly[0, self.n :] = 0.0
+            self.assembly[0, n:] = 0.0
             # follower rows (agent k - 2) of the leader edges (1, k), in edge order
             self.pinned = np.array([k - 2 for _, k in self.adaptive_edges], dtype=int)
         self.w_all = topology.initial_weight_vector(topology.edges)
-        self.size = self.nd + len(self.w_all)
-        self.guarded = self.nd + len(self.adaptive_edges)  # [x, adaptive w]: what moves
+        self.size = (n + edge_count) * d
+        self.guarded = (n + adaptive) * d  # [x, adaptive w]: what moves
         self.a_t = gains.a.T.copy()
-        self.edge_gains = np.concatenate((gains.k_w, (gains.b @ gains.k_u).T), axis=1)  # [K_w | (B K_u)^T]
-        self.k_w = gains.k_w
+        self.bku_t = (gains.b @ gains.k_u).T.copy()
+        self.k_w = np.ascontiguousarray(gains.k_w)
         self.q = gains.q
         self.gamma = gains.gamma
-        adaptive, d = len(self.adaptive_edges), self.d
         self.diffs = np.empty((edge_count, d))
-        self.images = np.empty((edge_count, 2 * d))  # [(E x) K_w | (E x) (B K_u)^T]
-        self.stacked = np.empty((self.n + edge_count, d))  # [x A^T ; w_all * coupling]
-        self.drift, self.coupling = self.stacked[: self.n], self.stacked[self.n :]
+        self.stacked = np.empty((n + edge_count, d))  # [x A^T ; w_all * coupling]
+        self.drift, self.coupling = self.stacked[:n], self.stacked[n:]
         self.adaptive_diffs, self.quad = self.diffs[:adaptive], np.empty((adaptive, d))
-        self.quad_images, self.coupling_images = self.images[:adaptive, :d], self.images[:, d:]
-        self.ones = np.ones(d)
+        self.ones = np.ones((d, d))
 
     def views(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (x, w column, adaptive w) views of a flat state or slope vector y."""
-        return y[: self.nd].reshape(self.n, self.d), y[self.nd :, None], y[self.nd : self.guarded]
+        """The (x, weights, adaptive weights) views, each (rows, d), of a flat state or slope vector y."""
+        nd, d = self.nd, self.d
+        return y[:nd].reshape(self.n, d), y[nd:].reshape(-1, d), y[nd : self.guarded].reshape(-1, d)
+
+    def doubled(self) -> _Protocol:
+        """A twin sharing this protocol's scratch whose ``deriv`` writes twice the slope.
+
+        It assembles dx and sums the weight rates with doubled matrices.
+        Scaling by two is exact, so the result is 2 * deriv bit for bit
+        except where a product or a slope entry is subnormal.
+        """
+        twin = copy.copy(self)
+        twin.assembly, twin.ones = 2.0 * self.assembly, 2.0 * self.ones
+        return twin
 
     def deriv(self, x: np.ndarray, w: np.ndarray, dx: np.ndarray, dw: np.ndarray) -> None:
-        """Write dx/dt and the adaptive dw/dt at agent states x and weight column w into dx and dw.
+        """Write dx/dt and the adaptive dw/dt at agent states x and weight block w into dx and dw.
 
-        dx must be C-contiguous; the fixed weights' slope is zero and is not written.
+        w and dw hold one row of d equal replicas per weight; every operand
+        is a C-contiguous (rows, d) array.  The fixed weights' slope is zero
+        and is not written.
         """
         diffs = self.incidence.dot(x, self.diffs)
-        diffs.dot(self.edge_gains, self.images)
+        diffs.dot(self.bku_t, self.coupling)
+        np.multiply(w, self.coupling, self.coupling)
         x.dot(self.a_t, self.drift)
-        np.multiply(w, self.coupling_images, self.coupling)
         self.assembly.dot(self.stacked, dx)
-        np.multiply(self.quad_images, self.adaptive_diffs, self.quad)
+        self.adaptive_diffs.dot(self.k_w, self.quad)
+        np.multiply(self.quad, self.adaptive_diffs, self.quad)
         self.quad.dot(self.ones, dw)
 
     def rates(self, x: np.ndarray) -> np.ndarray:
@@ -255,17 +278,18 @@ def _rhs(x, w, gains: GainSet, topology: Topology, mode: str) -> tuple[np.ndarra
     """(dx, dw, dJ, dJ_bound) at the flat agent states x and the adaptive weights w, as in a Trace row."""
     protocol = _Protocol(gains, topology, mode)
     x, w = np.asarray(x, dtype=float).ravel(), np.asarray(w, dtype=float).ravel()
-    adaptive = protocol.guarded - protocol.nd
+    n, d, adaptive = protocol.n, protocol.d, len(protocol.adaptive_edges)
     if len(x) != protocol.nd or len(w) != adaptive:
         raise ConfigurationError(
             f"x has {len(x)} values and w {len(w)}; expected n*d = {protocol.nd} and one per adaptive edge, {adaptive}"
         )
-    x = x.reshape(protocol.n, protocol.d)
-    w_all = np.concatenate((w, protocol.w_all[adaptive:]))  # the adaptive weights lead w_all
-    dx, dw = np.empty((protocol.n, protocol.d)), np.empty(adaptive)
-    protocol.deriv(x, w_all[:, None], dx, dw)
+    x = x.reshape(n, d)
+    # the adaptive weights lead w_all, and deriv reads each weight d times
+    w_all = np.concatenate((w, protocol.w_all[adaptive:])).repeat(d).reshape(-1, d)
+    dx, dw = np.empty((n, d)), np.empty((adaptive, d))
+    protocol.deriv(x, w_all, dx, dw)
     dj, djb = protocol.rates(x[None])[0]
-    return dx.ravel(), dw, float(dj), float(djb)
+    return dx.ravel(), dw[:, 0], float(dj), float(djb)
 
 
 def leaderless_rhs(x, w, gains: GainSet, topology: Topology) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -299,7 +323,7 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
     """
     protocol = _Protocol(gains, topology, gains.mode)
     check_connected(topology, gains.mode)
-    n, d, nd, guarded = protocol.n, protocol.d, protocol.nd, protocol.guarded
+    n, d, nd, guarded, size = protocol.n, protocol.d, protocol.nd, protocol.guarded, protocol.size
     x0 = config.x0
     if x0.shape != (n, d):
         raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({n}, {d})")
@@ -307,19 +331,20 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
     dt, stride = config.dt, config.sample_stride
     sixth = dt / 6.0
     # full-length factors: a ufunc multiply by an array costs less than by a Python float, with the same bits
-    half_v, dt_v, two_v, sixth_v = (np.full(protocol.size, c) for c in (0.5 * dt, dt, 2.0, sixth))
+    quarter_v, half_v, sixth_v = (np.full(size, c) for c in (0.25 * dt, 0.5 * dt, sixth))
     sample_steps = np.array([0, *range(stride, nsteps + 1, stride)] + ([nsteps] if nsteps % stride else []))
 
     # rows 4k .. 4k + 3: the stage states of the block's step k; row 4k + 4: its result
-    block = np.empty((4 * _BLOCK_STEPS + 1, protocol.size))
+    block = np.empty((4 * _BLOCK_STEPS + 1, size))
     rows = list(block)
     xs, ws, _ = zip(*map(protocol.views, rows))
-    k1, k2, k3, k4 = slopes = np.zeros((4, protocol.size))  # the fixed weights' slopes stay zero
+    k1, k2, k3, k4 = slopes = np.zeros((4, size))  # the fixed weights' slopes stay zero
     (dx1, _, dw1), (dx2, _, dw2), (dx3, _, dw3), (dx4, _, dw4) = map(protocol.views, slopes)
-    deriv = protocol.deriv
-    block[0] = np.concatenate((x0.ravel(), protocol.w_all))
-    history = np.empty((len(sample_steps), guarded))  # [x, adaptive w] at the samples
-    history[0] = block[0, :guarded]
+    deriv, deriv2 = protocol.deriv, protocol.doubled().deriv
+    block[0] = np.concatenate((x0.ravel(), protocol.w_all.repeat(d)))
+    kept = np.r_[:nd, nd:guarded:d]  # x and replica 0 of each adaptive weight
+    history = np.empty((len(sample_steps), len(kept)))  # [x, adaptive w] at the samples
+    history[0] = block[0, kept]
     costs = np.zeros((len(sample_steps), 2))  # (J, J_bound) at the samples
     totals = np.zeros((1, 2))  # totals[-1] holds (J, J_bound) after step `base`
     done = 1  # samples recorded so far
@@ -331,17 +356,16 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
                 deriv(xs[r], ws[r], dx1, dw1)
                 np.multiply(k1, half_v, s1)
                 s1 += y
-                deriv(xs[r + 1], ws[r + 1], dx2, dw2)
-                np.multiply(k2, half_v, s2)
+                # k2 and k3 hold the doubled slopes 2 k2 and 2 k3, so (dt/4) k2 is the textbook's (dt/2) k2
+                deriv2(xs[r + 1], ws[r + 1], dx2, dw2)
+                np.multiply(k2, quarter_v, s2)
                 s2 += y
-                deriv(xs[r + 2], ws[r + 2], dx3, dw3)
-                np.multiply(k3, dt_v, s3)
+                deriv2(xs[r + 2], ws[r + 2], dx3, dw3)
+                np.multiply(k3, half_v, s3)
                 s3 += y
                 deriv(xs[r + 3], ws[r + 3], dx4, dw4)
                 # y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in the textbook's order of operations, which fixes the bits
-                np.multiply(k2, two_v, k2)
                 k2 += k1
-                np.multiply(k3, two_v, k3)
                 k2 += k3
                 k2 += k4
                 np.multiply(k2, sixth_v, k2)
@@ -358,7 +382,7 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
             totals = np.cumsum(np.concatenate((totals[-1:], increments)), axis=0)
             end = done + int(np.searchsorted(sample_steps[done:], base + top // 4, side="right"))
             offsets = sample_steps[done:end] - base
-            history[done:end] = block[4 * offsets, :guarded]
+            history[done:end] = block[np.ix_(4 * offsets, kept)]
             costs[done:end] = totals[offsets]
             block[0] = block[top]
             done = end
