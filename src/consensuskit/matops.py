@@ -179,12 +179,14 @@ def matrix_sign(m) -> np.ndarray:
     return z
 
 
-def care_solve(a, b, q_hat, gamma: float) -> np.ndarray:
+def care_solve(a, b, q_hat, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve P A + A^T P - gamma P B B^T P + q_hat = 0 for symmetric P >= 0.
 
     Uses the sign function of the Hamiltonian matrix to extract the stable
-    invariant subspace.  Raises NotStabilizableError when no stabilizing
-    solution exists (sign failure, indefinite P, or excessive residual).
+    invariant subspace, and returns P with its ascending eigenvalues.  Raises
+    NotStabilizableError when no stabilizing solution exists: a sign failure,
+    an indefinite P, or a Riccati residual R whose largest |entry| or largest
+    eigenvalue exceeds 1e-7 (1 + ||P||_F^2).
     """
     a = _square(a, "a")
     b_mat = as_matrix(b, "b")
@@ -217,13 +219,16 @@ def care_solve(a, b, q_hat, gamma: float) -> np.ndarray:
     eigenvalues = sym_eig(p)
     if eigenvalues[0] < -1e-9 * max(1.0, float(np.abs(eigenvalues).max())):
         raise NotStabilizableError(f"solution is indefinite (min eigenvalue {eigenvalues[0]:.3e})")
-    residual = p @ a + a.T @ p - gamma * (p @ b_mat) @ (b_mat.T @ p) + q
+    # pb pb^T keeps the residual exactly symmetric, as sym_eig requires
+    pb = p @ b_mat
+    residual = p @ a + a.T @ p - gamma * (pb @ pb.T) + q
+    size, margin = float(np.abs(residual).max()), float(sym_eig(residual)[-1])
     limit = 1e-7 * (1.0 + float((p * p).sum()))
-    if float(np.abs(residual).max()) > limit:
+    if max(size, margin) > limit:
         raise NotStabilizableError(
-            f"Riccati residual {float(np.abs(residual).max()):.3e} exceeds {limit:.3e}"
+            f"Riccati residual (largest |entry| {size:.3e}, lambda_max {margin:.3e}) exceeds {limit:.3e}"
         )
-    return p
+    return p, eigenvalues
 
 
 def is_positive_definite(m, tol: float = 1e-9) -> bool:

@@ -288,7 +288,8 @@ def _rhs(x, w, gains: GainSet, topology: Topology, mode: str) -> tuple[np.ndarra
     w_all = np.concatenate((w, protocol.w_all[adaptive:])).repeat(d).reshape(-1, d)
     dx, dw = np.empty((n, d)), np.empty((adaptive, d))
     protocol.deriv(x, w_all, dx, dw)
-    dj, djb = protocol.rates(x[None])[0]
+    # two rows, as a run's block has many: a one-row product takes another BLAS path and rounds differently
+    dj, djb = protocol.rates(np.stack((x, x)))[0]
     return dx.ravel(), dw[:, 0], float(dj), float(djb)
 
 

@@ -155,26 +155,20 @@ def _checked_plant(a, b, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, q
 
 
-def _design(mode: str, a, b, q, gamma: float) -> GainSet:
-    """Gains for a plant already passed through _checked_plant."""
-    multiplier = COST_MULTIPLIER[mode]
-    certificate = matops.care_solve(a, b, multiplier * q, gamma)
-    gains = GainSet(mode=mode, a=a, b=b, q=q, gamma=gamma, certificate=certificate)
-    check = verify_riccati_certificate(certificate, a, b, q, gamma, multiplier)
-    scale = 1.0 + float((certificate * certificate).sum())
-    if check.margin > 1e-7 * scale:
-        raise SynthesisError(f"synthesized certificate margin {check.margin:.3e} out of tolerance")
-    return gains
+def _design(mode: str, a, b, q, gamma: float) -> tuple[GainSet, float]:
+    """Gains for a plant already passed through _checked_plant, with lambda_max of their certificate."""
+    certificate, eigenvalues = matops.care_solve(a, b, COST_MULTIPLIER[mode] * q, gamma)
+    return GainSet(mode=mode, a=a, b=b, q=q, gamma=gamma, certificate=certificate), float(eigenvalues[-1])
 
 
 def design_leaderless(a, b, q, gamma: float) -> GainSet:
     """Leaderless gain design: CARE with cost multiplier 2."""
-    return _design(LEADERLESS, *_checked_plant(a, b, q), gamma)
+    return _design(LEADERLESS, *_checked_plant(a, b, q), gamma)[0]
 
 
 def design_leader_follower(a, b, q, gamma_l: float) -> GainSet:
     """Leader-follower gain design: CARE with cost multiplier 3."""
-    return _design(LEADER_FOLLOWER, *_checked_plant(a, b, q), gamma_l)
+    return _design(LEADER_FOLLOWER, *_checked_plant(a, b, q), gamma_l)[0]
 
 
 def verify_riccati_certificate(
@@ -284,8 +278,7 @@ def regulate_gain(
 
     def evaluate(gamma: float, lam_lo: float, lam_hi: float) -> tuple[float, GainSet]:
         """lambda_max(P(gamma)), checked to lie between the bracket ends' values."""
-        gains = _design(mode, a, b, q, gamma)
-        lam = float(matops.sym_eig(gains.certificate)[-1])
+        gains, lam = _design(mode, a, b, q, gamma)
         slack = 1e-9 * (1.0 + abs(lam_lo) + abs(lam))
         if lam > lam_lo + slack or lam < lam_hi - slack:
             raise RegulationError(

@@ -158,7 +158,7 @@ def test_criterion_02():
 def test_criterion_03():
     """Riccati solver: scalar closed form at 1e-9 and 50 seeded random systems, under 5 s."""
     start = time.perf_counter()
-    scalar = care_solve([[1.0]], [[1.0]], [[2.0]], 2.0)
+    scalar, _ = care_solve([[1.0]], [[1.0]], [[2.0]], 2.0)
     assert abs(float(scalar[0, 0]) - GOLDEN_RATIO) <= 1e-9
 
     rng = np.random.default_rng(20260815)
@@ -170,7 +170,7 @@ def test_criterion_03():
         factor = rng.normal(size=(d, d))
         q_hat = factor.T @ factor + 0.1 * np.eye(d)
         gamma = float(rng.uniform(0.5, 4.0))
-        p = care_solve(a, b, q_hat, gamma)
+        p, _ = care_solve(a, b, q_hat, gamma)
         residual = p @ a + a.T @ p - gamma * (p @ b) @ (b.T @ p) + q_hat
         p_norm = float(np.linalg.norm(p, 2))
         assert float(np.linalg.norm(residual, 2)) <= 1e-7 * (1.0 + p_norm**2)

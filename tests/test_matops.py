@@ -212,7 +212,7 @@ def test_sign_iterate_condition_rejects_near_imaginary_axis_hamiltonian():
 
 
 def test_care_solve_scalar_golden_ratio():
-    p = matops.care_solve([[1.0]], [[1.0]], [[2.0]], 2.0)
+    p, _ = matops.care_solve([[1.0]], [[1.0]], [[2.0]], 2.0)
     assert abs(p[0, 0] - 1.618033988749895) < 1e-9
 
 
@@ -223,7 +223,7 @@ def test_care_solve_oscillator_closed_form():
     a = [[0.0, 1.0], [-100.0, 0.0]]
     b = [[0.0], [1.0]]
     q_hat = [[2.0, 0.0], [0.0, 4.0]]
-    p = matops.care_solve(a, b, q_hat, 2.0)
+    p, _ = matops.care_solve(a, b, q_hat, 2.0)
     expected = np.array(
         [
             [141.80278557912814, 0.0099990001999489993],
@@ -254,11 +254,37 @@ def test_care_solve_residual_and_definiteness_random():
         base = rng.normal(size=(d, d))
         q_hat = base @ base.T + np.eye(d)
         gamma = 1.5
-        p = matops.care_solve(a, b, q_hat, gamma)
+        p, eigenvalues = matops.care_solve(a, b, q_hat, gamma)
         residual = p @ a + a.T @ p - gamma * (p @ b) @ (p @ b).T + q_hat
         norm_sq = float((p * p).sum())
         assert np.sqrt((residual * residual).sum()) <= 1e-7 * (1.0 + norm_sq)
         assert matops.is_positive_definite(p, tol=0.0)
+        assert np.array_equal(eigenvalues, matops.sym_eig(p))
+
+
+def care_solve_with_residual(residual, monkeypatch):
+    """care_solve on a = -I, b = 0, q_hat = I, with P shifted so its residual -2 P + I is about residual."""
+    original = matops.lu_solve
+    monkeypatch.setattr(matops, "lu_solve", lambda m, rhs: original(m, rhs) - 0.5 * residual)
+    return matops.care_solve(-np.eye(2), np.zeros((2, 1)), np.eye(2), 1.0)
+
+
+# P is about I / 2, so both bounds are 1e-7 (1 + ||P||_F^2), about 1.5e-7
+LIMIT = 1.5e-7
+
+
+def test_care_solve_rejects_a_residual_over_the_lambda_max_bound_alone(monkeypatch):
+    # every entry is 0.6 of the bound, the eigenvalue 1.2 of it
+    message = r"largest \|entry\| 9\.000e-08, lambda_max 1\.800e-07\) exceeds 1\.500e-07"
+    with pytest.raises(matops.NotStabilizableError, match=message):
+        care_solve_with_residual(0.6 * LIMIT * np.ones((2, 2)), monkeypatch)
+
+
+def test_care_solve_rejects_a_residual_over_the_entry_bound_alone(monkeypatch):
+    # a negative definite residual stays under the lambda_max bound
+    message = r"largest \|entry\| 3\.000e-07, lambda_max -3\.000e-07\) exceeds 1\.500e-07"
+    with pytest.raises(matops.NotStabilizableError, match=message):
+        care_solve_with_residual(-2.0 * LIMIT * np.eye(2), monkeypatch)
 
 
 # ------------------------------------------------------------- definiteness

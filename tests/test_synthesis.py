@@ -144,7 +144,7 @@ def test_lmi_corollary_strictly_feasible_instance():
     # inflating the cost (q_hat = 2 q + 0.2 I) pushes the equality-form
     # certificate into the strict interior, so p~ = P'^{-1} satisfies the
     # LMI with a genuinely negative maximum eigenvalue
-    p_inflated = matops.care_solve(A1, B1, 2.0 * Q1 + 0.2 * np.eye(2), 2.0)
+    p_inflated, _ = matops.care_solve(A1, B1, 2.0 * Q1 + 0.2 * np.eye(2), 2.0)
     p_tilde = np.linalg.inv(p_inflated)
     p_tilde = 0.5 * (p_tilde + p_tilde.T)
     report = synthesis.verify_lmi_corollary(p_tilde, 2.0, A1, B1, Q1, 2, 200.0, strict=True)
@@ -239,13 +239,25 @@ def test_regulate_gain_matches_bisection_within_24_solves(a, b, q, delta, mode, 
     assert matops.sym_eig(gains.certificate)[-1] <= delta * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("a, b, q, delta, mode", REGULATION_CASES)
+def test_regulate_gain_checks_each_care_solution_once(a, b, q, delta, mode, monkeypatch):
+    # one sym_eig of P serves its definiteness and lambda_max, one of the
+    # residual its bound, and one checks q once per regulation
+    solves, eigs = [], []
+    care_solve, sym_eig = matops.care_solve, matops.sym_eig
+    monkeypatch.setattr(matops, "care_solve", lambda *args: solves.append(args) or care_solve(*args))
+    monkeypatch.setattr(matops, "sym_eig", lambda m: eigs.append(m) or sym_eig(m))
+    synthesis.regulate_gain(a, b, q, RegulationRequest(delta=delta), mode=mode)
+    assert len(eigs) <= 2 * len(solves) + 1
+
+
 def patch_design(monkeypatch, lam):
     """Make regulate_gain's designs return lam(gamma) I, recording each gamma."""
     evaluated = []
 
     def fake_design(mode, a, b, q, gamma):
         evaluated.append(gamma)
-        return GainSet(mode=mode, a=a, b=b, q=q, gamma=gamma, certificate=lam(gamma) * np.eye(2))
+        return GainSet(mode=mode, a=a, b=b, q=q, gamma=gamma, certificate=lam(gamma) * np.eye(2)), lam(gamma)
 
     monkeypatch.setattr(synthesis, "_design", fake_design)
     return evaluated
