@@ -411,49 +411,33 @@ def initial_states(config: RunConfig, seed_offset: int = 0) -> np.ndarray:
     return rng.uniform(lo, hi, size=(config.topology.n, config.state_dim))
 
 
-def synthesize_gains(config: RunConfig) -> tuple[GainSet, Optional[float]]:
-    """Gains from the config: supplied override, fixed gamma, or regulation.
-
-    Returns the gain set and the regulated gamma (None unless delta mode).
-    """
+def synthesize_gains(config: RunConfig) -> GainSet:
+    """Gains from the config: supplied override, fixed gamma, or regulation by delta."""
     if config.gains_override is not None:
+        certificate = config.gains_override["certificate"]
         try:
-            gains = GainSet(
+            matops._require_symmetric(certificate, "certificate")
+        except matops.SymmetryError as exc:
+            raise _fail("gains.certificate", str(exc))
+        try:
+            return GainSet(
                 mode=config.mode,
                 a=config.a,
                 b=config.b,
                 q=config.q,
                 gamma=config.gamma,
-                certificate=config.gains_override["certificate"],
+                certificate=certificate,
                 k_u=config.gains_override.get("k_u"),
                 k_w=config.gains_override.get("k_w"),
             )
         except (ValueError, matops.LinearAlgebraError) as exc:
             raise _fail("gains", str(exc))
-        return gains, None
     if config.delta is not None:
-        gamma, gains = synthesis.regulate_gain(
-            config.a,
-            config.b,
-            config.q,
-            synthesis.RegulationRequest(delta=config.delta),
-            mode=config.mode,
-        )
-        return gains, gamma
+        request = synthesis.RegulationRequest(delta=config.delta)
+        return synthesis.regulate_gain(config.a, config.b, config.q, request, mode=config.mode)[1]
     if config.mode == LEADERLESS:
-        return synthesis.design_leaderless(config.a, config.b, config.q, config.gamma), None
-    return synthesis.design_leader_follower(config.a, config.b, config.q, config.gamma), None
-
-
-def _format(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _matrix_lines(name: str, m: np.ndarray) -> list[str]:
-    lines = []
-    for row in np.atleast_2d(m):
-        lines.append(f"{name} | " + " ".join(_format(v) for v in row))
-    return lines
+        return synthesis.design_leaderless(config.a, config.b, config.q, config.gamma)
+    return synthesis.design_leader_follower(config.a, config.b, config.q, config.gamma)
 
 
 def _trace_header(n: int, d: int, edges) -> list[str]:
@@ -565,24 +549,25 @@ def write_plot_script(path: str, csv_path: str, trace: Trace) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _print_gains(gains: GainSet, out, regulated_gamma: Optional[float] = None) -> None:
+def _print_gains(config: RunConfig, gains: GainSet, tolerances: dict, out) -> None:
+    """Print the gains and their certificate check at the merged ``certificate`` tolerance."""
+    tol = {**verify.DEFAULT_TOLERANCES, **tolerances}["certificate"]
     check = synthesis.verify_riccati_certificate(
-        gains.certificate, gains.a, gains.b, gains.q, gains.gamma, gains.multiplier
+        gains.certificate, gains.a, gains.b, gains.q, gains.gamma, gains.multiplier, tol=tol
     )
-    lam_max = float(matops.sym_eig(gains.certificate)[-1])
-    print(f"mode = {gains.mode}", file=out)
-    if regulated_gamma is not None:
-        print(f"regulated = true", file=out)
-    print(f"gamma = {_format(gains.gamma)}", file=out)
-    for line in _matrix_lines("certificate", gains.certificate):
-        print(line, file=out)
-    for line in _matrix_lines("k_u", gains.k_u):
-        print(line, file=out)
-    for line in _matrix_lines("k_w", gains.k_w):
-        print(line, file=out)
-    print(f"certificate_margin = {_format(check.margin)}", file=out)
-    print(f"certificate_ok = {str(check.is_certificate).lower()}", file=out)
-    print(f"certificate_max_eigenvalue = {_format(lam_max)}", file=out)
+    pairs = [("mode", gains.mode)]
+    if config.delta is not None:
+        pairs.append(("regulated", True))
+    pairs += [
+        ("gamma", gains.gamma),
+        ("certificate", gains.certificate),
+        ("k_u", gains.k_u),
+        ("k_w", gains.k_w),
+        ("certificate_margin", check.margin),
+        ("certificate_ok", check.is_certificate),
+        ("certificate_max_eigenvalue", matops.sym_eig(gains.certificate)[-1]),
+    ]
+    print(verify.render_pairs(pairs), file=out)
 
 
 def _echo_config(path: Optional[str], config: RunConfig) -> None:
@@ -593,19 +578,16 @@ def _echo_config(path: Optional[str], config: RunConfig) -> None:
 
 def cmd_synthesize(args, out=sys.stdout) -> int:
     config = parse_config(args.config)
-    merged_tolerances(config)  # a bad CONSENSUSKIT_TOLERANCES fails before any work
-    gains, regulated = synthesize_gains(config)
+    tolerances = merged_tolerances(config)  # a bad CONSENSUSKIT_TOLERANCES fails before any work
+    gains = synthesize_gains(config)
     _echo_config(args.echo_config, config)
-    _print_gains(gains, out, regulated)
+    _print_gains(config, gains, tolerances, out)
     return EXIT_OK
 
 
 def _print_report(report: verify.CostReport, out, label: str = "") -> int:
-    """Print the report, each line prefixed with label; exit 5 when the bound fails."""
-    text = verify.render_report(report)
-    if label:
-        text = "\n".join(label + line for line in text.splitlines())
-    print(text, file=out)
+    """Print the report; exit 5 when the bound fails."""
+    print(verify.render_report(report, label), file=out)
     return EXIT_OK if report.bound_holds else EXIT_BOUND
 
 
@@ -621,31 +603,30 @@ def _simulate(
 ) -> int:
     """Synthesize and print the gains, then integrate, write and report each
     seeded run; returns the worst run's exit code."""
-    gains, regulated = synthesize_gains(config)
-    _print_gains(gains, out, regulated)
+    gains = synthesize_gains(config)
+    _print_gains(config, gains, tolerances, out)
     codes = []
     for index in range(runs):
-        label = f"run{index} :: " if runs > 1 else ""
+        label = f"run{index}" if runs > 1 else ""
         x0 = initial_states(config, index)
+        pairs = []
         if config.initial_seed is not None:
-            print(f"{label}initial_seed = {config.initial_seed + index}", file=out)
-            lo, hi = config.initial_box
-            print(f"{label}initial_box = [{_format(lo)}, {_format(hi)}]", file=out)
-        for line in _matrix_lines(f"{label}x0", x0):
-            print(line, file=out)
+            lo, hi = map(verify.render_value, config.initial_box)
+            pairs = [("initial_seed", config.initial_seed + index), ("initial_box", f"[{lo}, {hi}]")]
+        print(verify.render_pairs(pairs + [("x0", x0)], label), file=out)
         sim_config = SimConfig(x0=x0, t_final=config.t_final, dt=config.dt, sample_stride=config.sample_stride)
         trace = sim.run(sim_config, gains, config.topology)
         report = verify.analyze(trace, gains, config.topology, tolerances)
         run_csv, run_plot = _suffixed(csv_path, index, runs), _suffixed(plot_path, index, runs)
         if run_csv:
             write_trace_csv(run_csv, trace)
-            print(f"{label}trace_csv = {run_csv}", file=out)
+            print(verify.render_pairs([("trace_csv", run_csv)], label), file=out)
         if run_plot:
             write_plot_script(run_plot, run_csv, trace)
-            print(f"{label}plot_script = {run_plot}", file=out)
+            print(verify.render_pairs([("plot_script", run_plot)], label), file=out)
         codes.append(_print_report(report, out, label))
     if runs > 1:
-        print(f"runs_passed = {codes.count(EXIT_OK)}/{runs}", file=out)
+        print(verify.render_pairs([("runs_passed", f"{codes.count(EXIT_OK)}/{runs}")]), file=out)
     return max(codes)
 
 
@@ -727,22 +708,22 @@ def cmd_demo(args, out=sys.stdout) -> int:
     config = demo_config(which)
     tolerances = merged_tolerances(config)
     gain_report = verify.verify_reference_gains(which)
-    print(f"reference_gain_check = {which}", file=out)
-    print(f"reference_k_u = " + " ".join(_format(v) for v in gain_report["k_u"]), file=out)
-    print(f"reference_k_u_max_deviation = {_format(gain_report['k_u_max_deviation'])}", file=out)
-    print(f"reference_k_w_max_deviation = {_format(gain_report['k_w_max_deviation'])}", file=out)
-    print(f"reference_gain_check_passed = {str(gain_report['passed']).lower()}", file=out)
-    print(f"reference_total_informational = {_format(gain_report['reference_total'])}", file=out)
+    pairs = [
+        ("reference_gain_check", which),
+        ("reference_k_u", gain_report["k_u"]),
+        ("reference_k_u_max_deviation", gain_report["k_u_max_deviation"]),
+        ("reference_k_w_max_deviation", gain_report["k_w_max_deviation"]),
+        ("reference_gain_check_passed", gain_report["passed"]),
+        ("reference_total_informational", gain_report["reference_total"]),
+    ]
     if which == "example-2":
-        bbt_max = float(matops.sym_eig(config.b @ config.b.T)[-1])
-        print(f"strict_gain_regulation_bbt_max_eigenvalue = {_format(bbt_max)}", file=out)
+        bbt_max = matops.sym_eig(config.b @ config.b.T)[-1]
+        pairs.append(("strict_gain_regulation_bbt_max_eigenvalue", bbt_max))
         if bbt_max > 1.0:
-            print(
-                f"strict_gain_regulation_precondition = violated "
-                f"(lambda_max(B B^T) = {_format(bbt_max)} > 1; relaxed rescaling applies)",
-                file=out,
-            )
-    print(f"note = {_DEMO_TOPOLOGY_NOTES[which]}", file=out)
+            text = f"violated (lambda_max(B B^T) = {verify.render_value(bbt_max)} > 1; relaxed rescaling applies)"
+            pairs.append(("strict_gain_regulation_precondition", text))
+    pairs.append(("note", _DEMO_TOPOLOGY_NOTES[which]))
+    print(verify.render_pairs(pairs), file=out)
     csv_path = args.out if args.out else f"consensuskit-demo-{which}.csv"
     return _simulate(config, tolerances, out, 1, csv_path, args.plot_script)
 
@@ -751,7 +732,7 @@ def cmd_verify(args, out=sys.stdout) -> int:
     config = parse_config(args.config)
     tolerances = merged_tolerances(config)
     trace = read_trace_csv(args.trace, config)
-    gains, _ = synthesize_gains(config)
+    gains = synthesize_gains(config)
     return _print_report(verify.analyze(trace, gains, config.topology, tolerances), out)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 import numpy as np
@@ -29,6 +29,8 @@ __all__ = [
     "HORIZON_RATE",
     "checked_tolerances",
     "analyze",
+    "render_value",
+    "render_pairs",
     "render_report",
     "verify_reference_gains",
 ]
@@ -178,27 +180,38 @@ def analyze(
     )
 
 
-def render_report(report: CostReport) -> str:
-    """Flat key-value text block for CLI output."""
-    lines = [
-        f"mode = {report.mode}",
-        f"horizon = {report.horizon:.17g}",
-        f"realized_cost = {report.realized_cost:.17g}",
-        f"bound = {report.bound:.17g}",
-        f"bound_holds = {str(report.bound_holds).lower()}",
-        f"consensus_achieved = {str(report.consensus_achieved).lower()}",
-        f"initial_disagreement = {report.initial_disagreement:.17g}",
-        f"final_disagreement = {report.final_disagreement:.17g}",
-        f"weights_monotone = {str(report.weights_monotone).lower()}",
-        f"min_weight_delta = {report.min_weight_delta:.17g}",
-        f"final_weight_rate = {report.final_weight_rate:.17g}",
-        f"tracking_error = {report.tracking_error:.17g}",
-        f"certificate_margin = {report.certificate_margin:.17g}",
-        f"certificate_ok = {str(report.certificate_ok).lower()}",
-    ]
-    for idx, message in enumerate(report.warnings, start=1):
-        lines.append(f"warning_{idx} = {message}")
+def render_value(value) -> str:
+    """The text of one value: booleans lowercase, ints and text unchanged,
+    other numbers %.17g, and a vector its entries' texts space-separated."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (str, numbers.Integral)):
+        return str(value)
+    if np.ndim(value):
+        return " ".join(render_value(v) for v in value)
+    return format(float(value), ".17g")
+
+
+def render_pairs(pairs, label: str = "") -> str:
+    """One ``key = value`` line per (key, value) pair, each prefixed
+    ``label :: `` when a label is given; a matrix gives one ``key | row``
+    line per row instead.  The CLI prints every result line through it."""
+    prefix = f"{label} :: " if label else ""
+    lines = []
+    for key, value in pairs:
+        if np.ndim(value) == 2:
+            lines.extend(f"{prefix}{key} | {render_value(row)}" for row in value)
+        else:
+            lines.append(f"{prefix}{key} = {render_value(value)}")
     return "\n".join(lines)
+
+
+def render_report(report: CostReport, label: str = "") -> str:
+    """``render_pairs`` of the report's fields in declaration order, then one
+    ``warning_i`` line per warning."""
+    pairs = [(item.name, getattr(report, item.name)) for item in fields(report) if item.name != "warnings"]
+    pairs += [(f"warning_{idx}", message) for idx, message in enumerate(report.warnings, start=1)]
+    return render_pairs(pairs, label)
 
 
 _REFERENCE_CASES = {

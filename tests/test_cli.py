@@ -751,6 +751,93 @@ def test_verify_skips_blank_lines_before_the_header(tmp_path):
     assert out2.splitlines()[-1] == out.splitlines()[-1]
 
 
+@pytest.mark.parametrize("setting, verdict", [("default", "false"), ("config", "true"), ("env", "true")])
+def test_gains_block_and_report_check_the_certificate_at_one_tolerance(setting, verdict, tmp_path, monkeypatch):
+    # 1 - 1e-6 times the designed certificate leaves a margin of about 8e-6:
+    # above the default certificate tolerance 1e-9, below the 1e-2 set here
+    designed = cli.synthesize_gains(cli.demo_config("example-1")).certificate
+    shrunk = {"certificate": list((1 - 1e-6) * designed.ravel())}
+    config = dict(cli._DEMO_CONFIGS["example-1"], t_final=0.1, gains=shrunk)
+    if setting == "config":
+        config["tolerances"] = {"certificate": 1e-2}
+    elif setting == "env":
+        monkeypatch.setenv(cli.TOLERANCE_ENV_VAR, "certificate=1e-2")
+    path = write_config(tmp_path, config)
+    expected = f"certificate_ok = {verdict}"
+    code, out, err = run_cli(["synthesize", path])
+    assert (code, err) == (EXIT_OK, "")
+    assert [line for line in out.splitlines() if line.startswith("certificate_ok = ")] == [expected]
+    code, out, err = run_cli(["simulate", path])
+    assert (code, err) == (EXIT_OK, "")
+    assert [line for line in out.splitlines() if line.startswith("certificate_ok = ")] == [expected, expected]
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
+def test_a_non_symmetric_certificate_override_names_its_field(command, tmp_path):
+    config = dict(cli._DEMO_CONFIGS["example-1"], t_final=0.1)
+    csv_path = str(tmp_path / "trace.csv")
+    assert run_cli(["simulate", write_config(tmp_path, config), "--out", csv_path])[0] == EXIT_OK
+    path = write_config(tmp_path, dict(config, gains={"certificate": [1.0, 2.0, 0.0, 1.0]}), "override.json")
+    code, out, err = run_cli([command, path] + ([csv_path] if command == "verify" else []))
+    assert (code, out) == (EXIT_PARSE, "")
+    message = "certificate is not symmetric within 1e-10 relative tolerance"
+    assert err == f"error: config field 'gains.certificate': {message}\n"
+
+
+# ------------------------------------------------------------- stdout shape
+
+REPORT_KEYS = [
+    "mode", "horizon", "realized_cost", "bound", "bound_holds", "consensus_achieved", "initial_disagreement",
+    "final_disagreement", "weights_monotone", "min_weight_delta", "final_weight_rate", "tracking_error",
+    "certificate_margin", "certificate_ok",
+]
+
+
+def stdout_keys(out):
+    """The key of each stdout line: its text before ' = ' or ' | '."""
+    return [re.split(r" = | \| ", line, maxsplit=1)[0] for line in out.splitlines()]
+
+
+def gain_keys(d, regulated=False):
+    return (
+        ["mode"] + ["regulated"] * regulated + ["gamma"] + ["certificate"] * d + ["k_u"] + ["k_w"] * d
+        + ["certificate_margin", "certificate_ok", "certificate_max_eigenvalue"]
+    )
+
+
+def test_synthesize_prints_the_pinned_key_sequence(tmp_path):
+    regulated = scalar_pair_config(delta=0.5)
+    del regulated["gamma"]
+    for config, keys in ((scalar_pair_config(), gain_keys(1)), (regulated, gain_keys(1, regulated=True))):
+        code, out, err = run_cli(["synthesize", write_config(tmp_path, config)])
+        assert (code, err) == (EXIT_OK, "")
+        assert stdout_keys(out) == keys
+
+
+def test_simulate_runs_prints_the_pinned_key_sequence(tmp_path):
+    path = write_config(tmp_path, scalar_pair_config(initial_states={"seed": 21, "box": 0.5}, t_final=2.0))
+    code, out, err = run_cli(["simulate", path, "--runs", "2"])
+    assert (code, err) == (EXIT_OK, "")
+    run_keys = ["initial_seed", "initial_box", "x0", "x0"] + REPORT_KEYS + ["warning_1"]
+    labelled = [f"run{i} :: {key}" for i in range(2) for key in run_keys]
+    assert stdout_keys(out) == gain_keys(1) + labelled + ["runs_passed"]
+
+
+@pytest.mark.parametrize("which, d", [("example-1", 2), ("example-2", 4)])
+def test_demo_prints_the_pinned_key_sequence(which, d, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["demo", which, "--out", "trace.csv"])
+    assert (code, err) == (EXIT_OK, "")
+    reference = [
+        "reference_gain_check", "reference_k_u", "reference_k_u_max_deviation", "reference_k_w_max_deviation",
+        "reference_gain_check_passed", "reference_total_informational",
+    ]
+    if which == "example-2":
+        reference += ["strict_gain_regulation_bbt_max_eigenvalue", "strict_gain_regulation_precondition"]
+    run_keys = ["initial_seed", "initial_box"] + ["x0"] * 6 + ["trace_csv"] + REPORT_KEYS + ["warning_1"]
+    assert stdout_keys(out) == reference + ["note"] + gain_keys(d) + run_keys
+
+
 # -------------------------------------------------------------------- demo
 
 

@@ -181,6 +181,18 @@ def test_render_report_key_value_block():
     assert lines["consensus_achieved"] == "true"
     assert float(lines["realized_cost"]) == 0.0
     assert float(lines["horizon"]) == 0.5
+    assert verify.render_report(report, "run3").splitlines() == ["run3 :: " + line for line in text.splitlines()]
+
+
+def test_render_pairs_applies_one_rule_per_kind_of_value():
+    pairs = [
+        ("f", 0.1), ("i", 10**20), ("b", np.True_), ("t", "a = b"), ("v", np.array([1.0, -2.5])), ("m", np.eye(2)),
+    ]
+    assert verify.render_pairs(pairs).splitlines() == [
+        "f = 0.10000000000000001", "i = 100000000000000000000", "b = true", "t = a = b", "v = 1 -2.5",
+        "m | 1 0", "m | 0 1",
+    ]
+    assert verify.render_pairs(pairs[:1], "run1") == "run1 :: f = 0.10000000000000001"
 
 
 def test_reference_gains_example_1():
