@@ -12,7 +12,7 @@ Subcommands:
 
 Configs are JSON: nested sections with flat row-major numeric arrays and
 explicit dimensions.  Exit codes: 0 success, 2 parse/config error,
-3 synthesis infeasible, 4 divergence, 5 bound violated.
+3 synthesis infeasible, 4 divergence, 5 a verification check failed.
 """
 
 from __future__ import annotations
@@ -586,9 +586,10 @@ def cmd_synthesize(args, out=sys.stdout) -> int:
 
 
 def _print_report(report: verify.CostReport, out, label: str = "") -> int:
-    """Print the report; exit 5 when the bound fails."""
+    """Print the report; exit 5 when any of its four verdicts fails (warnings do not count)."""
     print(verify.render_report(report, label), file=out)
-    return EXIT_OK if report.bound_holds else EXIT_BOUND
+    checks = (report.bound_holds, report.weights_monotone, report.certificate_ok, report.consensus_achieved)
+    return EXIT_OK if all(checks) else EXIT_BOUND
 
 
 def _suffixed(path: Optional[str], index: int, runs: int) -> Optional[str]:

@@ -11,9 +11,14 @@ Its second and third stages evaluate 2 k2 and 2 k3 directly, which is exact
 except where a slope entry is subnormal, so a step has the textbook RK4's
 bits.  The realized cost J and the integral term J_bound of the
 guaranteed-cost bound never feed back into x or w: once per block of steps,
-one batched pass evaluates both rates at every stored stage state.  Each step adds (dt/6)(r1 + 2 r2 + 2 r3 + r4), summed in
-step order, which is the arithmetic of RK4 over J and J_bound as augmented
-coordinates, so both keep the integrator's accuracy order.
+one batched pass evaluates both rates at every stored stage state, on one
+component-major (n, d, rows) copy of their agent states: shifts between
+agents are leading-axis differences, and every sum adds whole rows in a
+fixed order, so a stage state's rates do not depend on how many rows the
+pass holds, and ``run`` and the public rhs give them the same bits.  Each
+step adds (dt/6)(r1 + 2 r2 + 2 r3 + r4), summed in step order, which is the
+arithmetic of RK4 over J and J_bound as augmented coordinates, so both keep
+the integrator's accuracy order.
 """
 
 from __future__ import annotations
@@ -146,31 +151,45 @@ def check_connected(topology: Topology, mode: str) -> None:
         raise ConfigurationError("every follower needs an undirected path to the leader")
 
 
+def _component_major(x: np.ndarray) -> np.ndarray:
+    """A contiguous (n, d, rows) copy of the stack x of agent states, shape (rows, n, d)."""
+    rows, n, d = x.shape
+    return np.ascontiguousarray(x.reshape(rows, n * d).T).reshape(n, d, rows)
+
+
 def _quad_sums(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Sum of the quadratic forms v_i^T m v_i over the rows of each stacked v.
+    """Sum of the quadratic forms v_i^T m v_i over the leading axis of v, shape (k, d, columns), per column.
 
-    One 2-D product over all the rows, which costs about half of a batched
-    ``v @ m`` on small stacks, multiplied by the rows in place, which keeps
-    one fewer stack-sized temporary alive in a run's rate pass.
+    One batched product ``m @ v_i``, multiplied by v in place, then summed
+    row after row over the k d rows.  That sum runs contiguous inner loops
+    over the columns and adds every column in the same order, so a column's
+    sum does not depend on how many columns sit beside it; nor, for the
+    even column counts ``run`` and the public rhs pass, does the product
+    (a one-column product takes BLAS's matrix-vector path instead).
     """
-    flat = v.reshape(-1, m.shape[0])
-    terms = flat.dot(m)
-    terms *= flat
-    return terms.reshape(len(v), -1).sum(axis=1)
+    terms = np.matmul(m, v)
+    terms *= v
+    return terms.reshape(-1, v.shape[-1]).sum(axis=0)
 
 
-def _pair_sums(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Sum of (x_i - x_k)^T m (x_i - x_k) over the ordered agent pairs of each stacked x.
+def _shifted_pair_sums(e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Sum of (x_i - x_k)^T m (x_i - x_k) over the ordered pairs of n agents, from e_i = x_i - x_1, i = 2..n.
 
     O(n d^2) by the shifted-data identity of Chan, Golub and LeVeque
     ("Algorithms for computing the sample variance", 1983): with
-    e_i = x_i - x_1 and s = sum_i e_i, the sum is 2 n sum_i e_i^T m e_i -
-    2 s^T m s.  At consensus every e_i is exactly zero, and so is the sum;
-    for positive semidefinite m the rounding stays within about (n + 1) eps
-    relative, because |x_1 - mean|^2 is at most sum_i |x_i - mean|^2.
+    s = sum_i e_i, the sum is 2 n sum_i e_i^T m e_i - 2 s^T m s.  e has
+    shape (n - 1, d, columns).  At consensus every e_i is exactly zero, and
+    so is the sum; for positive semidefinite m the rounding stays within
+    about (n + 1) eps relative, because |x_1 - mean|^2 is at most
+    sum_i |x_i - mean|^2.
     """
-    e = x - x[:, :1]
-    return 2.0 * x.shape[1] * _quad_sums(e, m) - 2.0 * _quad_sums(e.sum(axis=1, keepdims=True), m)
+    return 2.0 * (len(e) + 1) * _quad_sums(e, m) - 2.0 * _quad_sums(e.sum(axis=0, keepdims=True), m)
+
+
+def _pair_sums(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Sum of (x_i - x_k)^T m (x_i - x_k) over the ordered agent pairs of each stacked x, shape (rows, n, d)."""
+    xt = _component_major(x)
+    return _shifted_pair_sums(xt[1:] - xt[0], m)
 
 
 class _Protocol:
@@ -264,12 +283,13 @@ class _Protocol:
 
     def rates(self, x: np.ndarray) -> np.ndarray:
         """Rows (dJ, dJ_bound) for each agent state of the stack x, shape (m, n, d)."""
+        xt = _component_major(x)
+        xi = xt[1:] - xt[0]
         if self.mode == LEADERLESS:
-            dj = _pair_sums(x, self.q) / self.n
-            djb = self.gamma * _pair_sums(x, self.k_w) / (2.0 * self.n)
+            dj = _shifted_pair_sums(xi, self.q) / self.n
+            djb = self.gamma * _shifted_pair_sums(xi, self.k_w) / (2.0 * self.n)
         else:
-            xi = x[:, 1:] - x[:, :1]
-            dj = _quad_sums(xi[:, self.pinned], self.q) + _pair_sums(x[:, 1:], self.q) / (self.n - 1)
+            dj = _quad_sums(xi[self.pinned], self.q) + _shifted_pair_sums(xt[2:] - xt[1], self.q) / (self.n - 1)
             djb = self.gamma * _quad_sums(xi, self.k_w)
         return np.stack((dj, djb), axis=1)
 

@@ -566,6 +566,27 @@ def test_simulate_bound_violation_exit_code(tmp_path):
     assert "bound_holds = false" in out
 
 
+@pytest.mark.parametrize(
+    "overrides, failed",
+    [
+        # example-1's 4-decimal reference certificate
+        ({"gains": {"certificate": verify._REFERENCE_CASES["example-1"]["certificate"].ravel().tolist()}},
+         "certificate_ok = false"),
+        ({"t_final": 0.1}, "consensus_achieved = false"),
+    ],
+)
+def test_simulate_and_verify_exit_5_when_any_check_fails(overrides, failed, tmp_path):
+    # the bound holds in both runs; one other verdict fails, and both commands say so by their exit code
+    path = write_config(tmp_path, dict(cli._DEMO_CONFIGS["example-1"], **overrides))
+    csv_path = str(tmp_path / "trace.csv")
+    code, out, err = run_cli(["simulate", path, "--out", csv_path])
+    assert (code, err) == (EXIT_BOUND, "")
+    assert "bound_holds = true" in out and failed in out.splitlines()
+    code, out, err = run_cli(["verify", path, csv_path])
+    assert (code, err) == (EXIT_BOUND, "")
+    assert "bound_holds = true" in out and failed in out.splitlines()
+
+
 def test_simulate_plot_script(tmp_path):
     path = write_config(tmp_path, scalar_pair_config(t_final=1.0))
     csv_path = str(tmp_path / "plot.csv")
@@ -768,7 +789,8 @@ def test_gains_block_and_report_check_the_certificate_at_one_tolerance(setting, 
     assert (code, err) == (EXIT_OK, "")
     assert [line for line in out.splitlines() if line.startswith("certificate_ok = ")] == [expected]
     code, out, err = run_cli(["simulate", path])
-    assert (code, err) == (EXIT_OK, "")
+    # consensus is not reached by t_final 0.1, a failed check
+    assert (code, err) == (EXIT_BOUND, "")
     assert [line for line in out.splitlines() if line.startswith("certificate_ok = ")] == [expected, expected]
 
 
@@ -776,7 +798,8 @@ def test_gains_block_and_report_check_the_certificate_at_one_tolerance(setting, 
 def test_a_non_symmetric_certificate_override_names_its_field(command, tmp_path):
     config = dict(cli._DEMO_CONFIGS["example-1"], t_final=0.1)
     csv_path = str(tmp_path / "trace.csv")
-    assert run_cli(["simulate", write_config(tmp_path, config), "--out", csv_path])[0] == EXIT_OK
+    # consensus is not reached by t_final 0.1, a failed check; the trace is still written
+    assert run_cli(["simulate", write_config(tmp_path, config), "--out", csv_path])[0] == EXIT_BOUND
     path = write_config(tmp_path, dict(config, gains={"certificate": [1.0, 2.0, 0.0, 1.0]}), "override.json")
     code, out, err = run_cli([command, path] + ([csv_path] if command == "verify" else []))
     assert (code, out) == (EXIT_PARSE, "")

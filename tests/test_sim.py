@@ -852,6 +852,50 @@ def test_run_equals_the_textbook_rk4_loop_over_the_public_rhs(mode, data):
 
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
 @pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12, 50])
+def test_rates_of_a_stack_prefix_are_the_prefix_of_its_rates(mode, d, n):
+    # run() evaluates 4 s rows per block and the public rhs two, so each
+    # stage state's rates may not depend on how many rows sit beside it
+    gains, _ = plant_gains_and_rhs(mode, d)
+    # a star of the leader on agents 2 and 3 and a follower chain 2-3-...-n
+    edges = tuple((1, k) for k in range(2, min(n, 3) + 1)) + tuple((k, k + 1) for k in range(3, n))
+    topology = Topology(n=n, edges=edges, leader=1 if mode == LEADER_FOLLOWER else None)
+    protocol = sim._Protocol(gains, topology, mode)
+    rng = np.random.default_rng(n * 10 + d)
+    # run() passes its stage rows as a strided view of the block's x columns
+    block = rng.normal(size=(4 * sim._BLOCK_STEPS, protocol.size))
+    stack = block[:, : protocol.nd].reshape(-1, n, d)
+    stack += 10.0 ** rng.integers(-3, 4) * rng.normal(size=d)  # a common offset
+    full = protocol.rates(stack)
+    assert full.shape == (len(stack), 2) and np.abs(full).min() > 0.0
+    for k in (2, 4, 8, 12, 20, 100, 404, len(stack) - 4):
+        assert np.array_equal(protocol.rates(stack[:k]), full[:k]), k
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@pytest.mark.parametrize("d", [1, 2, 4])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_a_run_is_the_prefix_of_a_run_to_a_longer_horizon(mode, d, data):
+    # the shorter run ends inside a block, where its last rate pass holds
+    # fewer rows than the longer run's pass over the same steps
+    n, edges, weights = draw_connected_graph(data)
+    topology = Topology(n=n, edges=tuple(edges), weights=weights, leader=1 if mode == LEADER_FOLLOWER else None)
+    gains, _ = plant_gains_and_rhs(mode, d)
+    x0 = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")).uniform(-0.5, 0.5, size=(n, d))
+    short = data.draw(st.integers(1, 2 * sim._BLOCK_STEPS - 1).filter(lambda k: k % sim._BLOCK_STEPS), label="steps")
+    longer = short + data.draw(st.integers(1, 2 * sim._BLOCK_STEPS), label="more steps")
+    stride = data.draw(st.sampled_from([k for k in range(1, 11) if short % k == 0]), label="stride")
+    head, tail = (
+        sim.run(SimConfig(x0=x0, t_final=k * 1e-3, dt=1e-3, sample_stride=stride), gains, topology) for k in (short, longer)
+    )
+    for field in ("times", "states", "weights", "j_realized", "j_bound_integral", "eta_norm"):
+        got, want = getattr(head, field), getattr(tail, field)
+        assert np.array_equal(got, want[: len(got)]), field
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@pytest.mark.parametrize("d", [1, 2, 4])
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_weight_replicas_stay_bit_identical_and_the_doubled_slope_is_exact(mode, d, data):
