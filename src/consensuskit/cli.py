@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -86,16 +86,16 @@ class RunConfig:
     b: np.ndarray
     q: np.ndarray
     topology: Topology
-    gamma: Optional[float] = None
-    delta: Optional[float] = None
-    initial_values: Optional[np.ndarray] = None
-    initial_seed: Optional[int] = None
-    initial_box: Optional[tuple[float, float]] = None
-    dt: float = 1e-3
-    t_final: float = 3.0
-    sample_stride: int = 1
-    tolerances: dict = field(default_factory=dict)
-    gains_override: Optional[dict] = None
+    gamma: Optional[float]
+    delta: Optional[float]
+    initial_values: Optional[np.ndarray]
+    initial_seed: Optional[int]
+    initial_box: Optional[tuple[float, float]]
+    dt: float
+    t_final: float
+    sample_stride: int
+    tolerances: dict
+    gains_override: Optional[dict]
 
     @property
     def state_dim(self) -> int:
@@ -717,12 +717,11 @@ def cmd_demo(args, out=sys.stdout) -> int:
         ("reference_gain_check_passed", gain_report["passed"]),
         ("reference_total_informational", gain_report["reference_total"]),
     ]
-    if which == "example-2":
-        bbt_max = matops.sym_eig(config.b @ config.b.T)[-1]
+    bbt_max, bbt_ok = synthesis._input_scaling(config.b)
+    if not bbt_ok:
+        text = f"violated (lambda_max(B B^T) = {verify.render_value(bbt_max)} > 1; relaxed rescaling applies)"
         pairs.append(("strict_gain_regulation_bbt_max_eigenvalue", bbt_max))
-        if bbt_max > 1.0:
-            text = f"violated (lambda_max(B B^T) = {verify.render_value(bbt_max)} > 1; relaxed rescaling applies)"
-            pairs.append(("strict_gain_regulation_precondition", text))
+        pairs.append(("strict_gain_regulation_precondition", text))
     pairs.append(("note", _DEMO_TOPOLOGY_NOTES[which]))
     print(verify.render_pairs(pairs), file=out)
     csv_path = args.out if args.out else f"consensuskit-demo-{which}.csv"

@@ -219,9 +219,7 @@ def care_solve(a, b, q_hat, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues = sym_eig(p)
     if eigenvalues[0] < -1e-9 * max(1.0, float(np.abs(eigenvalues).max())):
         raise NotStabilizableError(f"solution is indefinite (min eigenvalue {eigenvalues[0]:.3e})")
-    # pb pb^T keeps the residual exactly symmetric, as sym_eig requires
-    pb = p @ b_mat
-    residual = p @ a + a.T @ p - gamma * (pb @ pb.T) + q
+    residual = _riccati_residual(p, a, b_mat, q, gamma)
     size, margin = float(np.abs(residual).max()), float(sym_eig(residual)[-1])
     limit = 1e-7 * (1.0 + float((p * p).sum()))
     if max(size, margin) > limit:
@@ -229,6 +227,12 @@ def care_solve(a, b, q_hat, gamma: float) -> tuple[np.ndarray, np.ndarray]:
             f"Riccati residual (largest |entry| {size:.3e}, lambda_max {margin:.3e}) exceeds {limit:.3e}"
         )
     return p, eigenvalues
+
+
+def _riccati_residual(p: np.ndarray, a: np.ndarray, b: np.ndarray, q_hat: np.ndarray, gamma: float) -> np.ndarray:
+    """P A + A^T P - gamma (P B)(P B)^T + q_hat, exactly symmetric for a symmetric P, as sym_eig requires."""
+    pb = p @ b
+    return p @ a + a.T @ p - gamma * (pb @ pb.T) + q_hat
 
 
 def is_positive_definite(m, tol: float = 1e-9) -> bool:

@@ -155,6 +155,12 @@ def _checked_plant(a, b, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, q
 
 
+def _input_scaling(b: np.ndarray) -> tuple[float, bool]:
+    """lambda_max(B B^T), and whether it meets the LMI's input-scaling precondition <= 1 (to 1e-9)."""
+    bbt_max = float(matops.sym_eig(b @ b.T)[-1])
+    return bbt_max, bbt_max <= 1.0 + 1e-9
+
+
 def _design(mode: str, a, b, q, gamma: float) -> tuple[GainSet, float]:
     """Gains for a plant already passed through _checked_plant, with lambda_max of their certificate."""
     certificate, eigenvalues = matops.care_solve(a, b, COST_MULTIPLIER[mode] * q, gamma)
@@ -185,9 +191,7 @@ def verify_riccati_certificate(
     if p.shape != a.shape:
         raise matops.ShapeError(f"certificate is {p.shape[0]}x{p.shape[1]}, expected {a.shape[0]}x{a.shape[1]}")
     matops._require_symmetric(p, "certificate")
-    pb = p @ b
-    form = p @ a + a.T @ p - gamma * (pb @ pb.T) + multiplier * q
-    margin = float(matops.sym_eig(form)[-1])
+    margin = float(matops.sym_eig(matops._riccati_residual(p, a, b, multiplier * q, gamma))[-1])
     return CertificateCheck(is_certificate=margin <= tol, margin=margin)
 
 
@@ -199,10 +203,11 @@ def verify_lmi_corollary(
     Assembles Xi = [[A P~ + P~ A^T - gamma B B^T, multiplier P~ Q],
                     [multiplier Q P~, -multiplier Q]] and requires Xi < 0,
     P~ >= (1/delta) I, and the input-scaling precondition
-    lambda_max(B B^T) <= 1.  In strict mode a violated precondition makes the
-    report infeasible; in relaxed mode B is rescaled to unit spectral norm
-    (gamma compensated, leaving gamma B B^T unchanged) and the precondition is
-    reported but waived.
+    lambda_max(B B^T) <= 1 (``_input_scaling``).  In strict mode a violated
+    precondition makes the report infeasible; in relaxed mode it is reported
+    but waived, and ``rescale_factor`` and ``gamma_equivalent`` report the
+    pair that rescales B to unit spectral norm with gamma compensated.  That
+    pair leaves gamma B B^T unchanged, so both modes assemble the same Xi.
     """
     a, b, q = _validated_plant(a, b, q)
     pt = matops.as_matrix(p_tilde, "p_tilde")
@@ -210,19 +215,11 @@ def verify_lmi_corollary(
     if pt.shape != (d, d):
         raise matops.ShapeError(f"p_tilde is {pt.shape[0]}x{pt.shape[1]}, expected {d}x{d}")
     matops._require_symmetric(pt, "p_tilde")
-    bbt = b @ b.T
-    bbt_max = float(matops.sym_eig(bbt)[-1])
-    bbt_ok = bbt_max <= 1.0 + 1e-9
-    rescale = 1.0
-    gamma_equivalent = gamma
-    b_eff = b
-    if not bbt_ok and not strict:
-        rescale = math.sqrt(bbt_max)
-        b_eff = b / rescale
-        gamma_equivalent = gamma * bbt_max
+    bbt_max, bbt_ok = _input_scaling(b)
+    rescaled = not (bbt_ok or strict)
     xi = np.block(
         [
-            [a @ pt + pt @ a.T - gamma_equivalent * (b_eff @ b_eff.T), multiplier * (pt @ q)],
+            [a @ pt + pt @ a.T - gamma * (b @ b.T), multiplier * (pt @ q)],
             [multiplier * (q @ pt), -multiplier * q],
         ]
     )
@@ -241,8 +238,8 @@ def verify_lmi_corollary(
         bbt_max_eigenvalue=bbt_max,
         bbt_precondition_ok=bbt_ok,
         strict=strict,
-        rescale_factor=rescale,
-        gamma_equivalent=gamma_equivalent,
+        rescale_factor=math.sqrt(bbt_max) if rescaled else 1.0,
+        gamma_equivalent=gamma * bbt_max if rescaled else gamma,
     )
 
 
@@ -269,11 +266,9 @@ def regulate_gain(
         raise ValueError(f"mode must be one of {sorted(COST_MULTIPLIER)}, got {mode!r}")
     a, b, q = _checked_plant(a, b, q)
     if strict:
-        bbt_max = float(matops.sym_eig(b @ b.T)[-1])
-        if bbt_max > 1.0 + 1e-9:
-            raise RegulationError(
-                f"strict mode requires lambda_max(B B^T) <= 1, got {bbt_max:.6g}"
-            )
+        bbt_max, bbt_ok = _input_scaling(b)
+        if not bbt_ok:
+            raise RegulationError(f"strict mode requires lambda_max(B B^T) <= 1, got {bbt_max:.6g}")
     target = request.delta * (1.0 + 1e-9)
 
     def evaluate(gamma: float, lam_lo: float, lam_hi: float) -> tuple[float, GainSet]:

@@ -217,6 +217,124 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
     assert f"config field '{where}':" in err
 
 
+@pytest.mark.parametrize(
+    "command, document, env, trace, expected",
+    [
+        (
+            "synthesize",
+            {key: value for key, value in scalar_pair_config().items() if key != "mode"},
+            "",
+            None,
+            "config field 'mode': missing",
+        ),
+        ("synthesize", scalar_pair_config(plant=3), "", None, "config field 'plant': expected an object"),
+        ("synthesize", scalar_pair_config(dt="x"), "", None, "config field 'dt': expected a number, got 'x'"),
+        ("synthesize", scalar_pair_config(gamma=-1), "", None, "config field 'gamma': must be positive, got -1.0"),
+        (
+            "synthesize",
+            scalar_pair_config(mode="leaderful"),
+            "",
+            None,
+            "config field 'mode': expected 'leaderless' or 'leader-follower', got 'leaderful'",
+        ),
+        (
+            "synthesize",
+            scalar_pair_config(plant={"d": 1, "p": 1, "a": "zero", "b": [1.0], "q": [1.0]}),
+            "",
+            None,
+            "config field 'plant.a': expected a flat list of numbers (row-major)",
+        ),
+        (
+            "synthesize",
+            scalar_pair_config(topology={"n": 2, "edges": 3}),
+            "",
+            None,
+            "config field 'topology.edges': expected a list of [i, k] pairs",
+        ),
+        (
+            "synthesize",
+            scalar_pair_config(topology={"n": 2, "edges": [[1]]}),
+            "",
+            None,
+            "config field 'topology.edges[0]': expected a pair [i, k]",
+        ),
+        (
+            "synthesize",
+            scalar_pair_config(topology={"n": 2, "edges": [[1, 1], [1, 2]]}),
+            "",
+            None,
+            "config field 'topology': self-loop on agent 1",
+        ),
+        (
+            "synthesize",
+            scalar_pair_config(topology={"n": 2, "edges": [[1, 2], [2, 1]]}),
+            "",
+            None,
+            "config field 'topology': duplicate edge (1, 2)",
+        ),
+        (
+            "synthesize",
+            scalar_pair_config(initial_states={"seed": 1, "box": "wide"}),
+            "",
+            None,
+            "config field 'initial_states.box': expected a half-width number or a [low, high] pair",
+        ),
+        (
+            "synthesize",
+            scalar_pair_config(tolerances=3),
+            "",
+            None,
+            "config field 'tolerances': expected an object of name -> value",
+        ),
+        ("synthesize", [], "", None, "{config}: top level must be an object"),
+        ("synthesize", None, "", None, "cannot read config {config}: "),
+        (
+            "synthesize",
+            scalar_pair_config(),
+            "consensus",
+            None,
+            f"{cli.TOLERANCE_ENV_VAR}: expected name=value, got 'consensus'",
+        ),
+        (
+            "synthesize",
+            scalar_pair_config(),
+            "consensus=abc",
+            None,
+            f"{cli.TOLERANCE_ENV_VAR} entry 'consensus': expected a real, finite number, got 'abc'",
+        ),
+        ("verify", scalar_pair_config(), "", None, "cannot read trace {trace}: "),
+        (
+            "verify",
+            scalar_pair_config(),
+            "",
+            "t,x1_1,x2_1,w1_2,eta_norm,J_realized,J_bound_partial\n0,-1,1,1,2,0,0\n0.1,-1,abc,1,2,0,0\n",
+            "trace {trace}: could not convert string 'abc' ",
+        ),
+    ],
+    ids=[
+        "no-mode", "plant-not-an-object", "dt-text", "gamma-negative", "bad-mode", "plant-a-text",
+        "edges-not-a-list", "one-element-edge", "self-loop", "duplicate-edge", "bad-box", "tolerances-not-an-object",
+        "top-level-list", "missing-config", "env-without-value", "env-value-text", "missing-trace", "trace-text-cell",
+    ],
+)
+def test_each_parse_error_names_its_field_or_file(command, document, env, trace, expected, tmp_path, monkeypatch):
+    # a document of None leaves the config file unwritten, as a trace of None does the trace file;
+    # an expected message that ends in ": " is followed by the text of the OS or NumPy error
+    config_path, trace_path = tmp_path / "config.json", tmp_path / "trace.csv"
+    if document is not None:
+        config_path.write_text(json.dumps(document), encoding="utf-8")
+    if trace is not None:
+        trace_path.write_text(trace, encoding="utf-8")
+    monkeypatch.setenv(cli.TOLERANCE_ENV_VAR, env)
+    argv = [command, str(config_path)] + ([str(trace_path)] if command == "verify" else [])
+    code, out, err = run_cli(argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    message = "error: " + expected.format(config=config_path, trace=trace_path)
+    assert err.startswith(message) and err.count("\n") == 1
+    if not expected.endswith(" "):
+        assert err == message + "\n"
+
+
 def test_parse_config_box_forms(tmp_path):
     seeded = scalar_pair_config(initial_states={"seed": 3, "box": 0.5})
     config = cli.parse_config(write_config(tmp_path, seeded))
@@ -256,6 +374,18 @@ def test_config_echo_round_trip(tmp_path):
     assert first.tolerances == second.tolerances
     # byte-level fixed point: echoing the echo is identical
     assert cli.render_config(second) == echoed
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate"])
+def test_echo_config_writes_the_canonical_form_and_leaves_stdout_unchanged(command, tmp_path):
+    config = scalar_pair_config(t_final=1.0, tolerances={"consensus": 5e-3}, initial_states={"seed": 4, "box": 0.5})
+    path = write_config(tmp_path, config)
+    echo = tmp_path / "echo.json"
+    plain = run_cli([command, path])
+    assert plain[0] == EXIT_OK
+    assert run_cli([command, path, "--echo-config", str(echo)]) == plain
+    assert echo.read_text(encoding="utf-8") == cli.render_config(cli.parse_config(path)) + "\n"
+    assert cli.render_config(cli.parse_config(str(echo))) == cli.render_config(cli.parse_config(path))
 
 
 def comparable(config):
@@ -326,6 +456,14 @@ def test_readme_config_example_parses_and_synthesizes(tmp_path):
     code, out, err = run_cli(["synthesize", str(path)])
     assert (code, err) == (EXIT_OK, "")
     assert "certificate_ok = true" in out
+
+
+def test_readme_python_quick_start_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    realized, bound, holds = re.fullmatch(r"(\S+) <= (\S+) (\S+)\n", capsys.readouterr().out).groups()
+    assert float(realized) <= float(bound) and holds == "True"
 
 
 def test_initial_states_deterministic_draw(tmp_path):
@@ -873,6 +1011,29 @@ def test_demo_example_2_reports_strict_precondition(tmp_path, monkeypatch):
     assert "stand-in topology" in out
     assert "bound_holds = true" in out
     assert "consensus_achieved = true" in out
+
+
+@pytest.mark.parametrize("excess, holds", [(5e-10, True), (5e-9, False)], ids=["within-1e-9", "beyond-1e-9"])
+def test_one_input_scaling_threshold_for_the_lmi_strict_regulation_and_the_demo(excess, holds, tmp_path, monkeypatch):
+    # B = sqrt(1 + excess) B1 gives lambda_max(B B^T) = 1 + excess on either side of the 1 + 1e-9 threshold
+    scale = math.sqrt(1.0 + excess)
+    b = scale * np.array([[0.0], [1.0]])
+    a, q = np.array([[0.0, 1.0], [-100.0, 0.0]]), np.diag([1.0, 2.0])
+    report = synthesis.verify_lmi_corollary(np.eye(2), 2.0, a, b, q, 2, 200.0, strict=True)
+    assert report.bbt_precondition_ok is holds
+    request = synthesis.RegulationRequest(delta=300.0)
+    if holds:
+        synthesis.regulate_gain(a, b, q, request, strict=True)
+    else:
+        with pytest.raises(synthesis.RegulationError, match="strict mode requires"):
+            synthesis.regulate_gain(a, b, q, request, strict=True)
+    demo = json.loads(json.dumps(cli._DEMO_CONFIGS["example-1"]))
+    demo["plant"]["b"] = [0.0, scale]
+    monkeypatch.setitem(cli._DEMO_CONFIGS, "example-1", demo)
+    code, out, err = run_cli(["demo", "example-1", "--out", str(tmp_path / "demo.csv")])
+    assert (code, err) == (EXIT_OK, "")
+    assert ("strict_gain_regulation_precondition = violated" in out) is not holds
+    assert ("strict_gain_regulation_bbt_max_eigenvalue = " in out) is not holds
 
 
 def test_demo_unknown_example():

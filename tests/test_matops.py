@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -243,6 +244,27 @@ def test_care_solve_not_stabilizable():
     b = [[1.0], [0.0]]
     with pytest.raises(matops.NotStabilizableError):
         matops.care_solve(a, b, np.eye(2), 1.0)
+
+
+def test_care_solve_rejects_an_indefinite_solution():
+    # a = -1, q_hat = -0.5: the stabilizing root of p^2 + 2 p - 0.5 = 0 is negative
+    with pytest.raises(matops.NotStabilizableError, match=r"^solution is indefinite \(min eigenvalue -2\.929e-01\)$"):
+        matops.care_solve([[-1.0]], [[1.0]], [[-0.5]], 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: matops.matrix_exp(np.zeros((2, 3))), "m must be square, got 2x3"),
+        (lambda: matops.lu_solve(np.eye(2), np.ones(3)), "rhs has 3 rows, expected 2"),
+        (lambda: matops.care_solve(np.eye(2), np.ones((3, 1)), np.eye(2), 1.0), "b has 3 rows, expected 2"),
+        (lambda: matops.care_solve(np.eye(2), np.ones((2, 1)), np.eye(3), 1.0), "q_hat is 3x3, expected 2x2"),
+    ],
+    ids=["non-square", "lu-rhs-rows", "care-b-rows", "care-q-hat-size"],
+)
+def test_operand_shapes_are_checked(call, message):
+    with pytest.raises(matops.ShapeError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_care_solve_residual_and_definiteness_random():

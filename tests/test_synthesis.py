@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,28 @@ def test_certificate_check_rejects_asymmetric_candidate():
         synthesis.verify_riccati_certificate([[1.0, 1.0], [0.0, 1.0]], A1, B1, Q1, 2.0, 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: synthesis.design_leaderless(np.ones((2, 3)), B1, Q1, 1.0), "a must be square, got (2, 3)"),
+        (lambda: synthesis.design_leaderless(A1, np.ones((3, 1)), Q1, 1.0), "b has 3 rows, expected 2"),
+        (lambda: synthesis.design_leaderless(A1, B1, np.eye(3), 1.0), "q is 3x3, expected 2x2"),
+        (
+            lambda: synthesis.verify_riccati_certificate(np.eye(3), A1, B1, Q1, 1.0, 2),
+            "certificate is 3x3, expected 2x2",
+        ),
+        (
+            lambda: synthesis.verify_lmi_corollary(np.eye(3), 1.0, A1, B1, Q1, 2, 10.0),
+            "p_tilde is 3x3, expected 2x2",
+        ),
+    ],
+    ids=["a-not-square", "b-rows", "q-size", "certificate-size", "p-tilde-size"],
+)
+def test_plant_and_certificate_shapes_are_checked(call, message):
+    with pytest.raises(matops.ShapeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_lmi_corollary_toy_instance_frozen_spectrum():
     # a = -I, b = I, q = I, p~ = I, gamma = 1, multiplier 2:
     # Xi = [[-3 I, 2 I], [2 I, -2 I]] has eigenvalues -2.5 +- sqrt(4.25),
@@ -168,6 +191,9 @@ def test_lmi_corollary_relaxed_mode_rescales():
     assert abs(report.rescale_factor - math.sqrt(362.0)) < 1e-12
     assert abs(report.gamma_equivalent - 362.0) < 1e-9
     assert not report.strict
+    # gamma_equivalent (B / rescale_factor)(B / rescale_factor)^T is gamma B B^T: one Xi for both modes
+    strict = synthesis.verify_lmi_corollary(np.eye(4), 1.0, A2, B2, Q2, 3, 10.0, strict=True)
+    assert report.xi_max_eigenvalue == strict.xi_max_eigenvalue
 
 
 def test_regulate_gain_hits_gain_factor_target():
@@ -306,6 +332,11 @@ def test_regulate_gain_reports_a_target_below_the_cheap_control_level(delta):
 def test_regulate_gain_strict_precondition():
     with pytest.raises(RegulationError):
         synthesis.regulate_gain(A2, B2, Q2, RegulationRequest(delta=10.0), mode=LEADER_FOLLOWER, strict=True)
+
+
+def test_regulate_gain_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be one of"):
+        synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=100.0), mode="central")
 
 
 def test_regulation_request_validation():
