@@ -469,6 +469,22 @@ def write_trace_csv(path: str, trace: Trace) -> None:
             handle.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
+def _unreadable_sample(path: str, expected: list[str]) -> Optional[str]:
+    """The first sample after the header that loadtxt cannot read, by number and column name."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [line.rstrip("\n") for line in handle]
+    start = next(i for i, line in enumerate(lines) if line.strip()) + 1
+    for sample, cells in enumerate((line.split(",") for line in lines[start:] if line), start=1):
+        if len(cells) != len(expected):
+            return f"sample {sample} has {len(cells)} columns, expected {len(expected)}"
+        for name, cell in zip(expected, cells):
+            try:
+                float(cell)
+            except ValueError:
+                return f"sample {sample} has {name} = {cell.strip()!r}, expected a number"
+    return None
+
+
 def read_trace_csv(path: str, config: RunConfig) -> Trace:
     """Rebuild a Trace from a CSV written by write_trace_csv plus its config."""
     n, d = config.topology.n, config.state_dim
@@ -494,8 +510,10 @@ def read_trace_csv(path: str, config: RunConfig) -> Trace:
             arr = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
     except OSError as exc:
         raise CliError(f"cannot read trace {path}: {exc}")
-    except ValueError as exc:  # a cell that is not a number, a short row, or bytes that are not UTF-8
+    except UnicodeDecodeError as exc:
         raise CliError(f"trace {path}: {exc}")
+    except ValueError as exc:  # a cell that is not a number or a row of another width
+        raise CliError(f"trace {path}: {_unreadable_sample(path, expected) or exc}")
     if arr.shape[1] != len(expected):
         raise CliError(f"trace {path}: rows have {arr.shape[1]} columns, expected {len(expected)} for this config")
     if not np.isfinite(arr).all():
@@ -552,9 +570,6 @@ def write_plot_script(path: str, csv_path: str, trace: Trace) -> None:
 def _print_gains(config: RunConfig, gains: GainSet, tolerances: dict, out) -> None:
     """Print the gains and their certificate check at the merged ``certificate`` tolerance."""
     tol = {**verify.DEFAULT_TOLERANCES, **tolerances}["certificate"]
-    check = synthesis.verify_riccati_certificate(
-        gains.certificate, gains.a, gains.b, gains.q, gains.gamma, gains.multiplier, tol=tol
-    )
     pairs = [("mode", gains.mode)]
     if config.delta is not None:
         pairs.append(("regulated", True))
@@ -563,8 +578,8 @@ def _print_gains(config: RunConfig, gains: GainSet, tolerances: dict, out) -> No
         ("certificate", gains.certificate),
         ("k_u", gains.k_u),
         ("k_w", gains.k_w),
-        ("certificate_margin", check.margin),
-        ("certificate_ok", check.is_certificate),
+        ("certificate_margin", gains.certificate_margin),
+        ("certificate_ok", gains.certificate_margin <= tol),
         ("certificate_max_eigenvalue", matops.sym_eig(gains.certificate)[-1]),
     ]
     print(verify.render_pairs(pairs), file=out)

@@ -11,6 +11,7 @@ the gain magnitude by a one-dimensional search over gamma.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -88,6 +89,11 @@ class GainSet:
     @property
     def state_dim(self) -> int:
         return self.a.shape[0]
+
+    @functools.cached_property
+    def certificate_margin(self) -> float:
+        """The Riccati inequality's margin (``verify_riccati_certificate``), checked on first read only."""
+        return verify_riccati_certificate(self.certificate, self.a, self.b, self.q, self.gamma, self.multiplier).margin
 
 
 @dataclass(frozen=True)

@@ -308,18 +308,26 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
             scalar_pair_config(),
             "",
             "t,x1_1,x2_1,w1_2,eta_norm,J_realized,J_bound_partial\n0,-1,1,1,2,0,0\n0.1,-1,abc,1,2,0,0\n",
-            "trace {trace}: could not convert string 'abc' ",
+            "trace {trace}: sample 2 has x2_1 = 'abc', expected a number",
+        ),
+        (
+            "verify",
+            scalar_pair_config(),
+            "",
+            "t,x1_1,x2_1,w1_2,eta_norm,J_realized,J_bound_partial\n0,-1,1,1,2,0,0\n\n0.1,-1,1,1,2,0,0\n0.2,-1,1,1,2,0\n",
+            "trace {trace}: sample 3 has 6 columns, expected 7",
         ),
     ],
     ids=[
         "no-mode", "plant-not-an-object", "dt-text", "gamma-negative", "bad-mode", "plant-a-text",
         "edges-not-a-list", "one-element-edge", "self-loop", "duplicate-edge", "bad-box", "tolerances-not-an-object",
         "top-level-list", "missing-config", "env-without-value", "env-value-text", "missing-trace", "trace-text-cell",
+        "trace-short-row",
     ],
 )
 def test_each_parse_error_names_its_field_or_file(command, document, env, trace, expected, tmp_path, monkeypatch):
     # a document of None leaves the config file unwritten, as a trace of None does the trace file;
-    # an expected message that ends in ": " is followed by the text of the OS or NumPy error
+    # an expected message that ends in ": " is followed by the text of the OS error
     config_path, trace_path = tmp_path / "config.json", tmp_path / "trace.csv"
     if document is not None:
         config_path.write_text(json.dumps(document), encoding="utf-8")
@@ -930,6 +938,60 @@ def test_gains_block_and_report_check_the_certificate_at_one_tolerance(setting, 
     # consensus is not reached by t_final 0.1, a failed check
     assert (code, err) == (EXIT_BOUND, "")
     assert [line for line in out.splitlines() if line.startswith("certificate_ok = ")] == [expected, expected]
+
+
+def readme_config(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    path = tmp_path / "readme.json"
+    path.write_text(example, encoding="utf-8")
+    return str(path)
+
+
+def count_certificate_checks(monkeypatch):
+    calls = []
+    original = synthesis.verify_riccati_certificate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "verify_riccati_certificate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate --runs 3", "verify"])
+def test_each_command_checks_its_gain_set_certificate_once(command, tmp_path, monkeypatch):
+    # the gains block and every run's report read one GainSet.certificate_margin
+    path = readme_config(tmp_path)
+    name, *flags = command.split()
+    if name == "verify":
+        csv_path = str(tmp_path / "trace.csv")
+        assert run_cli(["simulate", path, "--out", csv_path])[0] == EXIT_OK
+        flags = [csv_path]
+    calls = count_certificate_checks(monkeypatch)
+    code, out, err = run_cli([name, path] + flags)
+    assert (code, err) == (EXIT_OK, "")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("source", ["leaderless", "leader-follower", "regulated", "override"])
+def test_certificate_margin_is_the_certificate_checks_margin_read_once(source, monkeypatch):
+    document = dict(cli._DEMO_CONFIGS["example-2" if source == "leader-follower" else "example-1"])
+    if source == "regulated":
+        del document["gamma"]
+        document["delta"] = 300.0
+    elif source == "override":
+        designed = cli.synthesize_gains(cli.demo_config("example-1")).certificate
+        document["gains"] = {"certificate": list((1 - 1e-6) * designed.ravel())}
+    gains = cli.synthesize_gains(cli.parse_config_text(json.dumps(document)))
+    check = synthesis.verify_riccati_certificate(
+        gains.certificate, gains.a, gains.b, gains.q, gains.gamma, gains.multiplier
+    )
+    calls = count_certificate_checks(monkeypatch)
+    assert gains.certificate_margin == check.margin
+    assert gains.certificate_margin == check.margin  # the second read makes no call
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
