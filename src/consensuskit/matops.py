@@ -1,11 +1,11 @@
 """Dense linear-algebra kernel.
 
-Provides the linear solve, symmetric eigenvalues, matrix exponential,
-matrix sign function, and continuous algebraic Riccati equation (CARE) solver
-used by the synthesis and simulation layers.  The solve and the eigenvalues
-call LAPACK through ``np.linalg``, which ships inside NumPy, the package's
-only dependency; the matrix exponential, the sign iteration and the CARE
-checks are written here on top of them.
+Provides the symmetric eigenvalues, matrix exponential, matrix sign function
+and continuous algebraic Riccati equation (CARE) solver used by the synthesis
+and simulation layers.  Every factorization is LAPACK through ``np.linalg``,
+which ships inside NumPy, the package's only dependency; the matrix
+exponential, the sign iteration and the CARE checks are written here on top
+of them.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ __all__ = [
     "ShapeError",
     "SymmetryError",
     "ConvergenceError",
-    "SingularMatrixError",
     "SignFunctionError",
     "NotStabilizableError",
     "as_matrix",
     "sym_eig",
-    "lu_solve",
     "matrix_exp",
     "matrix_sign",
     "care_solve",
@@ -46,10 +44,6 @@ class SymmetryError(LinearAlgebraError):
 
 class ConvergenceError(LinearAlgebraError):
     """The symmetric eigensolver failed to converge."""
-
-
-class SingularMatrixError(LinearAlgebraError):
-    """A linear system's matrix is singular within the solver's threshold."""
 
 
 class SignFunctionError(LinearAlgebraError):
@@ -95,33 +89,11 @@ def sym_eig(m) -> np.ndarray:
         raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
 
 
-def lu_solve(m, rhs) -> np.ndarray:
-    """Solve m @ x = rhs by LAPACK's partially pivoted LU factorization.
-
-    LAPACK only rejects an exactly zero pivot, so m is first rejected as
-    singular when its smallest singular value is at most 1e-13 times its
-    largest; ``matrix_exp`` and ``care_solve``'s subspace solve rely on this.
-    """
-    a = _square(m, "m")
-    b = np.array(rhs, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise ShapeError(f"rhs has {b.shape[0]} rows, expected {a.shape[0]}")
-    try:
-        singular_values = np.linalg.svd(a, compute_uv=False)
-        if singular_values[-1] <= 1e-13 * singular_values[0]:
-            raise SingularMatrixError(
-                f"smallest singular value {singular_values[-1]:.3e} is at most 1e-13 of the largest"
-            )
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"LAPACK solve failed: {exc}") from exc
-
-
 _PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0)
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a degree-6 Pade core."""
+    """Matrix exponential by scaling and squaring; at norm <= 0.5 the degree-6 Pade denominator is well conditioned."""
     a = _square(m, "m")
     n = a.shape[0]
     norm = float(np.abs(a).sum(axis=1).max()) if n else 0.0
@@ -135,7 +107,7 @@ def matrix_exp(m) -> np.ndarray:
     a6 = a2 @ a4
     even = _PADE6[0] * ident + _PADE6[2] * a2 + _PADE6[4] * a4 + _PADE6[6] * a6
     odd = a @ (_PADE6[1] * ident + _PADE6[3] * a2 + _PADE6[5] * a4)
-    result = lu_solve(even - odd, even + odd)
+    result = np.linalg.solve(even - odd, even + odd)
     for _ in range(squarings):
         result = result @ result
     return result
@@ -182,11 +154,13 @@ def matrix_sign(m) -> np.ndarray:
 def care_solve(a, b, q_hat, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve P A + A^T P - gamma P B B^T P + q_hat = 0 for symmetric P >= 0.
 
-    Uses the sign function of the Hamiltonian matrix to extract the stable
-    invariant subspace, and returns P with its ascending eigenvalues.  Raises
-    NotStabilizableError when no stabilizing solution exists: a sign failure,
-    an indefinite P, or a Riccati residual R whose largest |entry| or largest
-    eigenvalue exceeds 1e-7 (1 + ||P||_F^2).
+    Takes the sign function S of the Hamiltonian matrix; its stable invariant
+    subspace gives P as the least-squares solution of [S12; S22 + I] P =
+    -[S11 + I; S21] (Gardiner and Laub 1986, Byers 1987).  Returns P with its
+    ascending eigenvalues.  Raises NotStabilizableError when no stabilizing
+    solution exists: a sign failure, a stacked system with smallest singular
+    value at most 1e-13 of its largest, an indefinite P, or a Riccati residual
+    R whose largest |entry| or largest eigenvalue exceeds 1e-7 (1 + ||P||_F^2).
     """
     a = _square(a, "a")
     b_mat = as_matrix(b, "b")
@@ -205,16 +179,15 @@ def care_solve(a, b, q_hat, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         s = matrix_sign(hamiltonian)
     except SignFunctionError as exc:
         raise NotStabilizableError("Hamiltonian sign iteration failed; pair is not stabilizable") from exc
-    s11 = s[:d, :d]
-    s12 = s[:d, d:]
-    s21 = s[d:, :d]
-    s22 = s[d:, d:]
+    s11, s12, s21, s22 = s[:d, :d], s[:d, d:], s[d:, :d], s[d:, d:]
     stacked = np.vstack([s12, s22 + np.eye(d)])
     rhs = -np.vstack([s11 + np.eye(d), s21])
     try:
-        p = lu_solve(stacked.T @ stacked, stacked.T @ rhs)
-    except SingularMatrixError as exc:
-        raise NotStabilizableError("stable-subspace system is singular") from exc
+        p, _, _, singular_values = np.linalg.lstsq(stacked, rhs, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise NotStabilizableError(f"stable-subspace least-squares solve failed: {exc}") from exc
+    if not singular_values[-1] > 1e-13 * singular_values[0]:
+        raise NotStabilizableError("stable-subspace system is singular")
     p = 0.5 * (p + p.T)
     eigenvalues = sym_eig(p)
     if eigenvalues[0] < -1e-9 * max(1.0, float(np.abs(eigenvalues).max())):
@@ -230,9 +203,10 @@ def care_solve(a, b, q_hat, gamma: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _riccati_residual(p: np.ndarray, a: np.ndarray, b: np.ndarray, q_hat: np.ndarray, gamma: float) -> np.ndarray:
-    """P A + A^T P - gamma (P B)(P B)^T + q_hat, exactly symmetric for a symmetric P, as sym_eig requires."""
+    """P A + A^T P - gamma (P B)(P B)^T + q_hat, symmetrized for sym_eig: BLAS need not round A^T P as (P A)^T."""
     pb = p @ b
-    return p @ a + a.T @ p - gamma * (pb @ pb.T) + q_hat
+    residual = p @ a + a.T @ p - gamma * (pb @ pb.T) + q_hat
+    return 0.5 * (residual + residual.T)
 
 
 def is_positive_definite(m, tol: float = 1e-9) -> bool:

@@ -576,6 +576,20 @@ def test_synthesize_not_stabilizable_exit_code(tmp_path):
     assert "infeasible" in err
 
 
+def test_a_failed_stable_subspace_solve_exits_3(tmp_path, monkeypatch):
+    # np.linalg.LinAlgError is a ValueError, which on its own would exit 2
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(matops.np.linalg, "lstsq", failing)
+    code, out, err = run_cli(["synthesize", write_config(tmp_path, scalar_pair_config())])
+    assert code == EXIT_SYNTHESIS
+    assert err == (
+        "error: synthesis infeasible: stable-subspace least-squares solve failed: "
+        "SVD did not converge in Linear Least Squares\n"
+    )
+
+
 def test_synthesize_unreachable_delta_exit_code(tmp_path):
     # example-2's leader-follower lambda_max(P) never falls below about 7.42
     config = {key: value for key, value in cli._DEMO_CONFIGS["example-2"].items() if key != "gamma"}

@@ -55,50 +55,6 @@ def test_sym_eig_rejects_asymmetric():
         matops.sym_eig([[1.0, 2.0], [0.0, 1.0]])
 
 
-# ------------------------------------------------------ lu_solve and friends
-
-
-def test_lu_solve_known_system():
-    m = [[3.0, 1.0], [1.0, 2.0]]
-    x = matops.lu_solve(m, [9.0, 8.0])
-    assert np.allclose(x, [2.0, 3.0], atol=1e-14)
-
-
-def test_lu_solve_matrix_rhs():
-    m = np.array([[2.0, 0.0], [0.0, 4.0]])
-    x = matops.lu_solve(m, np.eye(2))
-    assert np.allclose(x, [[0.5, 0.0], [0.0, 0.25]], atol=1e-15)
-
-
-def test_lu_solve_requires_pivoting():
-    m = [[0.0, 1.0], [1.0, 0.0]]
-    x = matops.lu_solve(m, [2.0, 5.0])
-    assert np.allclose(x, [5.0, 2.0], atol=1e-15)
-
-
-def test_lu_solve_singular_raises():
-    with pytest.raises(matops.SingularMatrixError):
-        matops.lu_solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
-
-
-@pytest.mark.parametrize(
-    "m",
-    [[[1.0, 1.0], [1.0, 1.0 + 1e-15]], np.diag([1e-14, 1.0])],
-    ids=["rank-one-within-1e-15", "diag-1e-14"],
-)
-def test_near_singular_matrix_rejected(m):
-    # LAPACK alone would solve these; the singular-value check rejects them
-    with pytest.raises(matops.SingularMatrixError):
-        matops.lu_solve(m, [1.0, 2.0])
-
-
-def test_ill_conditioned_matrix_above_the_threshold_solves():
-    eps = (1.0 + 1e-12) - 1.0  # the perturbation as stored
-    m = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
-    # condition number ~4e12 leaves a relative error of up to ~5e-4
-    assert np.allclose(matops.lu_solve(m, [1.0, 2.0]), [1.0 - 1.0 / eps, 1.0 / eps], rtol=1e-2)
-
-
 # --------------------------------------------------------------- matrix_exp
 
 
@@ -256,11 +212,10 @@ def test_care_solve_rejects_an_indefinite_solution():
     "call, message",
     [
         (lambda: matops.matrix_exp(np.zeros((2, 3))), "m must be square, got 2x3"),
-        (lambda: matops.lu_solve(np.eye(2), np.ones(3)), "rhs has 3 rows, expected 2"),
         (lambda: matops.care_solve(np.eye(2), np.ones((3, 1)), np.eye(2), 1.0), "b has 3 rows, expected 2"),
         (lambda: matops.care_solve(np.eye(2), np.ones((2, 1)), np.eye(3), 1.0), "q_hat is 3x3, expected 2x2"),
     ],
-    ids=["non-square", "lu-rhs-rows", "care-b-rows", "care-q-hat-size"],
+    ids=["non-square", "care-b-rows", "care-q-hat-size"],
 )
 def test_operand_shapes_are_checked(call, message):
     with pytest.raises(matops.ShapeError, match=f"^{re.escape(message)}$"):
@@ -268,14 +223,16 @@ def test_operand_shapes_are_checked(call, message):
 
 
 def test_care_solve_residual_and_definiteness_random():
+    # unstable plants over eight decades of gamma, where a small gamma makes P large
     rng = np.random.default_rng(42)
     for trial in range(10):
         d = 2 + trial % 4
         a = rng.normal(size=(d, d))
+        a += (rng.uniform(0.1, 2.0) - np.linalg.eigvals(a).real.max()) * np.eye(d)
         b = rng.normal(size=(d, 1))
         base = rng.normal(size=(d, d))
         q_hat = base @ base.T + np.eye(d)
-        gamma = 1.5
+        gamma = 10.0 ** rng.uniform(-4.0, 4.0)
         p, eigenvalues = matops.care_solve(a, b, q_hat, gamma)
         residual = p @ a + a.T @ p - gamma * (p @ b) @ (p @ b).T + q_hat
         norm_sq = float((p * p).sum())
@@ -284,10 +241,41 @@ def test_care_solve_residual_and_definiteness_random():
         assert np.array_equal(eigenvalues, matops.sym_eig(p))
 
 
+def test_care_solve_on_an_unstable_plant_at_a_small_gamma():
+    # the stacked subspace system is ill conditioned here, and its normal
+    # equations, which square that condition number, read as singular
+    a = [[-1.3, -0.2], [0.4, 1.1]]
+    b = [[0.1], [-0.6]]
+    p, eigenvalues = matops.care_solve(a, b, 2.0 * np.eye(2), 1e-6)
+    # SciPy's solve_continuous_are(a, b, 2 I, 1e6 I)
+    expected = np.array(
+        [
+            [179229.05427340264, 1060220.4415012542],
+            [1060220.4415012542, 6271709.03676878],
+        ]
+    )
+    assert np.abs(p - expected).max() < 1e-9 * np.abs(expected).max()
+    assert eigenvalues[0] > 0.0
+    closed_loop = np.asarray(a) - 1e-6 * (np.asarray(b) @ np.asarray(b).T) @ p
+    assert np.linalg.eigvals(closed_loop).real.max() < 0.0
+
+
+def test_care_solve_rejects_a_singular_stable_subspace_system(monkeypatch):
+    # a sign of -I makes the stacked block [S12; S22 + I] zero
+    monkeypatch.setattr(matops, "matrix_sign", lambda m: -np.eye(len(m)))
+    with pytest.raises(matops.NotStabilizableError, match=r"^stable-subspace system is singular$"):
+        matops.care_solve(-np.eye(2), np.ones((2, 1)), np.eye(2), 1.0)
+
+
 def care_solve_with_residual(residual, monkeypatch):
     """care_solve on a = -I, b = 0, q_hat = I, with P shifted so its residual -2 P + I is about residual."""
-    original = matops.lu_solve
-    monkeypatch.setattr(matops, "lu_solve", lambda m, rhs: original(m, rhs) - 0.5 * residual)
+    original = np.linalg.lstsq
+
+    def shifted(*args, **kwargs):
+        p, *rest = original(*args, **kwargs)
+        return (p - 0.5 * residual, *rest)
+
+    monkeypatch.setattr(matops.np.linalg, "lstsq", shifted)
     return matops.care_solve(-np.eye(2), np.zeros((2, 1)), np.eye(2), 1.0)
 
 

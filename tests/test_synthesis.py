@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from consensuskit import matops, synthesis
 from consensuskit.synthesis import (
@@ -219,6 +220,43 @@ def test_regulate_gain_returns_cheap_gamma_when_already_feasible():
     gamma, gains = synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=1e6, gamma_min=2.0))
     assert gamma == 2.0
     assert np.abs(gains.certificate - P1_EXPECTED).max() < 1e-9
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+def test_regulate_gain_on_an_unstable_plant(mode):
+    # the bracket starts at gamma_min = 1e-6, where lambda_max(P) is about 6e6
+    # for this open-loop-unstable plant
+    a = [[-1.3, -0.2], [0.4, 1.1]]
+    b = [[0.1], [-0.6]]
+    gamma, gains = synthesis.regulate_gain(a, b, np.eye(2), RegulationRequest(delta=50.0), mode=mode)
+    assert matops.sym_eig(gains.certificate)[-1] <= 50.0 * (1.0 + 1e-9)
+    assert synthesis.verify_riccati_certificate(gains.certificate, a, b, np.eye(2), gamma, gains.multiplier).is_certificate
+
+
+# a fixed sample: about 1 plant in 6,000 of this family still fails its
+# first solve, at gamma_min = 1e-6, though a larger gamma solves
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from([LEADERLESS, LEADER_FOLLOWER]),
+    factor=st.floats(1.5, 8.0),
+)
+def test_regulate_gain_meets_every_reachable_target(seed, mode, factor):
+    # random plants, most of them open-loop unstable; P(10) meets
+    # delta = factor lambda_max(P(10)), so the search stops at a gamma <= 10
+    rng = np.random.default_rng(seed)
+    d, p = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+    a, b, m = rng.normal(size=(d, d)), rng.normal(size=(d, p)), rng.normal(size=(d, d))
+    q = m @ m.T + 0.01 * np.eye(d)
+    design = synthesis.design_leaderless if mode == LEADERLESS else synthesis.design_leader_follower
+    lam_at_10 = matops.sym_eig(design(a, b, q, 10.0).certificate)[-1]
+    # past 1e5 the plant is nearly uncontrollable, and lambda_max(P) carries
+    # more noise than the 1e-9 slack of the search's monotonicity check
+    assume(lam_at_10 <= 1e5)
+    delta = factor * lam_at_10
+    gamma, gains = synthesis.regulate_gain(a, b, q, RegulationRequest(delta=delta), mode=mode)
+    assert matops.sym_eig(gains.certificate)[-1] <= delta * (1.0 + 1e-9)
+    assert gamma <= 10.0 * (1.0 + 1e-9)
 
 
 REGULATION_CASES = [
