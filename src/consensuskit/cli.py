@@ -78,7 +78,8 @@ class RunConfig:
     factor versus a gain-factor target for regulation.  ``initial_seed`` and
     ``initial_box`` describe seeded uniform draws; ``initial_values`` is an
     explicit state array.  Exactly one initial-state form is set.
-    ``gains_override`` maps certificate, k_u and k_w to matrices (or None) and needs ``gamma``.
+    ``gains_override`` holds GainSet's matrix arguments (a None is derived) and needs ``gamma``.
+    ``echo`` holds every field the parser read, as it converted it; ``render_config`` writes it.
     """
 
     mode: str
@@ -96,14 +97,11 @@ class RunConfig:
     sample_stride: int
     tolerances: dict
     gains_override: Optional[dict]
+    echo: dict
 
     @property
     def state_dim(self) -> int:
         return self.a.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.b.shape[1]
 
 
 def _fail(field_name: str, message: str) -> CliError:
@@ -113,24 +111,47 @@ def _fail(field_name: str, message: str) -> CliError:
 _REQUIRED = object()
 
 
+class _Repeats(dict):
+    """A JSON object that gave the key ``repeated`` twice; a plain dict keeps only its last value."""
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.repeated = next(key for key in keys if keys.count(key) > 1)
+
+
+def _json_object(pairs: list) -> dict:
+    """json.loads' object_pairs_hook: a dict, or a _Repeats when a key was given twice."""
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else _Repeats(pairs)
+
+
 class _Section:
     """One JSON object of a config.  ``get`` names a key once and qualifies it
     with the section's name in errors; ``close`` rejects every key no ``get``
-    asked for, so a misspelt field fails instead of leaving its default."""
+    asked for, so a misspelt field fails instead of leaving its default.
+    ``echo`` maps each key ``get`` returned a value for, defaults included, to
+    that value (a nested section to its own ``echo``)."""
 
-    def __init__(self, value, name: str):
+    def __init__(self, value, name: str, expected: str = "expected an object"):
+        self.value, self.prefix, self.read, self.echo = value, f"{name}." if name else "", set(), {}
         if not isinstance(value, dict):
-            raise _fail(name, "expected an object")
-        self.value, self.prefix, self.read = value, f"{name}." if name else "", set()
+            raise _fail(name, expected)
+        if isinstance(value, _Repeats):
+            raise _fail(self.prefix + value.repeated, "given twice")
 
     def get(self, key: str, convert, *args, default=_REQUIRED):
         """``convert(value, qualified_name, *args)``, or ``default`` when the key is absent."""
         self.read.add(key)
-        if key not in self.value:
-            if default is _REQUIRED:
-                raise _fail(self.prefix + key, "missing")
-            return default
-        return convert(self.value[key], self.prefix + key, *args)
+        if key in self.value:
+            result = convert(self.value[key], self.prefix + key, *args)
+        elif default is _REQUIRED:
+            raise _fail(self.prefix + key, "missing")
+        else:
+            result = default
+        if result is not None:
+            self.echo[key] = result.echo if isinstance(result, _Section) else result
+        return result
 
     def close(self) -> None:
         unknown = sorted(set(self.value) - self.read)
@@ -244,15 +265,14 @@ def _tolerances(entries: dict, where: str) -> dict:
 
 
 def _as_tolerances(value, qualified: str) -> dict:
-    if not isinstance(value, dict):
-        raise _fail(qualified, "expected an object of name -> value")
-    return _tolerances(value, f"config field '{qualified}.{{}}'")
+    entries = _Section(value, qualified, "expected an object of name -> value").value
+    return _tolerances(entries, f"config field '{qualified}.{{}}'")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse a JSON config document into a RunConfig."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise CliError(f"{source}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):
@@ -284,11 +304,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
     init = top.get("initial_states", _Section)
     initial_values = init.get("values", _as_matrix, topology.n, d, default=None)
-    initial_seed = initial_box = None
-    if initial_values is None:
-        initial_seed = init.get("seed", _as_int, 0)
-        initial_box = init.get("box", _as_box)
-    elif "seed" in init.value or "box" in init.value:
+    drawn = _REQUIRED if initial_values is None else None  # a draw needs both seed and box
+    initial_seed = init.get("seed", _as_int, 0, default=drawn)
+    initial_box = init.get("box", _as_box, default=drawn)
+    if initial_values is not None and (initial_seed is not None or initial_box is not None):
         raise _fail("initial_states.values", "cannot be combined with seed or box")
     init.close()
 
@@ -299,7 +318,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     except sim.ConfigurationError as exc:
         raise _fail("t_final", str(exc))
     stride = top.get("sample_stride", _as_int, 1, default=1)
-    tolerances = top.get("tolerances", _as_tolerances, default={})
+    tolerances = top.get("tolerances", _as_tolerances, default=None)
 
     gains_override = None
     gains = top.get("gains", _Section, default=None)
@@ -328,8 +347,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         dt=dt,
         t_final=t_final,
         sample_stride=stride,
-        tolerances=tolerances,
+        tolerances=tolerances or {},
         gains_override=gains_override,
+        echo=top.echo,
     )
 
 
@@ -342,43 +362,18 @@ def parse_config(path: str) -> RunConfig:
     return parse_config_text(text, source=path)
 
 
+def _as_json(value):
+    """json.dumps' ``default`` for the echo: a matrix row-major, a topology with every edge's weight."""
+    if isinstance(value, np.ndarray):
+        return value.ravel().tolist()
+    edges = value.edges
+    doc = {"n": value.n, "edges": [list(e) for e in edges], "weights": [[*e, value.weights[e]] for e in edges]}
+    return doc if value.leader is None else dict(doc, leader=value.leader)
+
+
 def render_config(config: RunConfig) -> str:
     """Canonical JSON echo of a RunConfig; re-parsing gives an equal config."""
-    d = config.state_dim
-    p = config.input_dim
-    doc: dict = {
-        "mode": config.mode,
-        "plant": {
-            "d": d,
-            "p": p,
-            "a": list(config.a.ravel()),
-            "b": list(config.b.ravel()),
-            "q": list(config.q.ravel()),
-        },
-        "topology": {
-            "n": config.topology.n,
-            "edges": [[i, k] for i, k in config.topology.edges],
-            "weights": [[i, k, config.topology.weights[(i, k)]] for i, k in config.topology.edges],
-        },
-        "dt": config.dt,
-        "t_final": config.t_final,
-        "sample_stride": config.sample_stride,
-    }
-    if config.topology.leader is not None:
-        doc["topology"]["leader"] = config.topology.leader
-    if config.gamma is not None:
-        doc["gamma"] = config.gamma
-    if config.delta is not None:
-        doc["delta"] = config.delta
-    if config.initial_values is not None:
-        doc["initial_states"] = {"values": list(config.initial_values.ravel())}
-    else:
-        doc["initial_states"] = {"seed": config.initial_seed, "box": list(config.initial_box)}
-    if config.tolerances:
-        doc["tolerances"] = dict(sorted(config.tolerances.items()))
-    if config.gains_override is not None:
-        doc["gains"] = {key: list(m.ravel()) for key, m in config.gains_override.items() if m is not None}
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(config.echo, indent=2, sort_keys=True, default=_as_json)
 
 
 def env_tolerances() -> dict:
@@ -414,24 +409,11 @@ def initial_states(config: RunConfig, seed_offset: int = 0) -> np.ndarray:
 def synthesize_gains(config: RunConfig) -> GainSet:
     """Gains from the config: supplied override, fixed gamma, or regulation by delta."""
     if config.gains_override is not None:
-        certificate = config.gains_override["certificate"]
         try:
-            matops._require_symmetric(certificate, "certificate")
+            matops._require_symmetric(config.gains_override["certificate"], "certificate")
         except matops.SymmetryError as exc:
             raise _fail("gains.certificate", str(exc))
-        try:
-            return GainSet(
-                mode=config.mode,
-                a=config.a,
-                b=config.b,
-                q=config.q,
-                gamma=config.gamma,
-                certificate=certificate,
-                k_u=config.gains_override.get("k_u"),
-                k_w=config.gains_override.get("k_w"),
-            )
-        except (ValueError, matops.LinearAlgebraError) as exc:
-            raise _fail("gains", str(exc))
+        return GainSet(config.mode, config.a, config.b, config.q, config.gamma, **config.gains_override)
     if config.delta is not None:
         request = synthesis.RegulationRequest(delta=config.delta)
         return synthesis.regulate_gain(config.a, config.b, config.q, request, mode=config.mode)[1]

@@ -353,7 +353,7 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
     sixth = dt / 6.0
     # full-length factors: a ufunc multiply by an array costs less than by a Python float, with the same bits
     quarter_v, half_v, sixth_v = (np.full(size, c) for c in (0.25 * dt, 0.5 * dt, sixth))
-    sample_steps = np.array([0, *range(stride, nsteps + 1, stride)] + ([nsteps] if nsteps % stride else []))
+    sample_steps = np.r_[0:nsteps:stride, nsteps]  # every stride-th step before the last, then the last
 
     # rows 4k .. 4k + 3: the stage states of the block's step k; row 4k + 4: its result
     block = np.empty((4 * _BLOCK_STEPS + 1, size))

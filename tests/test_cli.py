@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -317,20 +318,57 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
             "t,x1_1,x2_1,w1_2,eta_norm,J_realized,J_bound_partial\n0,-1,1,1,2,0,0\n\n0.1,-1,1,1,2,0,0\n0.2,-1,1,1,2,0\n",
             "trace {trace}: sample 3 has 6 columns, expected 7",
         ),
+        (
+            "synthesize",
+            json.dumps(cli._DEMO_CONFIGS["example-1"])[:-1] + ', "dt": 0.5, "gamma": 7.0}',
+            "",
+            None,
+            "config field 'gamma': given twice",
+        ),
+        (
+            "synthesize",
+            json.dumps(scalar_pair_config()).replace('{"d": 1', '{"d": 3, "d": 1'),
+            "",
+            None,
+            "config field 'plant.d': given twice",
+        ),
+        (
+            "synthesize",
+            json.dumps(scalar_pair_config(tolerances={"consensus": 0.5})).replace("}}", ', "consensus": 0.5}}'),
+            "",
+            None,
+            "config field 'tolerances.consensus': given twice",
+        ),
+        (
+            "simulate",
+            json.dumps(with_gains()).replace("}}", ', "k_u": [-1.0]}}'),
+            "",
+            None,
+            "config field 'gains.k_u': given twice",
+        ),
+        (
+            "simulate",
+            json.dumps(scalar_pair_config()).replace('{"values"', '{"values": [1.0, 1.0], "values"'),
+            "",
+            None,
+            "config field 'initial_states.values': given twice",
+        ),
     ],
     ids=[
         "no-mode", "plant-not-an-object", "dt-text", "gamma-negative", "bad-mode", "plant-a-text",
         "edges-not-a-list", "one-element-edge", "self-loop", "duplicate-edge", "bad-box", "tolerances-not-an-object",
         "top-level-list", "missing-config", "env-without-value", "env-value-text", "missing-trace", "trace-text-cell",
-        "trace-short-row",
+        "trace-short-row", "top-level-key-twice", "plant-key-twice", "tolerance-twice", "gains-key-twice",
+        "initial-values-twice",
     ],
 )
 def test_each_parse_error_names_its_field_or_file(command, document, env, trace, expected, tmp_path, monkeypatch):
     # a document of None leaves the config file unwritten, as a trace of None does the trace file;
+    # a str document is written as it is (JSON text a dict cannot hold, such as a key given twice);
     # an expected message that ends in ": " is followed by the text of the OS error
     config_path, trace_path = tmp_path / "config.json", tmp_path / "trace.csv"
     if document is not None:
-        config_path.write_text(json.dumps(document), encoding="utf-8")
+        config_path.write_text(document if isinstance(document, str) else json.dumps(document), encoding="utf-8")
     if trace is not None:
         trace_path.write_text(trace, encoding="utf-8")
     monkeypatch.setenv(cli.TOLERANCE_ENV_VAR, env)
@@ -394,6 +432,26 @@ def test_echo_config_writes_the_canonical_form_and_leaves_stdout_unchanged(comma
     assert run_cli([command, path, "--echo-config", str(echo)]) == plain
     assert echo.read_text(encoding="utf-8") == cli.render_config(cli.parse_config(path)) + "\n"
     assert cli.render_config(cli.parse_config(str(echo))) == cli.render_config(cli.parse_config(path))
+
+
+@pytest.mark.parametrize(
+    "source, sha256",
+    [
+        ("README.md", "f4ede00d5f1b420971b96d255af75b19b1cb4ed5c148fcb783fe24c3ceadeb62"),
+        ("example-1", "46716951e34677c2a600a71f0f296a7c0d3010e5168c73651061cd0b10e96ac1"),
+        ("example-2", "8c117883a090caed82a385283bb637c3d29291fb7cd3d5150bab58547297cc37"),
+    ],
+)
+def test_config_echo_bytes_are_pinned(source, sha256):
+    # the echo's exact bytes on the README and demo configs; a new digest here is a change of the echo's format
+    if source == "README.md":
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        [example] = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        config = cli.parse_config_text(example, source=source)
+    else:
+        config = cli.demo_config(source)
+    echoed = cli.render_config(config)
+    assert hashlib.sha256(echoed.encode("utf-8")).hexdigest() == sha256, echoed
 
 
 def comparable(config):
