@@ -416,7 +416,7 @@ def synthesize_gains(config: RunConfig) -> GainSet:
         return GainSet(config.mode, config.a, config.b, config.q, config.gamma, **config.gains_override)
     if config.delta is not None:
         request = synthesis.RegulationRequest(delta=config.delta)
-        return synthesis.regulate_gain(config.a, config.b, config.q, request, mode=config.mode)[1]
+        return synthesis.regulate_gain(config.a, config.b, config.q, request, mode=config.mode)
     if config.mode == LEADERLESS:
         return synthesis.design_leaderless(config.a, config.b, config.q, config.gamma)
     return synthesis.design_leader_follower(config.a, config.b, config.q, config.gamma)
@@ -576,9 +576,8 @@ def _echo_config(path: Optional[str], config: RunConfig) -> None:
 def cmd_synthesize(args, out=sys.stdout) -> int:
     config = parse_config(args.config)
     tolerances = merged_tolerances(config)  # a bad CONSENSUSKIT_TOLERANCES fails before any work
-    gains = synthesize_gains(config)
     _echo_config(args.echo_config, config)
-    _print_gains(config, gains, tolerances, out)
+    _print_gains(config, synthesize_gains(config), tolerances, out)
     return EXIT_OK
 
 
@@ -697,7 +696,7 @@ _DEMO_TOPOLOGY_NOTES = {
 
 def demo_config(which: str) -> RunConfig:
     if which not in _DEMO_CONFIGS:
-        raise CliError(f"unknown demo {which!r}; expected 'example-1' or 'example-2'")
+        raise CliError(f"unknown demo {which!r}; expected {' or '.join(map(repr, _DEMO_CONFIGS))}")
     return parse_config_text(json.dumps(_DEMO_CONFIGS[which]), source=f"demo:{which}")
 
 
@@ -754,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_demo = sub.add_parser("demo", help="run an embedded example scenario end to end")
-    p_demo.add_argument("which", choices=["example-1", "example-2"])
+    p_demo.add_argument("which", choices=list(_DEMO_CONFIGS))
     p_demo.add_argument("--out", default=None, help="trace CSV output path")
     p_demo.add_argument("--plot-script", default=None, help="gnuplot script output path")
     p_demo.set_defaults(handler=cmd_demo)

@@ -27,7 +27,6 @@ __all__ = [
     "WeightMatrixError",
     "RegulationError",
     "GainSet",
-    "CertificateCheck",
     "LmiReport",
     "RegulationRequest",
     "design_leaderless",
@@ -93,20 +92,7 @@ class GainSet:
     @functools.cached_property
     def certificate_margin(self) -> float:
         """The Riccati inequality's margin (``verify_riccati_certificate``), checked on first read only."""
-        return verify_riccati_certificate(self.certificate, self.a, self.b, self.q, self.gamma, self.multiplier).margin
-
-
-@dataclass(frozen=True)
-class CertificateCheck:
-    """Verdict of the Riccati inequality check with its margin.
-
-    ``margin`` is the maximum eigenvalue of
-    certificate A + A^T certificate - gamma K_w + multiplier Q;
-    the certificate is valid when the margin is at most the tolerance.
-    """
-
-    is_certificate: bool
-    margin: float
+        return verify_riccati_certificate(self.certificate, self.a, self.b, self.q, self.gamma, self.multiplier)
 
 
 @dataclass(frozen=True)
@@ -183,22 +169,19 @@ def design_leader_follower(a, b, q, gamma_l: float) -> GainSet:
     return _design(LEADER_FOLLOWER, *_checked_plant(a, b, q), gamma_l)[0]
 
 
-def verify_riccati_certificate(
-    certificate, a, b, q, gamma: float, multiplier: int, tol: float = 1e-9
-) -> CertificateCheck:
-    """Check that a candidate certificate satisfies the Riccati inequality.
+def verify_riccati_certificate(certificate, a, b, q, gamma: float, multiplier: int) -> float:
+    """The Riccati inequality's margin for a candidate certificate.
 
-    Returns the negative-semidefiniteness verdict of
-    certificate A + A^T certificate - gamma certificate B B^T certificate
-    + multiplier Q together with its maximum eigenvalue (the margin).
+    Returns the maximum eigenvalue of certificate A + A^T certificate
+    - gamma certificate B B^T certificate + multiplier Q; the certificate
+    holds when the margin is at most the run's ``certificate`` tolerance.
     """
     a, b, q = _validated_plant(a, b, q)
     p = matops.as_matrix(certificate, "certificate")
     if p.shape != a.shape:
         raise matops.ShapeError(f"certificate is {p.shape[0]}x{p.shape[1]}, expected {a.shape[0]}x{a.shape[1]}")
     matops._require_symmetric(p, "certificate")
-    margin = float(matops.sym_eig(matops._riccati_residual(p, a, b, multiplier * q, gamma))[-1])
-    return CertificateCheck(is_certificate=margin <= tol, margin=margin)
+    return float(matops.sym_eig(matops._riccati_residual(p, a, b, multiplier * q, gamma))[-1])
 
 
 def verify_lmi_corollary(
@@ -251,7 +234,7 @@ def verify_lmi_corollary(
 
 def regulate_gain(
     a, b, q, request: RegulationRequest, mode: str = LEADERLESS, strict: bool = False
-) -> tuple[float, GainSet]:
+) -> GainSet:
     """Find the smallest gamma whose certificate satisfies lambda_max <= delta.
 
     Works in u = log gamma on f(u) = log(lambda_max(P(gamma)) / (delta
@@ -261,7 +244,7 @@ def regulate_gain(
     relative in gamma.  A secant point outside the bracket falls back to
     bisection, and every point stays 2.5e-14 inside it, so a point next to
     the root closes the bracket with the next solve.  Returns the feasible
-    end, whose lambda_max is at most delta (1 + 1e-9).
+    end's gains, whose lambda_max is at most delta (1 + 1e-9).
     The expected monotone nonincrease of lambda_max(P(gamma)) in gamma is
     checked at every evaluation; a violation raises RegulationError instead
     of silently searching a non-monotone function.  So does a CARE solve
@@ -307,7 +290,7 @@ def regulate_gain(
             # becomes too ill-conditioned to solve: report the best value reached
             raise infeasible(lam_lo, f"; the CARE solve fails at gamma {gamma:g}") from exc
     if lam_lo == math.inf:  # gamma_min already meets the target
-        return gamma, gains_hi
+        return gains_hi
     u_hi = math.log(gamma)
     f_lo, f_hi = math.log(lam_lo / target), math.log(lam_hi / target)
     side = 0  # +1 after a step that moved the feasible end, -1 after one that moved the other
@@ -325,4 +308,4 @@ def regulate_gain(
             u_lo, lam_lo, f_lo = u, lam, math.log(lam / target)
             f_hi *= 0.5 if side == -1 else 1.0
             side = -1
-    return gains_hi.gamma, gains_hi
+    return gains_hi

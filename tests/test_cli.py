@@ -434,6 +434,19 @@ def test_echo_config_writes_the_canonical_form_and_leaves_stdout_unchanged(comma
     assert cli.render_config(cli.parse_config(str(echo))) == cli.render_config(cli.parse_config(path))
 
 
+@pytest.mark.parametrize("command", ["synthesize", "simulate"])
+def test_echo_config_is_written_before_synthesis_fails(command, tmp_path):
+    # the README plant cannot reach lambda_max <= 1e-9; both commands echo the parsed config first
+    document = json.loads(Path(readme_config(tmp_path)).read_text(encoding="utf-8"))
+    del document["gamma"]
+    path = write_config(tmp_path, dict(document, delta=1e-9))
+    echo = tmp_path / "echo.json"
+    code, out, err = run_cli([command, path, "--echo-config", str(echo)])
+    assert code == EXIT_SYNTHESIS
+    assert "no gamma in [1e-06, 1e+12] achieves lambda_max <= 1e-09" in err
+    assert echo.read_text(encoding="utf-8") == cli.render_config(cli.parse_config(path)) + "\n"
+
+
 @pytest.mark.parametrize(
     "source, sha256",
     [
@@ -978,6 +991,19 @@ def test_verify_rejects_non_finite_cells(cell, tmp_path):
     assert f"trace {bad}: sample {len(rows)} has J_realized = {cell}" in err
 
 
+def test_verify_rejects_a_trace_that_is_not_utf8(tmp_path):
+    path = write_config(tmp_path, scalar_pair_config(t_final=1.0))
+    csv_path = tmp_path / "trace.csv"
+    assert run_cli(["simulate", path, "--out", str(csv_path)])[0] == EXIT_OK
+    header, body = csv_path.read_bytes().split(b"\n", 1)
+    bad = tmp_path / "not-utf8.csv"
+    bad.write_bytes(header + b"\n\xff\xfe" + body)
+    code, out, err = run_cli(["verify", path, str(bad)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith(f"error: trace {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_verify_skips_blank_lines_before_the_header(tmp_path):
     path = write_config(tmp_path, scalar_pair_config(t_final=1.0))
     csv_path = tmp_path / "trace.csv"
@@ -1057,12 +1083,12 @@ def test_certificate_margin_is_the_certificate_checks_margin_read_once(source, m
         designed = cli.synthesize_gains(cli.demo_config("example-1")).certificate
         document["gains"] = {"certificate": list((1 - 1e-6) * designed.ravel())}
     gains = cli.synthesize_gains(cli.parse_config_text(json.dumps(document)))
-    check = synthesis.verify_riccati_certificate(
+    margin = synthesis.verify_riccati_certificate(
         gains.certificate, gains.a, gains.b, gains.q, gains.gamma, gains.multiplier
     )
     calls = count_certificate_checks(monkeypatch)
-    assert gains.certificate_margin == check.margin
-    assert gains.certificate_margin == check.margin  # the second read makes no call
+    assert gains.certificate_margin == margin
+    assert gains.certificate_margin == margin  # the second read makes no call
     assert len(calls) == 1
 
 
@@ -1173,6 +1199,9 @@ def test_one_input_scaling_threshold_for_the_lmi_strict_regulation_and_the_demo(
 def test_demo_unknown_example():
     code, out, err = run_cli(["demo", "example-3"])
     assert code == EXIT_PARSE
+    # argparse rejects the name first; demo_config's own check names the known demos
+    with pytest.raises(cli.CliError, match="^unknown demo 'example-3'; expected 'example-1' or 'example-2'$"):
+        cli.demo_config("example-3")
 
 
 # ------------------------------------------------------------------- misc

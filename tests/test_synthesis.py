@@ -69,11 +69,9 @@ def test_design_leader_follower_certificate_valid():
     assert gains.mode == LEADER_FOLLOWER
     assert gains.multiplier == 3
     assert matops.is_positive_definite(gains.certificate)
-    check = synthesis.verify_riccati_certificate(
-        gains.certificate, A2, B2, Q2, 1.0, 3
-    )
-    assert check.is_certificate
-    assert abs(check.margin) < 1e-7
+    margin = synthesis.verify_riccati_certificate(gains.certificate, A2, B2, Q2, 1.0, 3)
+    assert margin <= 1e-9
+    assert abs(margin) < 1e-7
 
 
 def test_design_rejects_indefinite_q():
@@ -116,9 +114,9 @@ def test_certificate_check_margin_tracks_multiplier():
     same = synthesis.verify_riccati_certificate(gains.certificate, A1, B1, Q1, 2.0, 2)
     smaller = synthesis.verify_riccati_certificate(gains.certificate, A1, B1, Q1, 2.0, 1)
     larger = synthesis.verify_riccati_certificate(gains.certificate, A1, B1, Q1, 2.0, 4)
-    assert same.is_certificate and abs(same.margin) < 1e-9
-    assert smaller.is_certificate and smaller.margin < -0.9
-    assert not larger.is_certificate and larger.margin > 0.9
+    assert same <= 1e-9 and abs(same) < 1e-9
+    assert smaller <= 1e-9 and smaller < -0.9
+    assert not (larger <= 1e-9) and larger > 0.9
 
 
 def test_certificate_check_rejects_asymmetric_candidate():
@@ -199,11 +197,11 @@ def test_lmi_corollary_relaxed_mode_rescales():
 
 def test_regulate_gain_hits_gain_factor_target():
     request = RegulationRequest(delta=100.0)
-    gamma, gains = synthesis.regulate_gain(A1, B1, Q1, request, mode=LEADERLESS)
+    gains = synthesis.regulate_gain(A1, B1, Q1, request, mode=LEADERLESS)
+    gamma = gains.gamma
     lam_max = matops.sym_eig(gains.certificate)[-1]
     assert lam_max <= 100.0 * (1.0 + 1e-9)
-    check = synthesis.verify_riccati_certificate(gains.certificate, A1, B1, Q1, gamma, 2)
-    assert check.is_certificate
+    assert synthesis.verify_riccati_certificate(gains.certificate, A1, B1, Q1, gamma, 2) <= 1e-9
     # the target is active: slightly smaller gamma violates it
     smaller = synthesis.design_leaderless(A1, B1, Q1, gamma * 0.999)
     assert matops.sym_eig(smaller.certificate)[-1] > 100.0
@@ -212,13 +210,13 @@ def test_regulate_gain_hits_gain_factor_target():
 def test_regulate_gain_frozen_boundary():
     # analytic cross-check: lambda_max(P(gamma)) ~ 200 / sqrt(gamma) for this
     # plant, so the delta = 100 boundary sits at gamma ~ 4
-    gamma, _ = synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=100.0))
+    gamma = synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=100.0)).gamma
     assert abs(gamma - 4.023230725852624) < 1e-6 * 4.03
 
 
 def test_regulate_gain_returns_cheap_gamma_when_already_feasible():
-    gamma, gains = synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=1e6, gamma_min=2.0))
-    assert gamma == 2.0
+    gains = synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=1e6, gamma_min=2.0))
+    assert gains.gamma == 2.0
     assert np.abs(gains.certificate - P1_EXPECTED).max() < 1e-9
 
 
@@ -228,9 +226,10 @@ def test_regulate_gain_on_an_unstable_plant(mode):
     # for this open-loop-unstable plant
     a = [[-1.3, -0.2], [0.4, 1.1]]
     b = [[0.1], [-0.6]]
-    gamma, gains = synthesis.regulate_gain(a, b, np.eye(2), RegulationRequest(delta=50.0), mode=mode)
+    gains = synthesis.regulate_gain(a, b, np.eye(2), RegulationRequest(delta=50.0), mode=mode)
     assert matops.sym_eig(gains.certificate)[-1] <= 50.0 * (1.0 + 1e-9)
-    assert synthesis.verify_riccati_certificate(gains.certificate, a, b, np.eye(2), gamma, gains.multiplier).is_certificate
+    margin = synthesis.verify_riccati_certificate(gains.certificate, a, b, np.eye(2), gains.gamma, gains.multiplier)
+    assert margin <= 1e-9
 
 
 # a fixed sample: about 1 plant in 6,000 of this family still fails its
@@ -254,9 +253,9 @@ def test_regulate_gain_meets_every_reachable_target(seed, mode, factor):
     # more noise than the 1e-9 slack of the search's monotonicity check
     assume(lam_at_10 <= 1e5)
     delta = factor * lam_at_10
-    gamma, gains = synthesis.regulate_gain(a, b, q, RegulationRequest(delta=delta), mode=mode)
+    gains = synthesis.regulate_gain(a, b, q, RegulationRequest(delta=delta), mode=mode)
     assert matops.sym_eig(gains.certificate)[-1] <= delta * (1.0 + 1e-9)
-    assert gamma <= 10.0 * (1.0 + 1e-9)
+    assert gains.gamma <= 10.0 * (1.0 + 1e-9)
 
 
 REGULATION_CASES = [
@@ -296,10 +295,9 @@ def test_regulate_gain_matches_bisection_within_24_solves(a, b, q, delta, mode, 
         return original(*args)
 
     monkeypatch.setattr(matops, "care_solve", counting)
-    gamma, gains = synthesis.regulate_gain(a, b, q, RegulationRequest(delta=delta), mode=mode)
+    gains = synthesis.regulate_gain(a, b, q, RegulationRequest(delta=delta), mode=mode)
     assert len(calls) <= 24
-    assert abs(gamma - oracle) <= 1e-12 * oracle
-    assert gains.gamma == gamma
+    assert abs(gains.gamma - oracle) <= 1e-12 * oracle
     assert matops.sym_eig(gains.certificate)[-1] <= delta * (1.0 + 1e-9)
 
 
@@ -345,7 +343,7 @@ def test_regulate_gain_closes_the_bracket_after_a_secant_point_on_the_root(monke
     # to rounding; a secant that keeps returning to that end of the bracket
     # would re-solve it tens of thousands of times before the other end moves
     evaluated = patch_design(monkeypatch, lambda g: 200.0 / math.sqrt(g))
-    gamma, _ = synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=100.0))
+    gamma = synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=100.0)).gamma
     assert len(evaluated) <= 12
     root = (200.0 / (100.0 * (1.0 + 1e-9))) ** 2
     assert abs(gamma - root) <= 1e-12 * root
