@@ -11,7 +11,7 @@ Subcommands:
 - ``verify <cfg> <trace.csv>``: re-verify a previously written trace.
 
 Configs are JSON: nested sections with flat row-major numeric arrays and
-explicit dimensions.  Exit codes: 0 success, 2 parse/config error,
+explicit dimensions.  Exit codes: 0 success, 2 parse, config or file error,
 3 synthesis infeasible, 4 divergence, 5 a verification check failed.
 """
 
@@ -357,8 +357,8 @@ def parse_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:  # the one read error whose text names no file
+        raise CliError(f"{path}: {exc}")
     return parse_config_text(text, source=path)
 
 
@@ -456,14 +456,18 @@ def _unreadable_sample(path: str, expected: list[str]) -> Optional[str]:
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line.rstrip("\n") for line in handle]
     start = next(i for i, line in enumerate(lines) if line.strip()) + 1
-    for sample, cells in enumerate((line.split(",") for line in lines[start:] if line), start=1):
+    for sample, line in enumerate(filter(None, lines[start:]), start=1):
+        cells = line.split(",")
         if len(cells) != len(expected):
             return f"sample {sample} has {len(cells)} columns, expected {len(expected)}"
-        for name, cell in zip(expected, cells):
-            try:
-                float(cell)
-            except ValueError:
-                return f"sample {sample} has {name} = {cell.strip()!r}, expected a number"
+        try:  # loadtxt's own number rule, which unlike float's rejects '1_0' and non-ASCII digits
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            for name, cell in zip(expected, cells):
+                try:  # "0," keeps a blank cell from reading as no data, on which loadtxt warns
+                    np.loadtxt(["0," + cell], delimiter=",", comments=None)
+                except ValueError:
+                    return f"sample {sample} has {name} = {cell.strip()!r}, expected a number"
     return None
 
 
@@ -490,8 +494,6 @@ def read_trace_csv(path: str, config: RunConfig) -> Trace:
                     raise CliError(f"trace {path}: header column {col} is {name!r}, expected {want!r} for this config")
             handle.seek(start)
             arr = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
-    except OSError as exc:
-        raise CliError(f"cannot read trace {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise CliError(f"trace {path}: {exc}")
     except ValueError as exc:  # a cell that is not a number or a row of another width
@@ -767,13 +769,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 # (exception types, exit code, stderr prefix); the first matching row wins, so
 # NotStabilizableError, a LinearAlgebraError, comes before the parse-error row.
-# Any other exception propagates.
+# An OSError's own text names its file.  Any other exception propagates.
 _FAILURES = (
     ((sim.DivergenceError,), EXIT_DIVERGENCE, "divergence: "),
     ((matops.NotStabilizableError,), EXIT_SYNTHESIS, "synthesis infeasible: "),
     ((synthesis.SynthesisError,), EXIT_SYNTHESIS, "synthesis failed: "),
     (
-        (CliError, TopologyError, sim.ConfigurationError, verify.VerificationError, matops.LinearAlgebraError, ValueError),
+        (CliError, TopologyError, sim.ConfigurationError, verify.VerificationError, matops.LinearAlgebraError)
+        + (ValueError, OSError),
         EXIT_PARSE,
         "",
     ),

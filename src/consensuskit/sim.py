@@ -186,12 +186,6 @@ def _shifted_pair_sums(e: np.ndarray, m: np.ndarray) -> np.ndarray:
     return 2.0 * (len(e) + 1) * _quad_sums(e, m) - 2.0 * _quad_sums(e.sum(axis=0, keepdims=True), m)
 
 
-def _pair_sums(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Sum of (x_i - x_k)^T m (x_i - x_k) over the ordered agent pairs of each stacked x, shape (rows, n, d)."""
-    xt = _component_major(x)
-    return _shifted_pair_sums(xt[1:] - xt[0], m)
-
-
 class _Protocol:
     """Adaptive coupling over the flat state ``y = [x.ravel(), w_all replicated d times]``.
 
@@ -443,7 +437,8 @@ def guaranteed_cost_bound(trace: Trace, gains: GainSet) -> float:
     """
     x0 = trace.states[0].reshape(trace.n, trace.d)
     if gains.mode == LEADERLESS:
-        quad = float(_pair_sums(x0[None], gains.certificate)[0]) / (2.0 * trace.n)
+        xt = _component_major(x0[None])
+        quad = float(_shifted_pair_sums(xt[1:] - xt[0], gains.certificate)[0]) / (2.0 * trace.n)
     else:
         xi0 = x0[1:] - x0[0]
         quad = float(((xi0 @ gains.certificate) * xi0).sum())

@@ -288,7 +288,14 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
             "config field 'tolerances': expected an object of name -> value",
         ),
         ("synthesize", [], "", None, "{config}: top level must be an object"),
-        ("synthesize", None, "", None, "cannot read config {config}: "),
+        ("synthesize", None, "", None, "[Errno 2] No such file or directory: '{config}'"),
+        (
+            "synthesize",
+            b"\xff" + json.dumps(scalar_pair_config()).encode(),
+            "",
+            None,
+            "{config}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
         (
             "synthesize",
             scalar_pair_config(),
@@ -303,13 +310,27 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
             None,
             f"{cli.TOLERANCE_ENV_VAR} entry 'consensus': expected a real, finite number, got 'abc'",
         ),
-        ("verify", scalar_pair_config(), "", None, "cannot read trace {trace}: "),
+        ("verify", scalar_pair_config(), "", None, "[Errno 2] No such file or directory: '{trace}'"),
         (
             "verify",
             scalar_pair_config(),
             "",
             "t,x1_1,x2_1,w1_2,eta_norm,J_realized,J_bound_partial\n0,-1,1,1,2,0,0\n0.1,-1,abc,1,2,0,0\n",
             "trace {trace}: sample 2 has x2_1 = 'abc', expected a number",
+        ),
+        (
+            "verify",
+            scalar_pair_config(),
+            "",
+            "t,x1_1,x2_1,w1_2,eta_norm,J_realized,J_bound_partial\n0,-1,1,1,2,0,0\n0.1,-1,1_0,1,2,0,0\n",
+            "trace {trace}: sample 2 has x2_1 = '1_0', expected a number",
+        ),
+        (
+            "verify",
+            scalar_pair_config(),
+            "",
+            "t,x1_1,x2_1,w1_2,eta_norm,J_realized,J_bound_partial\n0,-1,1,1,2,0,0\n0.1,-1,1,1,2,\u0661,0\n",
+            "trace {trace}: sample 2 has J_realized = '\u0661', expected a number",
         ),
         (
             "verify",
@@ -357,17 +378,19 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
     ids=[
         "no-mode", "plant-not-an-object", "dt-text", "gamma-negative", "bad-mode", "plant-a-text",
         "edges-not-a-list", "one-element-edge", "self-loop", "duplicate-edge", "bad-box", "tolerances-not-an-object",
-        "top-level-list", "missing-config", "env-without-value", "env-value-text", "missing-trace", "trace-text-cell",
-        "trace-short-row", "top-level-key-twice", "plant-key-twice", "tolerance-twice", "gains-key-twice",
-        "initial-values-twice",
+        "top-level-list", "missing-config", "undecodable-config", "env-without-value", "env-value-text",
+        "missing-trace", "trace-text-cell", "trace-underscore-cell", "trace-arabic-indic-digit", "trace-short-row",
+        "top-level-key-twice", "plant-key-twice", "tolerance-twice", "gains-key-twice", "initial-values-twice",
     ],
 )
 def test_each_parse_error_names_its_field_or_file(command, document, env, trace, expected, tmp_path, monkeypatch):
     # a document of None leaves the config file unwritten, as a trace of None does the trace file;
-    # a str document is written as it is (JSON text a dict cannot hold, such as a key given twice);
-    # an expected message that ends in ": " is followed by the text of the OS error
+    # a str document is written as it is (JSON text a dict cannot hold, such as a key given twice),
+    # and a bytes document byte for byte
     config_path, trace_path = tmp_path / "config.json", tmp_path / "trace.csv"
-    if document is not None:
+    if isinstance(document, bytes):
+        config_path.write_bytes(document)
+    elif document is not None:
         config_path.write_text(document if isinstance(document, str) else json.dumps(document), encoding="utf-8")
     if trace is not None:
         trace_path.write_text(trace, encoding="utf-8")
@@ -375,10 +398,7 @@ def test_each_parse_error_names_its_field_or_file(command, document, env, trace,
     argv = [command, str(config_path)] + ([str(trace_path)] if command == "verify" else [])
     code, out, err = run_cli(argv)
     assert (code, out) == (EXIT_PARSE, "")
-    message = "error: " + expected.format(config=config_path, trace=trace_path)
-    assert err.startswith(message) and err.count("\n") == 1
-    if not expected.endswith(" "):
-        assert err == message + "\n"
+    assert err == "error: " + expected.format(config=config_path, trace=trace_path) + "\n"
 
 
 def test_parse_config_box_forms(tmp_path):
@@ -445,6 +465,26 @@ def test_echo_config_is_written_before_synthesis_fails(command, tmp_path):
     assert code == EXIT_SYNTHESIS
     assert "no gamma in [1e-06, 1e+12] achieves lambda_max <= 1e-09" in err
     assert echo.read_text(encoding="utf-8") == cli.render_config(cli.parse_config(path)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synthesize", "{config}", "--echo-config", "{absent}/echo.json"],
+        ["simulate", "{config}", "--echo-config", "{absent}/echo.json"],
+        ["simulate", "{config}", "--out", "{absent}/trace.csv"],
+        ["simulate", "{config}", "--out", "{tmp}/trace.csv", "--plot-script", "{absent}/plot.gp"],
+        ["demo", "example-1", "--out", "{absent}/trace.csv"],
+    ],
+    ids=["synthesize-echo-config", "simulate-echo-config", "simulate-out", "simulate-plot-script", "demo-out"],
+)
+def test_a_file_the_os_will_not_write_exits_parse_on_one_line_naming_it(argv, tmp_path):
+    # the last argument is a path in a directory that does not exist
+    config = write_config(tmp_path, scalar_pair_config(t_final=1.0))
+    argv = [arg.format(config=config, tmp=tmp_path, absent=tmp_path / "no-such-dir") for arg in argv]
+    code, _, err = run_cli(argv)
+    assert code == EXIT_PARSE
+    assert err == f"error: [Errno 2] No such file or directory: '{argv[-1]}'\n"
 
 
 @pytest.mark.parametrize(
@@ -1217,6 +1257,7 @@ FAILURE_CASES = [
     (verify.VerificationError("bad"), EXIT_PARSE, "error: bad"),
     (matops.LinearAlgebraError("bad"), EXIT_PARSE, "error: bad"),
     (ValueError("bad"), EXIT_PARSE, "error: bad"),
+    (OSError("bad"), EXIT_PARSE, "error: bad"),
 ]
 
 

@@ -663,7 +663,8 @@ def test_pair_sums_match_the_ordered_pair_form(data):
     stack = np.array([draw_states(data, n, d) for _ in range(data.draw(st.integers(1, 3), label="stack"))])
     factor = np.random.default_rng(data.draw(st.integers(0, 2**16))).normal(size=(d, d))
     m = factor.T @ factor * 10.0 ** data.draw(st.integers(-3, 3), label="log10 scale")
-    for got, x in zip(sim._pair_sums(stack, m), stack):
+    xt = sim._component_major(stack)
+    for got, x in zip(sim._shifted_pair_sums(xt[1:] - xt[0], m), stack):
         assert abs(got - ordered_pair_sum(x, m)) <= pair_sum_tolerance(x, m)
 
 
@@ -720,7 +721,8 @@ def test_cost_rates_and_bound_are_exactly_zero_at_common_states(mode, data):
     assert sim.guaranteed_cost_bound(one_sample_trace(mode, x), gains) == 0.0
     # followers in consensus among themselves, away from the leader
     x[0] += 1.0
-    assert sim._pair_sums(x[None, 1:], gains.q)[0] == 0.0
+    xt = sim._component_major(x[None, 1:])
+    assert sim._shifted_pair_sums(xt[1:] - xt[0], gains.q)[0] == 0.0
 
 
 def per_agent_rhs(mode, gains, topology, x, w):
