@@ -18,8 +18,10 @@ explicit dimensions.  Exit codes: 0 success, 2 parse, config or file error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -415,8 +417,7 @@ def synthesize_gains(config: RunConfig) -> GainSet:
             raise _fail("gains.certificate", str(exc))
         return GainSet(config.mode, config.a, config.b, config.q, config.gamma, **config.gains_override)
     if config.delta is not None:
-        request = synthesis.RegulationRequest(delta=config.delta)
-        return synthesis.regulate_gain(config.a, config.b, config.q, request, mode=config.mode)
+        return synthesis.regulate_gain(config.a, config.b, config.q, config.delta, mode=config.mode)
     if config.mode == LEADERLESS:
         return synthesis.design_leaderless(config.a, config.b, config.q, config.gamma)
     return synthesis.design_leader_follower(config.a, config.b, config.q, config.gamma)
@@ -786,7 +787,8 @@ _FAILURES = (
 def main(argv: Optional[Sequence[str]] = None, out=sys.stdout, err=sys.stderr) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -798,6 +800,9 @@ def main(argv: Optional[Sequence[str]] = None, out=sys.stdout, err=sys.stderr) -
 
 
 def entry() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that stops early (``| head``) ends the process by SIGPIPE, with nothing on stderr
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "RegulationError",
     "GainSet",
     "LmiReport",
-    "RegulationRequest",
     "design_leaderless",
     "design_leader_follower",
     "verify_riccati_certificate",
@@ -39,6 +38,8 @@ __all__ = [
 LEADERLESS = "leaderless"
 LEADER_FOLLOWER = "leader-follower"
 COST_MULTIPLIER = {LEADERLESS: 2, LEADER_FOLLOWER: 3}
+# regulate_gain's gamma search starts at GAMMA_MIN and brackets upward no further than GAMMA_MAX
+GAMMA_MIN, GAMMA_MAX = 1e-6, 1e12
 
 
 class SynthesisError(Exception):
@@ -109,21 +110,6 @@ class LmiReport:
     strict: bool
     rescale_factor: float
     gamma_equivalent: float
-
-
-@dataclass(frozen=True)
-class RegulationRequest:
-    """Gain-factor target and gamma search bounds for regulate_gain."""
-
-    delta: float
-    gamma_min: float = 1e-6
-    gamma_max: float = 1e12
-
-    def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not (0.0 < self.gamma_min < self.gamma_max):
-            raise ValueError("need 0 < gamma_min < gamma_max")
 
 
 def _validated_plant(a, b, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,13 +218,11 @@ def verify_lmi_corollary(
     )
 
 
-def regulate_gain(
-    a, b, q, request: RegulationRequest, mode: str = LEADERLESS, strict: bool = False
-) -> GainSet:
+def regulate_gain(a, b, q, delta: float, mode: str = LEADERLESS, strict: bool = False) -> GainSet:
     """Find the smallest gamma whose certificate satisfies lambda_max <= delta.
 
     Works in u = log gamma on f(u) = log(lambda_max(P(gamma)) / (delta
-    (1 + 1e-9))).  Brackets the root by factors of 16 from gamma_min, then
+    (1 + 1e-9))).  Brackets the root by factors of 16 from GAMMA_MIN, then
     runs the Illinois method (regula falsi that halves the kept end's f when
     the same end is kept twice) until the bracket is 1e-13 wide in u, i.e.
     relative in gamma.  A secant point outside the bracket falls back to
@@ -248,9 +232,11 @@ def regulate_gain(
     The expected monotone nonincrease of lambda_max(P(gamma)) in gamma is
     checked at every evaluation; a violation raises RegulationError instead
     of silently searching a non-monotone function.  So does a CARE solve
-    that fails while bracketing upward from a solvable gamma_min, with the
+    that fails while bracketing upward from a solvable GAMMA_MIN, with the
     best lambda_max reached.
     """
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
     if mode not in COST_MULTIPLIER:
         raise ValueError(f"mode must be one of {sorted(COST_MULTIPLIER)}, got {mode!r}")
     a, b, q = _checked_plant(a, b, q)
@@ -258,7 +244,7 @@ def regulate_gain(
         bbt_max, bbt_ok = _input_scaling(b)
         if not bbt_ok:
             raise RegulationError(f"strict mode requires lambda_max(B B^T) <= 1, got {bbt_max:.6g}")
-    target = request.delta * (1.0 + 1e-9)
+    target = delta * (1.0 + 1e-9)
 
     def evaluate(gamma: float, lam_lo: float, lam_hi: float) -> tuple[float, GainSet]:
         """lambda_max(P(gamma)), checked to lie between the bracket ends' values."""
@@ -272,24 +258,23 @@ def regulate_gain(
 
     def infeasible(best: float, detail: str = "") -> RegulationError:
         return RegulationError(
-            f"no gamma in [{request.gamma_min:g}, {request.gamma_max:g}] achieves "
-            f"lambda_max <= {request.delta:g} (best {best:.6g}{detail})"
+            f"no gamma in [{GAMMA_MIN:g}, {GAMMA_MAX:g}] achieves lambda_max <= {delta:g} (best {best:.6g}{detail})"
         )
 
-    gamma, lam_lo = request.gamma_min, math.inf
+    gamma, lam_lo = GAMMA_MIN, math.inf
     lam_hi, gains_hi = evaluate(gamma, lam_lo, -math.inf)
     while lam_hi > target:
-        if gamma >= request.gamma_max:
+        if gamma >= GAMMA_MAX:
             raise infeasible(lam_hi)
         u_lo, lam_lo = math.log(gamma), lam_hi
-        gamma = min(16.0 * gamma, request.gamma_max)
+        gamma = min(16.0 * gamma, GAMMA_MAX)
         try:
             lam_hi, gains_hi = evaluate(gamma, lam_lo, -math.inf)
         except matops.NotStabilizableError as exc:
             # lambda_max(P) levels off as gamma grows while the Hamiltonian
             # becomes too ill-conditioned to solve: report the best value reached
             raise infeasible(lam_lo, f"; the CARE solve fails at gamma {gamma:g}") from exc
-    if lam_lo == math.inf:  # gamma_min already meets the target
+    if lam_lo == math.inf:  # GAMMA_MIN already meets the target
         return gains_hi
     u_hi = math.log(gamma)
     f_lo, f_hi = math.log(lam_lo / target), math.log(lam_hi / target)

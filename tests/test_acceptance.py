@@ -15,7 +15,6 @@ import pytest
 
 from consensuskit import (
     RegulationError,
-    RegulationRequest,
     SimConfig,
     Topology,
     analyze,
@@ -267,7 +266,7 @@ def test_criterion_09():
     assert report.feasible is False
     assert report.strict is True
     with pytest.raises(RegulationError):
-        regulate_gain(A2, B2, Q2, RegulationRequest(delta=200.0), mode="leader-follower", strict=True)
+        regulate_gain(A2, B2, Q2, 200.0, mode="leader-follower", strict=True)
 
 
 def test_criterion_10(tmp_path):

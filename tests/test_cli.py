@@ -5,6 +5,9 @@ import json
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -1221,12 +1224,11 @@ def test_one_input_scaling_threshold_for_the_lmi_strict_regulation_and_the_demo(
     a, q = np.array([[0.0, 1.0], [-100.0, 0.0]]), np.diag([1.0, 2.0])
     report = synthesis.verify_lmi_corollary(np.eye(2), 2.0, a, b, q, 2, 200.0, strict=True)
     assert report.bbt_precondition_ok is holds
-    request = synthesis.RegulationRequest(delta=300.0)
     if holds:
-        synthesis.regulate_gain(a, b, q, request, strict=True)
+        synthesis.regulate_gain(a, b, q, 300.0, strict=True)
     else:
         with pytest.raises(synthesis.RegulationError, match="strict mode requires"):
-            synthesis.regulate_gain(a, b, q, request, strict=True)
+            synthesis.regulate_gain(a, b, q, 300.0, strict=True)
     demo = json.loads(json.dumps(cli._DEMO_CONFIGS["example-1"]))
     demo["plant"]["b"] = [0.0, scale]
     monkeypatch.setitem(cli._DEMO_CONFIGS, "example-1", demo)
@@ -1288,11 +1290,45 @@ def test_main_propagates_failures_outside_the_table(tmp_path, monkeypatch):
         run_cli(["synthesize", path])
 
 
-def test_help_exits_zero():
+def test_help_exits_zero(capsys):
     code, out, err = run_cli(["--help"])
     assert code == EXIT_OK
+    # argparse writes to main's streams, not the process's
+    assert out.startswith("usage: consensuskit") and err == ""
+    assert capsys.readouterr() == ("", "")
 
 
-def test_unknown_command_exits_parse():
+def test_unknown_command_exits_parse(capsys):
     code, out, err = run_cli(["frobnicate"])
     assert code == EXIT_PARSE
+    assert "invalid choice: 'frobnicate'" in err and out == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_missing_argument_exits_parse_with_usage_on_mains_err(capsys):
+    code, out, err = run_cli(["simulate"])
+    assert code == EXIT_PARSE
+    assert err.startswith("usage: consensuskit simulate")
+    assert err.endswith("error: the following arguments are required: config\n") and out == ""
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_console_script_ends_quietly_when_stdout_is_closed(unbuffered, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has left before the demo writes its first line
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "consensuskit.cli", "demo", "example-1", "--out", str(tmp_path / "demo.csv")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (-signal.SIGPIPE, b"")

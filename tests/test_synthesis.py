@@ -11,7 +11,6 @@ from consensuskit.synthesis import (
     LEADER_FOLLOWER,
     GainSet,
     RegulationError,
-    RegulationRequest,
     SynthesisError,
     WeightMatrixError,
 )
@@ -196,8 +195,7 @@ def test_lmi_corollary_relaxed_mode_rescales():
 
 
 def test_regulate_gain_hits_gain_factor_target():
-    request = RegulationRequest(delta=100.0)
-    gains = synthesis.regulate_gain(A1, B1, Q1, request, mode=LEADERLESS)
+    gains = synthesis.regulate_gain(A1, B1, Q1, 100.0, mode=LEADERLESS)
     gamma = gains.gamma
     lam_max = matops.sym_eig(gains.certificate)[-1]
     assert lam_max <= 100.0 * (1.0 + 1e-9)
@@ -210,30 +208,31 @@ def test_regulate_gain_hits_gain_factor_target():
 def test_regulate_gain_frozen_boundary():
     # analytic cross-check: lambda_max(P(gamma)) ~ 200 / sqrt(gamma) for this
     # plant, so the delta = 100 boundary sits at gamma ~ 4
-    gamma = synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=100.0)).gamma
+    gamma = synthesis.regulate_gain(A1, B1, Q1, 100.0).gamma
     assert abs(gamma - 4.023230725852624) < 1e-6 * 4.03
 
 
 def test_regulate_gain_returns_cheap_gamma_when_already_feasible():
-    gains = synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=1e6, gamma_min=2.0))
-    assert gains.gamma == 2.0
-    assert np.abs(gains.certificate - P1_EXPECTED).max() < 1e-9
+    # lambda_max(P(1e-6)) is about 2e5 for this plant, so the first solve meets delta = 1e6
+    gains = synthesis.regulate_gain(A1, B1, Q1, 1e6)
+    assert gains.gamma == synthesis.GAMMA_MIN == 1e-6
+    assert np.array_equal(gains.certificate, synthesis.design_leaderless(A1, B1, Q1, 1e-6).certificate)
 
 
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
 def test_regulate_gain_on_an_unstable_plant(mode):
-    # the bracket starts at gamma_min = 1e-6, where lambda_max(P) is about 6e6
+    # the bracket starts at GAMMA_MIN = 1e-6, where lambda_max(P) is about 6e6
     # for this open-loop-unstable plant
     a = [[-1.3, -0.2], [0.4, 1.1]]
     b = [[0.1], [-0.6]]
-    gains = synthesis.regulate_gain(a, b, np.eye(2), RegulationRequest(delta=50.0), mode=mode)
+    gains = synthesis.regulate_gain(a, b, np.eye(2), 50.0, mode=mode)
     assert matops.sym_eig(gains.certificate)[-1] <= 50.0 * (1.0 + 1e-9)
     margin = synthesis.verify_riccati_certificate(gains.certificate, a, b, np.eye(2), gains.gamma, gains.multiplier)
     assert margin <= 1e-9
 
 
 # a fixed sample: about 1 plant in 6,000 of this family still fails its
-# first solve, at gamma_min = 1e-6, though a larger gamma solves
+# first solve, at GAMMA_MIN = 1e-6, though a larger gamma solves
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -253,7 +252,7 @@ def test_regulate_gain_meets_every_reachable_target(seed, mode, factor):
     # more noise than the 1e-9 slack of the search's monotonicity check
     assume(lam_at_10 <= 1e5)
     delta = factor * lam_at_10
-    gains = synthesis.regulate_gain(a, b, q, RegulationRequest(delta=delta), mode=mode)
+    gains = synthesis.regulate_gain(a, b, q, delta, mode=mode)
     assert matops.sym_eig(gains.certificate)[-1] <= delta * (1.0 + 1e-9)
     assert gains.gamma <= 10.0 * (1.0 + 1e-9)
 
@@ -272,7 +271,7 @@ def bisection_oracle(a, b, q, delta, mode):
     def feasible(gamma):
         return matops.sym_eig(design(a, b, q, gamma).certificate)[-1] <= delta * (1.0 + 1e-9)
 
-    lo = hi = RegulationRequest(delta=delta).gamma_min
+    lo = hi = synthesis.GAMMA_MIN
     while not feasible(hi):
         lo, hi = hi, 2.0 * hi
     while 0.5 * (lo + hi) not in (lo, hi):
@@ -295,7 +294,7 @@ def test_regulate_gain_matches_bisection_within_24_solves(a, b, q, delta, mode, 
         return original(*args)
 
     monkeypatch.setattr(matops, "care_solve", counting)
-    gains = synthesis.regulate_gain(a, b, q, RegulationRequest(delta=delta), mode=mode)
+    gains = synthesis.regulate_gain(a, b, q, delta, mode=mode)
     assert len(calls) <= 24
     assert abs(gains.gamma - oracle) <= 1e-12 * oracle
     assert matops.sym_eig(gains.certificate)[-1] <= delta * (1.0 + 1e-9)
@@ -309,7 +308,7 @@ def test_regulate_gain_checks_each_care_solution_once(a, b, q, delta, mode, monk
     care_solve, sym_eig = matops.care_solve, matops.sym_eig
     monkeypatch.setattr(matops, "care_solve", lambda *args: solves.append(args) or care_solve(*args))
     monkeypatch.setattr(matops, "sym_eig", lambda m: eigs.append(m) or sym_eig(m))
-    synthesis.regulate_gain(a, b, q, RegulationRequest(delta=delta), mode=mode)
+    synthesis.regulate_gain(a, b, q, delta, mode=mode)
     assert len(eigs) <= 2 * len(solves) + 1
 
 
@@ -333,7 +332,7 @@ def test_regulate_gain_rejects_non_monotone_lambda_inside_the_search(bump, monke
     # boundary, gamma = 4, where lambda leaves [lambda(16.78), lambda(1.05)].
     evaluated = patch_design(monkeypatch, lambda g: 200.0 / math.sqrt(g) * (bump if 2.0 < g < 8.0 else 1.0))
     with pytest.raises(RegulationError, match="not nonincreasing"):
-        synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=100.0))
+        synthesis.regulate_gain(A1, B1, Q1, 100.0)
     assert len(evaluated) == 8
     assert abs(evaluated[-1] - 4.0) < 1e-6
 
@@ -343,17 +342,18 @@ def test_regulate_gain_closes_the_bracket_after_a_secant_point_on_the_root(monke
     # to rounding; a secant that keeps returning to that end of the bracket
     # would re-solve it tens of thousands of times before the other end moves
     evaluated = patch_design(monkeypatch, lambda g: 200.0 / math.sqrt(g))
-    gamma = synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=100.0)).gamma
+    gamma = synthesis.regulate_gain(A1, B1, Q1, 100.0).gamma
     assert len(evaluated) <= 12
     root = (200.0 / (100.0 * (1.0 + 1e-9))) ** 2
     assert abs(gamma - root) <= 1e-12 * root
 
 
 def test_regulate_gain_exhausted_bounds():
-    with pytest.raises(RegulationError):
-        synthesis.regulate_gain(
-            A1, B1, Q1, RegulationRequest(delta=1e-9, gamma_min=1e-3, gamma_max=1.0)
-        )
+    # P(gamma) of dx/dt = -x + u with q = 1 solves gamma p^2 + 2 p - 2 = 0 and
+    # falls like sqrt(2 / gamma): the search climbs to GAMMA_MAX, where p = 1.41421e-6
+    with pytest.raises(RegulationError) as excinfo:
+        synthesis.regulate_gain([[-1.0]], [[1.0]], [[1.0]], 1e-9)
+    assert str(excinfo.value) == "no gamma in [1e-06, 1e+12] achieves lambda_max <= 1e-09 (best 1.41421e-06)"
 
 
 @pytest.mark.parametrize("delta", [5.0, 7.0])
@@ -362,21 +362,20 @@ def test_regulate_gain_reports_a_target_below_the_cheap_control_level(delta):
     # 7.42 as gamma grows, and the CARE solve fails from gamma ~1.1e6 on:
     # that failure means no gamma meets the target, not an unstabilizable pair
     with pytest.raises(RegulationError, match=rf"no gamma .* achieves lambda_max <= {delta:g} \(best 7\.416"):
-        synthesis.regulate_gain(A2, B2, Q2, RegulationRequest(delta=delta), mode=LEADER_FOLLOWER)
+        synthesis.regulate_gain(A2, B2, Q2, delta, mode=LEADER_FOLLOWER)
 
 
 def test_regulate_gain_strict_precondition():
     with pytest.raises(RegulationError):
-        synthesis.regulate_gain(A2, B2, Q2, RegulationRequest(delta=10.0), mode=LEADER_FOLLOWER, strict=True)
+        synthesis.regulate_gain(A2, B2, Q2, 10.0, mode=LEADER_FOLLOWER, strict=True)
 
 
 def test_regulate_gain_rejects_an_unknown_mode():
     with pytest.raises(ValueError, match="mode must be one of"):
-        synthesis.regulate_gain(A1, B1, Q1, RegulationRequest(delta=100.0), mode="central")
+        synthesis.regulate_gain(A1, B1, Q1, 100.0, mode="central")
 
 
-def test_regulation_request_validation():
-    with pytest.raises(ValueError):
-        RegulationRequest(delta=-1.0)
-    with pytest.raises(ValueError):
-        RegulationRequest(delta=1.0, gamma_min=2.0, gamma_max=1.0)
+def test_regulate_gain_rejects_a_delta_that_is_not_positive():
+    for delta in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            synthesis.regulate_gain(A1, B1, Q1, delta)
