@@ -424,7 +424,7 @@ def synthesize_gains(config: RunConfig) -> GainSet:
 
 
 def _trace_header(n: int, d: int, edges) -> list[str]:
-    """Trace CSV columns: t, agent-major states, adaptive weights, eta_norm, J columns."""
+    """Trace CSV columns: t, agent-major states, adaptive weights, eta_norm (of the states), J columns."""
     return (
         ["t"]
         + [f"x{agent}_{comp}" for agent in range(1, n + 1) for comp in range(1, d + 1)]
@@ -441,9 +441,8 @@ def write_trace_csv(path: str, trace: Trace) -> None:
     faster than NumPy scalars; writing by chunks never holds the text of a
     long trace whole.
     """
-    rows = np.column_stack(
-        (trace.times, trace.states, trace.weights, trace.eta_norm, trace.j_realized, trace.j_bound_integral)
-    )
+    eta = sim.disagreement_norms(trace.states.reshape(-1, trace.n, trace.d), trace.mode)
+    rows = np.column_stack((trace.times, trace.states, trace.weights, eta, trace.j_realized, trace.j_bound_integral))
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(_trace_header(trace.n, trace.d, trace.adaptive_edges)) + "\n")
@@ -504,6 +503,14 @@ def read_trace_csv(path: str, config: RunConfig) -> Trace:
     if not np.isfinite(arr).all():
         row, col = np.argwhere(~np.isfinite(arr))[0]
         raise CliError(f"trace {path}: sample {row + 1} has {expected[col]} = {arr[row, col]}, expected a finite value")
+    nsteps, stride = sim.horizon_steps(config.t_final, config.dt), config.sample_stride
+    count = -(-nsteps // stride) + 1  # the length of sim.sample_steps, which a long horizon makes too large to build
+    if len(arr) != count:
+        raise CliError(f"trace {path}: has {len(arr)} samples, expected {count} for this config")
+    times = sim.sample_steps(nsteps, stride) * config.dt  # the bits run writes, which %.17g keeps
+    if not np.array_equal(arr[:, 0], times):
+        k = int(np.flatnonzero(arr[:, 0] != times)[0])
+        raise CliError(f"trace {path}: sample {k + 1} has t = {arr[k, 0]}, expected {times[k]}")
     nd, m = n * d, len(edges)
     return Trace(
         mode=config.mode,
@@ -513,7 +520,6 @@ def read_trace_csv(path: str, config: RunConfig) -> Trace:
         times=arr[:, 0],
         states=arr[:, 1 : 1 + nd],
         weights=arr[:, 1 + nd : 1 + nd + m],
-        eta_norm=arr[:, -3],
         j_realized=arr[:, -2],
         j_bound_integral=arr[:, -1],
     )

@@ -42,11 +42,13 @@ __all__ = [
     "SimConfig",
     "Trace",
     "horizon_steps",
+    "sample_steps",
     "adaptive_edges",
     "check_connected",
     "leaderless_rhs",
     "leader_follower_rhs",
     "run",
+    "disagreement_norms",
     "consensus_function",
     "guaranteed_cost_bound",
 ]
@@ -86,6 +88,11 @@ def horizon_steps(t_final: float, dt: float) -> int:
     return steps
 
 
+def sample_steps(nsteps: int, stride: int) -> np.ndarray:
+    """The ceil(nsteps / stride) + 1 steps a trace records: every stride-th step before the last, then the last."""
+    return np.r_[0:nsteps:stride, nsteps]
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Integration settings and initial conditions.
@@ -115,9 +122,7 @@ class SimConfig:
 class Trace:
     """Sampled simulation history: what the integrator produced.
 
-    ``states[0]`` is x(0).  ``eta_norm`` is the disagreement norm
-    (leaderless) or the norm of the stacked follower-to-leader errors
-    (leader-follower).
+    ``states[0]`` is x(0); ``disagreement_norms`` derives the disagreement from them.
     """
 
     mode: str
@@ -129,7 +134,6 @@ class Trace:
     weights: np.ndarray
     j_realized: np.ndarray
     j_bound_integral: np.ndarray
-    eta_norm: np.ndarray
 
 
 def adaptive_edges(topology: Topology, mode: str) -> tuple[tuple[int, int], ...]:
@@ -347,7 +351,7 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
     sixth = dt / 6.0
     # full-length factors: a ufunc multiply by an array costs less than by a Python float, with the same bits
     quarter_v, half_v, sixth_v = (np.full(size, c) for c in (0.25 * dt, 0.5 * dt, sixth))
-    sample_steps = np.r_[0:nsteps:stride, nsteps]  # every stride-th step before the last, then the last
+    samples = sample_steps(nsteps, stride)
 
     # rows 4k .. 4k + 3: the stage states of the block's step k; row 4k + 4: its result
     block = np.empty((4 * _BLOCK_STEPS + 1, size))
@@ -358,9 +362,9 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
     deriv, deriv2 = protocol.deriv, protocol.doubled().deriv
     block[0] = np.concatenate((x0.ravel(), protocol.w_all.repeat(d)))
     kept = np.r_[:nd, nd:guarded:d]  # x and replica 0 of each adaptive weight
-    history = np.empty((len(sample_steps), len(kept)))  # [x, adaptive w] at the samples
+    history = np.empty((len(samples), len(kept)))  # [x, adaptive w] at the samples
     history[0] = block[0, kept]
-    costs = np.zeros((len(sample_steps), 2))  # (J, J_bound) at the samples
+    costs = np.zeros((len(samples), 2))  # (J, J_bound) at the samples
     totals = np.zeros((1, 2))  # totals[-1] holds (J, J_bound) after step `base`
     done = 1  # samples recorded so far
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported by the block scan
@@ -395,29 +399,30 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
             increments = sixth * (rates[:, 0] + 2.0 * rates[:, 1] + 2.0 * rates[:, 2] + rates[:, 3])
             # row k: (J, J_bound) after step base + k, summed in step order
             totals = np.cumsum(np.concatenate((totals[-1:], increments)), axis=0)
-            end = done + int(np.searchsorted(sample_steps[done:], base + top // 4, side="right"))
-            offsets = sample_steps[done:end] - base
+            end = done + int(np.searchsorted(samples[done:], base + top // 4, side="right"))
+            offsets = samples[done:end] - base
             history[done:end] = block[np.ix_(4 * offsets, kept)]
             costs[done:end] = totals[offsets]
             block[0] = block[top]
             done = end
 
-    states = history[:, :nd].copy()
-    x = states.reshape(-1, n, d)
-    # per-sample disagreement (leaderless) or follower-to-leader errors
-    dev = x - x.mean(axis=1, keepdims=True) if gains.mode == LEADERLESS else x[:, 1:] - x[:, :1]
     return Trace(
         mode=gains.mode,
         n=n,
         d=d,
         adaptive_edges=protocol.adaptive_edges,
-        times=sample_steps * dt,
-        states=states,
+        times=samples * dt,
+        states=history[:, :nd].copy(),
         weights=history[:, nd:].copy(),
         j_realized=costs[:, 0].copy(),
         j_bound_integral=costs[:, 1].copy(),
-        eta_norm=np.sqrt((dev * dev).reshape(len(dev), -1).sum(axis=1)),
     )
+
+
+def disagreement_norms(x: np.ndarray, mode: str) -> np.ndarray:
+    """Per state of the (rows, n, d) stack x, |x - mean x| (leaderless) or the norm of the stacked x_i - x_1."""
+    dev = x - x.mean(axis=1, keepdims=True) if mode == LEADERLESS else x[:, 1:] - x[:, :1]
+    return np.sqrt((dev * dev).reshape(len(dev), -1).sum(axis=1))
 
 
 def consensus_function(a, initial_states, t: float) -> np.ndarray:

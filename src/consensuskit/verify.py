@@ -121,8 +121,8 @@ def analyze(
     min_delta = float(deltas.min()) if deltas.size else 0.0
     weights_monotone = min_delta >= -tol["monotone"]
 
-    initial_err = float(trace.eta_norm[0])
-    final_err = float(trace.eta_norm[-1])
+    ends = trace.states[[0, -1]].reshape(2, trace.n, trace.d)  # x(0) and x(t_final)
+    initial_err, final_err = sim.disagreement_norms(ends, gains.mode).tolist()
     consensus_achieved = final_err < tol["consensus"] * (initial_err + 1.0)
 
     rhs = sim.leaderless_rhs if gains.mode == LEADERLESS else sim.leader_follower_rhs
@@ -130,13 +130,11 @@ def analyze(
     final_weight_rate = float(np.abs(dw).max()) if dw.size else 0.0
 
     # leaderless agents track the consensus function e^{At} avg x(0) at
-    # t_final; followers track the leader
-    x_final = trace.states[-1].reshape(trace.n, trace.d)
+    # t_final; followers track the leader, whose own zero row leaves the max as it is
     if gains.mode == LEADERLESS:
-        x0 = trace.states[0].reshape(trace.n, trace.d)
-        errors = x_final - sim.consensus_function(gains.a, x0, trace.times[-1])
+        errors = ends[1] - sim.consensus_function(gains.a, ends[0], trace.times[-1])
     else:
-        errors = x_final[1:] - x_final[0]
+        errors = ends[1] - ends[1, 0]
     tracking_error = float(np.sqrt((errors * errors).sum(axis=1)).max())
 
     warnings: list[str] = []

@@ -343,6 +343,20 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
             "trace {trace}: sample 3 has 6 columns, expected 7",
         ),
         (
+            "verify",
+            scalar_pair_config(),
+            "",
+            "t,x1_1,x2_1,w1_2,eta_norm,J_realized,J_bound_partial\n0,-1,1,1,2,0,0\n0.1,-1,1,1,2,0,0\n",
+            "trace {trace}: has 2 samples, expected 51 for this config",
+        ),
+        (
+            "verify",
+            scalar_pair_config(dt=0.5, t_final=1.0, sample_stride=1),
+            "",
+            "t,x1_1,x2_1,w1_2,eta_norm,J_realized,J_bound_partial\n0,-1,1,1,2,0,0\n0.5,-1,1,1,2,0,0\n2,-1,1,1,2,0,0\n",
+            "trace {trace}: sample 3 has t = 2.0, expected 1.0",
+        ),
+        (
             "synthesize",
             json.dumps(cli._DEMO_CONFIGS["example-1"])[:-1] + ', "dt": 0.5, "gamma": 7.0}',
             "",
@@ -383,6 +397,7 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
         "edges-not-a-list", "one-element-edge", "self-loop", "duplicate-edge", "bad-box", "tolerances-not-an-object",
         "top-level-list", "missing-config", "undecodable-config", "env-without-value", "env-value-text",
         "missing-trace", "trace-text-cell", "trace-underscore-cell", "trace-arabic-indic-digit", "trace-short-row",
+        "trace-missing-samples", "trace-t-off-the-sample-times",
         "top-level-key-twice", "plant-key-twice", "tolerance-twice", "gains-key-twice", "initial-values-twice",
     ],
 )
@@ -930,6 +945,9 @@ def test_trace_csv_bytes_equal_savetxt(samples, tmp_path):
     picked = rng.choice(flat.size, size=min(flat.size, 40), replace=False)
     flat[picked] = rng.choice(special, size=len(picked))
     times, states, weights, eta, j, jb = np.split(columns, [1, 1 + n * d, 1 + n * d + len(edges), -2, -1], axis=1)
+    # the writer derives eta_norm from the states; the squares of rows scaled past 1e154 overflow to inf there
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta[:, 0] = sim.disagreement_norms(states.reshape(-1, n, d), LEADERLESS)
     trace = sim.Trace(
         mode=LEADERLESS,
         n=n,
@@ -940,10 +958,10 @@ def test_trace_csv_bytes_equal_savetxt(samples, tmp_path):
         weights=weights,
         j_realized=j[:, 0],
         j_bound_integral=jb[:, 0],
-        eta_norm=eta[:, 0],
     )
     path = tmp_path / "trace.csv"
-    cli.write_trace_csv(str(path), trace)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cli.write_trace_csv(str(path), trace)
     expected = io.StringIO(newline="\n")
     header = ",".join(cli._trace_header(n, d, edges))
     np.savetxt(expected, columns, fmt="%.17g", delimiter=",", header=header, comments="")
@@ -1032,6 +1050,22 @@ def test_verify_rejects_non_finite_cells(cell, tmp_path):
     assert code == EXIT_PARSE
     assert out == ""
     assert f"trace {bad}: sample {len(rows)} has J_realized = {cell}" in err
+
+
+def test_verify_derives_the_disagreement_from_the_states_not_the_eta_norm_column(tmp_path):
+    # example-1 stopped at t = 0.1 is far from consensus; a zero written into
+    # its last eta_norm cell changes neither the verdict nor any report line
+    path = write_config(tmp_path, dict(cli._DEMO_CONFIGS["example-1"], t_final=0.1))
+    csv_path = tmp_path / "trace.csv"
+    assert run_cli(["simulate", path, "--out", str(csv_path)])[0] == EXIT_BOUND
+    header, *rows = csv_path.read_text(encoding="utf-8").splitlines()
+    cells = rows[-1].split(",")
+    cells[header.split(",").index("eta_norm")] = "0"
+    edited = tmp_path / "edited.csv"
+    edited.write_text("\n".join([header] + rows[:-1] + [",".join(cells)]) + "\n", encoding="utf-8")
+    untouched = run_cli(["verify", path, str(csv_path)])
+    assert untouched[0] == EXIT_BOUND and "consensus_achieved = false" in untouched[1]
+    assert run_cli(["verify", path, str(edited)]) == untouched
 
 
 def test_verify_rejects_a_trace_that_is_not_utf8(tmp_path):

@@ -249,7 +249,7 @@ def test_run_records_initial_and_final_samples():
 
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
 def test_run_eta_norm_equals_the_per_sample_loop(mode):
-    # the vectorized eta_norm keeps the arithmetic of a per-sample loop
+    # the vectorized disagreement_norms keeps the arithmetic of a per-sample loop
     if mode == LEADERLESS:
         gains, topology = leaderless_gains(), graph.cycle_topology(5)
     else:
@@ -257,7 +257,7 @@ def test_run_eta_norm_equals_the_per_sample_loop(mode):
         topology = graph.star_topology(5, weight=3.0, leader=1)
     x0 = np.random.default_rng(12).uniform(-0.25, 0.25, size=(5, 2))
     trace = sim.run(SimConfig(x0=x0, t_final=0.5, dt=1e-3, sample_stride=7), gains, topology)
-    for eta, state in zip(trace.eta_norm, trace.states):
+    for eta, state in zip(sim.disagreement_norms(trace.states.reshape(-1, 5, 2), mode), trace.states):
         if mode == LEADERLESS:
             expected = disagreement_norm(state, 5, 2)
         else:
@@ -423,7 +423,8 @@ def test_run_leader_follower_smoke():
     assert trace.mode == LEADER_FOLLOWER
     assert trace.adaptive_edges == ((1, 2), (1, 3), (1, 4))
     # followers converge to the leader trajectory
-    assert trace.eta_norm[-1] < 1e-2 * (trace.eta_norm[0] + 1.0)
+    eta = sim.disagreement_norms(trace.states.reshape(-1, 4, 2), LEADER_FOLLOWER)
+    assert eta[-1] < 1e-2 * (eta[0] + 1.0)
     # follower-follower edges keep no adaptive state: 3 columns of 4 edges
     assert trace.weights.shape[1] == 3
 
@@ -629,6 +630,51 @@ def test_cost_stays_under_the_bound_and_weights_never_decrease(mode, data):
     assert np.diff(trace.weights, axis=0).min() >= 0.0
 
 
+def bound_integral_and_weight_form(data, mode, n, edges, weights):
+    """J_bound(T) of the A1 plant at gamma 2 run to t_final 1 on the graph, the bound integral's weight form
+    (gamma / n) sum_e (w_e(T) - w_e(0)) over the adaptive edges (without the 1 / n in leader-follower mode),
+    and the tolerance between them.
+
+    Each adaptive edge's dw/dt is its edge's xi^T K_w xi, and the bound rate sums the same form over every
+    agent pair (leaderless, gamma / n per unordered pair) or every follower-to-leader pair (leader-follower,
+    gamma each), so the two are equal when every such pair is an edge and the rate is larger otherwise.
+    RK4 applies one linear stage combination to both, so only rounding separates them; it is scaled by the
+    form of w(T), not by the integral, which is the small difference of large weights when they barely grow.
+    """
+    topology = Topology(n=n, edges=tuple(edges), weights=weights, leader=1 if mode == LEADER_FOLLOWER else None)
+    design = synthesis.design_leaderless if mode == LEADERLESS else synthesis.design_leader_follower
+    gains = design(A1, B1, Q1, 2.0)
+    x0 = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")).uniform(-0.5, 0.5, size=(n, 2))
+    trace = sim.run(SimConfig(x0=x0, t_final=1.0, dt=1e-3, sample_stride=50), gains, topology)
+    scale = gains.gamma / (n if mode == LEADERLESS else 1)
+    form = scale * float((trace.weights[-1] - trace.weights[0]).sum())
+    return float(trace.j_bound_integral[-1]), form, 1e-12 * scale * float(trace.weights[-1].sum())
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_bound_integral_is_the_weight_growth_when_every_pair_is_an_edge(mode, data):
+    # leaderless: the complete graph; leader-follower: the leader neighbours
+    # every follower, and any follower-follower edges keep fixed weights
+    n = data.draw(st.integers(3, 8), label="n")
+    edges = [(i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1)]
+    if mode == LEADER_FOLLOWER:  # the leader's n - 1 edges lead the list
+        spokes, others = edges[: n - 1], edges[n - 1 :]
+        edges = spokes + data.draw(st.lists(st.sampled_from(others), unique=True), label="follower edges")
+    weights = {edge: data.draw(st.floats(0.5, 4.0)) for edge in edges}
+    integral, form, tolerance = bound_integral_and_weight_form(data, mode, n, edges, weights)
+    assert abs(integral - form) <= tolerance
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_bound_integral_is_at_least_the_weight_growth_on_any_connected_graph(mode, data):
+    integral, form, tolerance = bound_integral_and_weight_form(data, mode, *draw_connected_graph(data))
+    assert integral >= form - tolerance
+
+
 def ordered_pair_sum(x, m):
     """Sum of (x_i - x_k)^T m (x_i - x_k) over ordered agent pairs, from every pair difference."""
     pairs = (x[None, :, :] - x[:, None, :]).reshape(-1, x.shape[1])
@@ -653,7 +699,7 @@ def one_sample_trace(mode, x):
     """A Trace holding only x(0) = x, with a zero bound integral."""
     n, d = x.shape
     zero = np.zeros(1)
-    return sim.Trace(mode, n, d, (), zero, x.reshape(1, -1), np.ones((1, n - 1)), zero, zero, zero)
+    return sim.Trace(mode, n, d, (), zero, x.reshape(1, -1), np.ones((1, n - 1)), zero, zero)
 
 
 @settings(max_examples=60, deadline=None)
@@ -891,7 +937,7 @@ def test_a_run_is_the_prefix_of_a_run_to_a_longer_horizon(mode, d, data):
     head, tail = (
         sim.run(SimConfig(x0=x0, t_final=k * 1e-3, dt=1e-3, sample_stride=stride), gains, topology) for k in (short, longer)
     )
-    for field in ("times", "states", "weights", "j_realized", "j_bound_integral", "eta_norm"):
+    for field in ("times", "states", "weights", "j_realized", "j_bound_integral"):
         got, want = getattr(head, field), getattr(tail, field)
         assert np.array_equal(got, want[: len(got)]), field
 

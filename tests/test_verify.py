@@ -93,7 +93,6 @@ def test_analyze_empty_trace():
         weights=np.zeros((0, 3)),
         j_realized=np.array([]),
         j_bound_integral=np.array([]),
-        eta_norm=np.array([]),
     )
     with pytest.raises(verify.EmptyTraceError):
         verify.analyze(empty, gains, topology)
