@@ -12,8 +12,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 __all__ = [
     "TopologyError",
     "Topology",
@@ -89,10 +87,6 @@ class Topology:
         if self.leader is None:
             return ()
         return tuple(e for e in self.edges if self.leader in e)
-
-    def initial_weight_vector(self, edges: Sequence[tuple[int, int]]) -> np.ndarray:
-        return np.array([self.weights[e] for e in edges], dtype=float)
-
 
 def _reaches_all(topology: Topology, start: int) -> bool:
     """True when every agent has an undirected path to start.

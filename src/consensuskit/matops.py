@@ -26,7 +26,6 @@ __all__ = [
     "matrix_exp",
     "matrix_sign",
     "care_solve",
-    "is_positive_definite",
 ]
 
 
@@ -207,8 +206,3 @@ def _riccati_residual(p: np.ndarray, a: np.ndarray, b: np.ndarray, q_hat: np.nda
     pb = p @ b
     residual = p @ a + a.T @ p - gamma * (pb @ pb.T) + q_hat
     return 0.5 * (residual + residual.T)
-
-
-def is_positive_definite(m, tol: float = 1e-9) -> bool:
-    """True when every eigenvalue of the symmetric input is >= tol."""
-    return float(sym_eig(m)[0]) >= tol

@@ -233,7 +233,7 @@ class _Protocol:
             self.assembly[0, n:] = 0.0
             # follower rows (agent k - 2) of the leader edges (1, k), in edge order
             self.pinned = np.array([k - 2 for _, k in self.adaptive_edges], dtype=int)
-        self.w_all = topology.initial_weight_vector(topology.edges)
+        self.w_all = np.array([topology.weights[e] for e in topology.edges])
         self.size = (n + edge_count) * d
         self.guarded = (n + adaptive) * d  # [x, adaptive w]: what moves
         self.a_t = gains.a.T.copy()
@@ -438,13 +438,12 @@ def guaranteed_cost_bound(trace: Trace, gains: GainSet) -> float:
     Leaderless runs use the disagreement-projector quadratic form of the
     certificate at x(0) = ``states[0]``; leader-follower runs use the
     star-coupling quadratic form, which equals the sum of follower-error
-    quadratic forms.
+    quadratic forms; both are summed from x_i(0) - x_1(0) as the rates are.
     """
-    x0 = trace.states[0].reshape(trace.n, trace.d)
+    xt = _component_major(trace.states[:1].reshape(1, trace.n, trace.d))
+    xi0 = xt[1:] - xt[0]
     if gains.mode == LEADERLESS:
-        xt = _component_major(x0[None])
-        quad = float(_shifted_pair_sums(xt[1:] - xt[0], gains.certificate)[0]) / (2.0 * trace.n)
+        quad = _shifted_pair_sums(xi0, gains.certificate) / (2.0 * trace.n)
     else:
-        xi0 = x0[1:] - x0[0]
-        quad = float(((xi0 @ gains.certificate) * xi0).sum())
-    return quad + float(trace.j_bound_integral[-1])
+        quad = _quad_sums(xi0, gains.certificate)
+    return float(quad[0]) + float(trace.j_bound_integral[-1])

@@ -128,7 +128,7 @@ def _validated_plant(a, b, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _checked_plant(a, b, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a, b, q = _validated_plant(a, b, q)
-    if not matops.is_positive_definite(q, tol=1e-12):
+    if not matops.sym_eig(q)[0] >= 1e-12:
         raise WeightMatrixError("q must be symmetric positive definite")
     return a, b, q
 

@@ -313,6 +313,20 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
             None,
             f"{cli.TOLERANCE_ENV_VAR} entry 'consensus': expected a real, finite number, got 'abc'",
         ),
+        (
+            "synthesize",
+            scalar_pair_config(tolerances={"consensus": -0.01}),
+            "",
+            None,
+            "config field 'tolerances.consensus': must be >= 0, got -0.01",
+        ),
+        (
+            "synthesize",
+            scalar_pair_config(),
+            "consensus=-1",
+            None,
+            f"{cli.TOLERANCE_ENV_VAR} entry 'consensus': must be >= 0, got -1.0",
+        ),
         ("verify", scalar_pair_config(), "", None, "[Errno 2] No such file or directory: '{trace}'"),
         (
             "verify",
@@ -396,6 +410,7 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
         "no-mode", "plant-not-an-object", "dt-text", "gamma-negative", "bad-mode", "plant-a-text",
         "edges-not-a-list", "one-element-edge", "self-loop", "duplicate-edge", "bad-box", "tolerances-not-an-object",
         "top-level-list", "missing-config", "undecodable-config", "env-without-value", "env-value-text",
+        "tolerance-negative", "env-value-negative",
         "missing-trace", "trace-text-cell", "trace-underscore-cell", "trace-arabic-indic-digit", "trace-short-row",
         "trace-missing-samples", "trace-t-off-the-sample-times",
         "top-level-key-twice", "plant-key-twice", "tolerance-twice", "gains-key-twice", "initial-values-twice",
@@ -560,7 +575,7 @@ def test_config_echo_round_trips_over_random_configs(data):
         "dt": dt,
         "t_final": dt * data.draw(st.integers(1, 5000), label="steps"),
         "sample_stride": data.draw(st.integers(1, 50), label="sample_stride"),
-        "tolerances": data.draw(st.dictionaries(st.sampled_from(sorted(verify.DEFAULT_TOLERANCES)), number)),
+        "tolerances": data.draw(st.dictionaries(st.sampled_from(sorted(verify.DEFAULT_TOLERANCES)), st.floats(0, 1e3))),
     }
     if data.draw(st.booleans(), label="explicit initial states"):
         doc["initial_states"] = {"values": flat(n, d)}

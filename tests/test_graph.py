@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from consensuskit import graph
@@ -51,11 +50,6 @@ def test_topology_rejects_tiny_graph_and_bad_leader():
 def test_leader_and_follower_edges():
     t = Topology(n=4, edges=((1, 2), (1, 3), (2, 3), (3, 4)), leader=1)
     assert t.leader_edges() == ((1, 2), (1, 3))
-
-
-def test_initial_weight_vector_follows_given_order():
-    t = Topology(n=3, edges=((1, 2), (2, 3)), weights={(1, 2): 2.0, (2, 3): 5.0})
-    assert np.allclose(t.initial_weight_vector(((2, 3), (1, 2))), [5.0, 2.0])
 
 
 def test_is_connected():

@@ -327,7 +327,7 @@ def test_run_divergence_guard():
         sim.run(config, wrong, topology)
     assert excinfo.value.time > 0.0
     assert excinfo.value.magnitude > sim.DIVERGENCE_LIMIT
-    y0 = np.concatenate((config.x0.ravel(), topology.initial_weight_vector(topology.edges)))
+    y0 = np.concatenate((config.x0.ravel(), [topology.weights[e] for e in topology.edges]))
     assert (excinfo.value.time, excinfo.value.magnitude) == first_divergence(sim.leaderless_rhs, wrong, topology, y0, 1e-3)
 
 
@@ -356,7 +356,7 @@ def test_run_divergence_guard_covers_adaptive_weights():
     with pytest.raises(sim.DivergenceError) as excinfo:
         sim.run(config, override(1e12 * np.eye(2)), topology)
     assert excinfo.value.magnitude > sim.DIVERGENCE_LIMIT
-    y0 = np.concatenate((x0.ravel(), topology.initial_weight_vector(topology.edges)))
+    y0 = np.concatenate((x0.ravel(), [topology.weights[e] for e in topology.edges]))
     first = first_divergence(sim.leaderless_rhs, override(1e12 * np.eye(2)), topology, y0, 1e-3)
     assert (excinfo.value.time, excinfo.value.magnitude) == first
 
@@ -739,7 +739,8 @@ def test_cost_rates_and_bound_match_the_ordered_pair_form(mode, data):
         pinned = float(((xi @ Q1) * xi).sum())
         dj = pinned + ordered_pair_sum(x[1:], Q1) / (n - 1)
         dj_tol = 8.0 * np.finfo(float).eps * pinned + pair_sum_tolerance(x[1:], Q1) / (n - 1)
-        quad, quad_tol = float(((xi @ gains.certificate) * xi).sum()), 0.0
+        quad = float(((xi @ gains.certificate) * xi).sum())
+        quad_tol = 8.0 * np.finfo(float).eps * quad
         djb = gains.gamma * float(((xi @ gains.k_w) * xi).sum())
         djb_tol = 8.0 * np.finfo(float).eps * djb
     assert abs(got_dj - dj) <= dj_tol

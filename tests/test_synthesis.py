@@ -67,7 +67,7 @@ def test_design_leader_follower_certificate_valid():
     gains = synthesis.design_leader_follower(A2, B2, Q2, 1.0)
     assert gains.mode == LEADER_FOLLOWER
     assert gains.multiplier == 3
-    assert matops.is_positive_definite(gains.certificate)
+    assert matops.sym_eig(gains.certificate)[0] >= 1e-9
     margin = synthesis.verify_riccati_certificate(gains.certificate, A2, B2, Q2, 1.0, 3)
     assert margin <= 1e-9
     assert abs(margin) < 1e-7
@@ -76,6 +76,9 @@ def test_design_leader_follower_certificate_valid():
 def test_design_rejects_indefinite_q():
     with pytest.raises(WeightMatrixError):
         synthesis.design_leaderless(A1, B1, [[1.0, 0.0], [0.0, -1.0]], 2.0)
+    # a singular, positive semidefinite q is rejected too
+    with pytest.raises(WeightMatrixError):
+        synthesis.design_leaderless(A1, B1, [[1.0, 1.0], [1.0, 1.0]], 2.0)
 
 
 def test_design_rejects_unstabilizable_pair():

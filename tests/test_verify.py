@@ -168,6 +168,15 @@ def test_analyze_rejects_a_tolerance_that_is_not_a_real_finite_number(value):
         verify.analyze(trace, gains, topology, tolerances={"consensus": value})
 
 
+@pytest.mark.parametrize("name", sorted(verify.DEFAULT_TOLERANCES))
+def test_analyze_rejects_a_negative_tolerance(name):
+    # a negative tolerance would turn a passing check into a failing one
+    gains, topology = leaderless_setup()
+    trace = run_trace(gains, topology, np.tile([0.25, -0.5], (3, 1)), t_final=0.02, stride=1)
+    with pytest.raises(verify.VerificationError, match=f"^tolerance '{name}': must be >= 0, got -1e-12$"):
+        verify.analyze(trace, gains, topology, tolerances={name: -1e-12})
+
+
 def test_render_report_key_value_block():
     gains, topology = leaderless_setup()
     x0 = np.tile([0.0, 0.0], (3, 1))
@@ -211,16 +220,18 @@ def test_reference_gains_example_2():
     assert report["reference_total"] == 872.5
 
 
-def test_reference_gains_sensitive_to_certificate_perturbation():
+def test_reference_gains_sensitive_to_certificate_perturbation(monkeypatch):
     base = verify._REFERENCE_CASES["example-2"]["certificate"].copy()
     base[0, 0] += 1.0
-    perturbed = verify.verify_reference_gains("example-2", certificate=base)
+    monkeypatch.setitem(verify._REFERENCE_CASES["example-2"], "certificate", base)
+    perturbed = verify.verify_reference_gains("example-2")
     assert not perturbed["passed"]
     assert perturbed["k_u_max_deviation"] > 0.5
 
     p1 = verify._REFERENCE_CASES["example-1"]["certificate"].copy()
     p1[1, 1] += 1.0
-    perturbed1 = verify.verify_reference_gains("example-1", certificate=p1)
+    monkeypatch.setitem(verify._REFERENCE_CASES["example-1"], "certificate", p1)
+    perturbed1 = verify.verify_reference_gains("example-1")
     assert not perturbed1["passed"]
 
 
