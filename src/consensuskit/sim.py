@@ -7,6 +7,10 @@ so the weights form an (edges, d) block of d bit-identical replicas.  Fixed
 (follower) weights have a zero slope, so RK4 leaves them bit-constant.
 ``run`` is the only RK4; it writes the stage states in place into a
 preallocated block of rows and scans each finished block once for divergence.
+It builds the block's views once per run, with one reshape of the agent
+columns and one of the weight columns, and one tuple per step slot of a
+block (its state row, three stage rows and result row, and each stage's
+(x, w) views), so a step unpacks one tuple.
 Its second and third stages evaluate 2 k2 and 2 k3 directly, which is exact
 except where a slope entry is subnormal, so a step has the textbook RK4's
 bits.  The realized cost J and the integral term J_bound of the
@@ -209,8 +213,12 @@ class _Protocol:
     for the adaptive edges, times K_w, and one product of ``[I | -E^T]``
     with the stacked rows ``[x A^T ; w_all * coupling]`` assembles dx.  It
     uses ``ndarray.dot`` on 2-D operands, which costs a third of ``@`` on
-    such small arrays.  ``rates`` gives the cost and bound rates of a stack
-    of agent states; only they depend on the mode.
+    such small arrays.  Its scratch arrays, factors and bound ``dot``
+    methods come from one tuple, ``operands``, which ``__init__`` builds and
+    ``doubled`` rebuilds for the twin's matrices; ``deriv`` stays a method
+    of the class, so a patch of ``_Protocol.deriv`` sees every call.
+    ``rates`` gives the cost and bound rates of a stack of agent states;
+    only they depend on the mode.
     """
 
     def __init__(self, gains: GainSet, topology: Topology, mode: str):
@@ -246,6 +254,15 @@ class _Protocol:
         self.drift, self.coupling = self.stacked[:n], self.stacked[n:]
         self.adaptive_diffs, self.quad = self.diffs[:adaptive], np.empty((adaptive, d))
         self.ones = np.ones((d, d))
+        self._bind()
+
+    def _bind(self) -> None:
+        """Collect what ``deriv`` reads into ``operands``, in its order of use: one attribute load per call."""
+        self.operands = (
+            self.incidence.dot, self.diffs, self.diffs.dot, self.bku_t, self.coupling, self.a_t, self.drift,
+            self.assembly.dot, self.stacked, self.adaptive_diffs.dot, self.k_w, self.quad, self.adaptive_diffs,
+            self.quad.dot, self.ones,
+        )
 
     def views(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (x, weights, adaptive weights) views, each (rows, d), of a flat state or slope vector y."""
@@ -261,6 +278,7 @@ class _Protocol:
         """
         twin = copy.copy(self)
         twin.assembly, twin.ones = 2.0 * self.assembly, 2.0 * self.ones
+        twin._bind()
         return twin
 
     def deriv(self, x: np.ndarray, w: np.ndarray, dx: np.ndarray, dw: np.ndarray) -> None:
@@ -270,14 +288,18 @@ class _Protocol:
         is a C-contiguous (rows, d) array.  The fixed weights' slope is zero
         and is not written.
         """
-        diffs = self.incidence.dot(x, self.diffs)
-        diffs.dot(self.bku_t, self.coupling)
-        np.multiply(w, self.coupling, self.coupling)
-        x.dot(self.a_t, self.drift)
-        self.assembly.dot(self.stacked, dx)
-        self.adaptive_diffs.dot(self.k_w, self.quad)
-        np.multiply(self.quad, self.adaptive_diffs, self.quad)
-        self.quad.dot(self.ones, dw)
+        (
+            incidence_dot, diffs, diffs_dot, bku_t, coupling, a_t, drift,
+            assembly_dot, stacked, adaptive_dot, k_w, quad, adaptive_diffs, quad_dot, ones,
+        ) = self.operands
+        incidence_dot(x, diffs)
+        diffs_dot(bku_t, coupling)
+        np.multiply(w, coupling, coupling)
+        x.dot(a_t, drift)
+        assembly_dot(stacked, dx)
+        adaptive_dot(k_w, quad)
+        np.multiply(quad, adaptive_diffs, quad)
+        quad_dot(ones, dw)
 
     def rates(self, x: np.ndarray) -> np.ndarray:
         """Rows (dJ, dJ_bound) for each agent state of the stack x, shape (m, n, d)."""
@@ -354,12 +376,20 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
     samples = sample_steps(nsteps, stride)
 
     # rows 4k .. 4k + 3: the stage states of the block's step k; row 4k + 4: its result
-    block = np.empty((4 * _BLOCK_STEPS + 1, size))
+    height = 4 * _BLOCK_STEPS + 1
+    block = np.empty((height, size))
     rows = list(block)
-    xs, ws, _ = zip(*map(protocol.views, rows))
+    xs = list(block[:, :nd].reshape(height, n, d))
+    ws = list(block[:, nd:].reshape(height, -1, d))
+    # per step slot of a block: its state, its three stage rows and its result row, then each stage's (x, w) views
+    steps = [
+        (*rows[r : r + 5], xs[r], ws[r], xs[r + 1], ws[r + 1], xs[r + 2], ws[r + 2], xs[r + 3], ws[r + 3])
+        for r in range(0, height - 1, 4)
+    ]
     k1, k2, k3, k4 = slopes = np.zeros((4, size))  # the fixed weights' slopes stay zero
     (dx1, _, dw1), (dx2, _, dw2), (dx3, _, dw3), (dx4, _, dw4) = map(protocol.views, slopes)
     deriv, deriv2 = protocol.deriv, protocol.doubled().deriv
+    multiply, add = np.multiply, np.add
     block[0] = np.concatenate((x0.ravel(), protocol.w_all.repeat(d)))
     kept = np.r_[:nd, nd:guarded:d]  # x and replica 0 of each adaptive weight
     history = np.empty((len(samples), len(kept)))  # [x, adaptive w] at the samples
@@ -369,26 +399,26 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
     done = 1  # samples recorded so far
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported by the block scan
         for base in range(0, nsteps, _BLOCK_STEPS):
-            top = 4 * min(_BLOCK_STEPS, nsteps - base)
-            for r in range(0, top, 4):
-                y, s1, s2, s3 = rows[r : r + 4]
-                deriv(xs[r], ws[r], dx1, dw1)
-                np.multiply(k1, half_v, s1)
+            count = min(_BLOCK_STEPS, nsteps - base)
+            top = 4 * count
+            for y, s1, s2, s3, result, x1, w1, x2, w2, x3, w3, x4, w4 in steps[:count]:
+                deriv(x1, w1, dx1, dw1)
+                multiply(k1, half_v, s1)
                 s1 += y
                 # k2 and k3 hold the doubled slopes 2 k2 and 2 k3, so (dt/4) k2 is the textbook's (dt/2) k2
-                deriv2(xs[r + 1], ws[r + 1], dx2, dw2)
-                np.multiply(k2, quarter_v, s2)
+                deriv2(x2, w2, dx2, dw2)
+                multiply(k2, quarter_v, s2)
                 s2 += y
-                deriv2(xs[r + 2], ws[r + 2], dx3, dw3)
-                np.multiply(k3, half_v, s3)
+                deriv2(x3, w3, dx3, dw3)
+                multiply(k3, half_v, s3)
                 s3 += y
-                deriv(xs[r + 3], ws[r + 3], dx4, dw4)
+                deriv(x4, w4, dx4, dw4)
                 # y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in the textbook's order of operations, which fixes the bits
                 k2 += k1
                 k2 += k3
                 k2 += k4
-                np.multiply(k2, sixth_v, k2)
-                np.add(y, k2, rows[r + 4])
+                multiply(k2, sixth_v, k2)
+                add(y, k2, result)
             # the first step whose result is non-finite or past the guard
             magnitude = np.abs(block[4 : top + 1 : 4, :guarded]).max(axis=1)
             failed = np.flatnonzero(~(magnitude <= DIVERGENCE_LIMIT))
@@ -399,7 +429,7 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
             increments = sixth * (rates[:, 0] + 2.0 * rates[:, 1] + 2.0 * rates[:, 2] + rates[:, 3])
             # row k: (J, J_bound) after step base + k, summed in step order
             totals = np.cumsum(np.concatenate((totals[-1:], increments)), axis=0)
-            end = done + int(np.searchsorted(samples[done:], base + top // 4, side="right"))
+            end = done + int(np.searchsorted(samples[done:], base + count, side="right"))
             offsets = samples[done:end] - base
             history[done:end] = block[np.ix_(4 * offsets, kept)]
             costs[done:end] = totals[offsets]

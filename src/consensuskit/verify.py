@@ -116,7 +116,7 @@ def analyze(
 
     ends = trace.states[[0, -1]].reshape(2, trace.n, trace.d)  # x(0) and x(t_final)
     initial_err, final_err = sim.disagreement_norms(ends, gains.mode).tolist()
-    consensus_achieved = final_err < tol["consensus"] * (initial_err + 1.0)
+    consensus_achieved = final_err <= tol["consensus"] * (initial_err + 1.0)
 
     rhs = sim.leaderless_rhs if gains.mode == LEADERLESS else sim.leader_follower_rhs
     _, dw, _, bound_rate = rhs(trace.states[-1], trace.weights[-1], gains, topology)

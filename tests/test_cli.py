@@ -654,6 +654,26 @@ def test_env_overrides_config(monkeypatch, tmp_path):
     assert cli.merged_tolerances(config) == {"consensus": 0.25}
 
 
+def test_a_consensus_tolerance_of_zero_passes_an_exact_consensus(tmp_path, monkeypatch):
+    # every agent starts at the leader's state, so the follower errors stay
+    # exactly zero; a tolerance of 0 is accepted, so it must be attainable
+    config = dict(
+        cli._DEMO_CONFIGS["example-1"],
+        mode=LEADER_FOLLOWER,
+        topology={"n": 3, "leader": 1, "edges": [[1, 2], [2, 3]]},
+        initial_states={"values": [0.1, -0.2] * 3},
+        t_final=0.1,
+    )
+    path = write_config(tmp_path, config)
+    monkeypatch.setenv(cli.TOLERANCE_ENV_VAR, "consensus=0")
+    code, out, err = run_cli(["simulate", path])
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert "final_disagreement = 0" in lines
+    assert "consensus_achieved = true" in lines
+    assert not [line for line in lines if line.startswith("warning_")]
+
+
 @pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
 def test_env_tolerances_checked_before_synthesis(command, tmp_path, monkeypatch):
     path = write_config(tmp_path, scalar_pair_config(t_final=1.0))

@@ -900,6 +900,25 @@ def test_run_equals_the_textbook_rk4_loop_over_the_public_rhs(mode, data):
 
 
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@pytest.mark.parametrize("nsteps", [7, sim._BLOCK_STEPS, 2 * sim._BLOCK_STEPS])
+def test_run_equals_the_textbook_rk4_loop_at_the_block_boundaries(mode, nsteps):
+    # a horizon inside the first block, and horizons that end exactly on the
+    # last step slot of one or two whole blocks, sampled at every step
+    weights = {(1, 2): 1.0, (1, 3): 2.0, (2, 3): 1.5, (3, 4): 3.0, (4, 5): 0.5}
+    topology = Topology(n=5, edges=tuple(weights), weights=weights, leader=1 if mode == LEADER_FOLLOWER else None)
+    dt = 1e-3
+    for d in (1, 2, 4):
+        gains, rhs = plant_gains_and_rhs(mode, d)
+        x0 = np.random.default_rng(47 + d).uniform(-0.5, 0.5, size=(5, d))
+        trace = sim.run(SimConfig(x0=x0, t_final=nsteps * dt, dt=dt), gains, topology)
+        expected = rk4_loop(rhs, gains, topology, np.concatenate((x0.ravel(), trace.weights[0])), dt, nsteps, 1)
+        assert np.array_equal(trace.times, np.arange(nsteps + 1) * dt)
+        assert np.array_equal(trace.states, expected[:, : 5 * d])
+        assert np.array_equal(trace.weights, expected[:, 5 * d : -2])
+        assert np.array_equal(np.stack((trace.j_realized, trace.j_bound_integral), axis=1), expected[:, -2:])
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
 @pytest.mark.parametrize("d", [1, 2, 4])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12, 50])
 def test_rates_of_a_stack_prefix_are_the_prefix_of_its_rates(mode, d, n):
