@@ -528,6 +528,8 @@ def read_trace_csv(path: str, config: RunConfig) -> Trace:
 def write_plot_script(path: str, csv_path: str, trace: Trace) -> None:
     """Gnuplot script plotting states, adaptive weights, and disagreement."""
     names = _trace_header(trace.n, trace.d, trace.adaptive_edges)
+    # gnuplot's single-quoted strings escape a quote by doubling it
+    csv_path = csv_path.replace("'", "''")
     base = os.path.splitext(os.path.basename(csv_path))[0]
 
     def plot(prefix: str) -> str:
@@ -604,6 +606,21 @@ def _suffixed(path: Optional[str], index: int, runs: int) -> Optional[str]:
     return f"{root}-run{index}{ext}"
 
 
+def _check_outputs(runs: int, echo: Optional[str], csv_path: Optional[str], plot_path: Optional[str]) -> None:
+    """Raise CliError when two output flags name one file: the later write would replace the earlier one."""
+    outputs = [("--echo-config", echo)] + [
+        (flag, _suffixed(path, index, runs))
+        for index in range(runs)
+        for flag, path in (("--out", csv_path), ("--plot-script", plot_path))
+    ]
+    seen = {}
+    for flag, path in outputs:
+        if path:
+            real = os.path.realpath(path)
+            if seen.setdefault(real, flag) != flag:
+                raise CliError(f"{seen[real]} and {flag} name the same file {path!r}")
+
+
 def _simulate(
     config: RunConfig, tolerances: dict, out, runs: int, csv_path: Optional[str], plot_path: Optional[str]
 ) -> int:
@@ -645,6 +662,7 @@ def cmd_simulate(args, out=sys.stdout) -> int:
         raise CliError("--runs > 1 requires seeded initial states")
     if args.plot_script and not args.out:
         raise CliError("--plot-script requires --out")
+    _check_outputs(args.runs, args.echo_config, args.out, args.plot_script)
     _echo_config(args.echo_config, config)
     return _simulate(config, tolerances, out, args.runs, args.out, args.plot_script)
 
@@ -711,6 +729,8 @@ def demo_config(which: str) -> RunConfig:
 
 def cmd_demo(args, out=sys.stdout) -> int:
     which = args.which
+    csv_path = args.out if args.out else f"consensuskit-demo-{which}.csv"
+    _check_outputs(1, None, csv_path, args.plot_script)
     config = demo_config(which)
     tolerances = merged_tolerances(config)
     gain_report = verify.verify_reference_gains(which)
@@ -729,7 +749,6 @@ def cmd_demo(args, out=sys.stdout) -> int:
         pairs.append(("strict_gain_regulation_precondition", text))
     pairs.append(("note", _DEMO_TOPOLOGY_NOTES[which]))
     print(verify.render_pairs(pairs), file=out)
-    csv_path = args.out if args.out else f"consensuskit-demo-{which}.csv"
     return _simulate(config, tolerances, out, 1, csv_path, args.plot_script)
 
 

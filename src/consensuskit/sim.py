@@ -1,10 +1,9 @@
 """Simulation of the adaptive consensus protocols.
 
 Integrates the coupled agent-state and edge-weight dynamics with a fixed-step
-fourth-order Runge-Kutta scheme over one flat state vector
-``[x.ravel(), w_all]`` that holds every edge weight once per state component,
-so the weights form an (edges, d) block of d bit-identical replicas.  Fixed
-(follower) weights have a zero slope, so RK4 leaves them bit-constant.
+fourth-order Runge-Kutta scheme over one flat state vector ``[x.ravel(), w]``
+that holds each adaptive edge weight once per state component, so the
+weights form an (adaptive edges, d) block of d bit-identical replicas.
 ``run`` is the only RK4; it writes the stage states in place into a
 preallocated block of rows and scans each finished block once for divergence.
 It builds the block's views once per run, with one reshape of the agent
@@ -143,6 +142,8 @@ class Trace:
 def adaptive_edges(topology: Topology, mode: str) -> tuple[tuple[int, int], ...]:
     """Edges whose weights adapt: every edge (leaderless) or the leader's edges."""
     if mode == LEADERLESS:
+        if topology.leader is not None:
+            raise ConfigurationError(f"leaderless mode takes no leader, got agent {topology.leader}")
         return topology.edges
     if topology.leader is None:
         raise ConfigurationError("leader-follower mode requires a designated leader")
@@ -195,23 +196,23 @@ def _shifted_pair_sums(e: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 class _Protocol:
-    """Adaptive coupling over the flat state ``y = [x.ravel(), w_all replicated d times]``.
+    """Adaptive coupling over the flat state ``y = [x.ravel(), w replicated d times]``.
 
     Every edge (i, k) couples its agents with weight w_ik through B K_u:
-    dx = x A^T - E^T (w_all * ((E x) (B K_u)^T)), with E the signed incidence
+    dx = x A^T - E^T (w * ((E x) (B K_u)^T)), with E the signed incidence
     (-1 at i, +1 at k), and each adaptive edge gets dw = (E x)_e K_w (E x)_e^T.
     Leader-follower mode is the same coupling with the leader's row of E^T
     zeroed, so the leader propagates autonomously, and with only the leader
-    edges adaptive; follower edges keep their fixed weights, whose slope is
-    zero.  The leader is agent 1, so its edges lead the canonical edge order
-    and the adaptive weights lead ``w_all``.  Each weight is held once per
-    state component, so the state is an (n + edges, d) block of rows and
-    every elementwise product in ``deriv`` reads contiguous (rows, d)
-    operands of one shape; summing the weight rate's terms against a (d, d)
-    block of ones writes it replicated.  ``deriv`` makes eight NumPy calls
-    into preallocated scratch: the edge differences times (B K_u)^T and,
-    for the adaptive edges, times K_w, and one product of ``[I | -E^T]``
-    with the stacked rows ``[x A^T ; w_all * coupling]`` assembles dx.  It
+    edges adaptive.  The leader is agent 1, so its edges lead the canonical
+    order; each follower edge's fixed weight scales its row of E, after the
+    assembly ``[I | -E^T]`` took E unscaled, so the state holds only the
+    adaptive weights, each once per state component: an (n + adaptive, d)
+    block of rows, and every elementwise product in ``deriv`` reads
+    contiguous (rows, d) operands of one shape; summing the weight rate's
+    terms against a (d, d) block of ones writes it replicated.  ``deriv``
+    makes eight NumPy calls into preallocated scratch: the edge differences
+    times (B K_u)^T, its adaptive rows times w, the adaptive differences
+    times K_w, and ``[I | -E^T]`` times ``[x A^T ; coupling]`` assembles dx.  It
     uses ``ndarray.dot`` on 2-D operands, which costs a third of ``@`` on
     such small arrays.  Its scratch arrays, factors and bound ``dot``
     methods come from one tuple, ``operands``, which ``__init__`` builds and
@@ -241,17 +242,18 @@ class _Protocol:
             self.assembly[0, n:] = 0.0
             # follower rows (agent k - 2) of the leader edges (1, k), in edge order
             self.pinned = np.array([k - 2 for _, k in self.adaptive_edges], dtype=int)
-        self.w_all = np.array([topology.weights[e] for e in topology.edges])
-        self.size = (n + edge_count) * d
-        self.guarded = (n + adaptive) * d  # [x, adaptive w]: what moves
+        # each fixed weight scales its edge's row of E, which the assembly took unscaled
+        self.incidence[adaptive:] *= np.array([topology.weights[e] for e in topology.edges])[adaptive:, None]
+        self.size = (n + adaptive) * d
         self.a_t = gains.a.T.copy()
         self.bku_t = (gains.b @ gains.k_u).T.copy()
         self.k_w = np.ascontiguousarray(gains.k_w)
         self.q = gains.q
         self.gamma = gains.gamma
         self.diffs = np.empty((edge_count, d))
-        self.stacked = np.empty((n + edge_count, d))  # [x A^T ; w_all * coupling]
+        self.stacked = np.empty((n + edge_count, d))  # [x A^T ; coupling]
         self.drift, self.coupling = self.stacked[:n], self.stacked[n:]
+        self.adaptive_coupling = self.coupling[:adaptive]
         self.adaptive_diffs, self.quad = self.diffs[:adaptive], np.empty((adaptive, d))
         self.ones = np.ones((d, d))
         self._bind()
@@ -259,15 +261,10 @@ class _Protocol:
     def _bind(self) -> None:
         """Collect what ``deriv`` reads into ``operands``, in its order of use: one attribute load per call."""
         self.operands = (
-            self.incidence.dot, self.diffs, self.diffs.dot, self.bku_t, self.coupling, self.a_t, self.drift,
-            self.assembly.dot, self.stacked, self.adaptive_diffs.dot, self.k_w, self.quad, self.adaptive_diffs,
-            self.quad.dot, self.ones,
+            self.incidence.dot, self.diffs, self.diffs.dot, self.bku_t, self.coupling, self.adaptive_coupling,
+            self.a_t, self.drift, self.assembly.dot, self.stacked, self.adaptive_diffs.dot, self.k_w, self.quad,
+            self.adaptive_diffs, self.quad.dot, self.ones,
         )
-
-    def views(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (x, weights, adaptive weights) views, each (rows, d), of a flat state or slope vector y."""
-        nd, d = self.nd, self.d
-        return y[:nd].reshape(self.n, d), y[nd:].reshape(-1, d), y[nd : self.guarded].reshape(-1, d)
 
     def doubled(self) -> _Protocol:
         """A twin sharing this protocol's scratch whose ``deriv`` writes twice the slope.
@@ -282,19 +279,18 @@ class _Protocol:
         return twin
 
     def deriv(self, x: np.ndarray, w: np.ndarray, dx: np.ndarray, dw: np.ndarray) -> None:
-        """Write dx/dt and the adaptive dw/dt at agent states x and weight block w into dx and dw.
+        """Write dx/dt and dw/dt at agent states x and adaptive weight block w into dx and dw.
 
-        w and dw hold one row of d equal replicas per weight; every operand
-        is a C-contiguous (rows, d) array.  The fixed weights' slope is zero
-        and is not written.
+        w and dw hold one row of d equal replicas per adaptive weight; every
+        operand is a C-contiguous (rows, d) array.
         """
         (
-            incidence_dot, diffs, diffs_dot, bku_t, coupling, a_t, drift,
+            incidence_dot, diffs, diffs_dot, bku_t, coupling, adaptive_coupling, a_t, drift,
             assembly_dot, stacked, adaptive_dot, k_w, quad, adaptive_diffs, quad_dot, ones,
         ) = self.operands
         incidence_dot(x, diffs)
         diffs_dot(bku_t, coupling)
-        np.multiply(w, coupling, coupling)
+        np.multiply(w, adaptive_coupling, adaptive_coupling)
         x.dot(a_t, drift)
         assembly_dot(stacked, dx)
         adaptive_dot(k_w, quad)
@@ -324,10 +320,8 @@ def _rhs(x, w, gains: GainSet, topology: Topology, mode: str) -> tuple[np.ndarra
             f"x has {len(x)} values and w {len(w)}; expected n*d = {protocol.nd} and one per adaptive edge, {adaptive}"
         )
     x = x.reshape(n, d)
-    # the adaptive weights lead w_all, and deriv reads each weight d times
-    w_all = np.concatenate((w, protocol.w_all[adaptive:])).repeat(d).reshape(-1, d)
     dx, dw = np.empty((n, d)), np.empty((adaptive, d))
-    protocol.deriv(x, w_all, dx, dw)
+    protocol.deriv(x, w.repeat(d).reshape(adaptive, d), dx, dw)  # deriv reads each weight d times
     # two rows, as a run's block has many: a one-row product takes another BLAS path and rounds differently
     dj, djb = protocol.rates(np.stack((x, x)))[0]
     return dx.ravel(), dw[:, 0], float(dj), float(djb)
@@ -364,7 +358,7 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
     """
     protocol = _Protocol(gains, topology, gains.mode)
     check_connected(topology, gains.mode)
-    n, d, nd, guarded, size = protocol.n, protocol.d, protocol.nd, protocol.guarded, protocol.size
+    n, d, nd, size = protocol.n, protocol.d, protocol.nd, protocol.size
     x0 = config.x0
     if x0.shape != (n, d):
         raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({n}, {d})")
@@ -386,14 +380,13 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
         (*rows[r : r + 5], xs[r], ws[r], xs[r + 1], ws[r + 1], xs[r + 2], ws[r + 2], xs[r + 3], ws[r + 3])
         for r in range(0, height - 1, 4)
     ]
-    k1, k2, k3, k4 = slopes = np.zeros((4, size))  # the fixed weights' slopes stay zero
-    (dx1, _, dw1), (dx2, _, dw2), (dx3, _, dw3), (dx4, _, dw4) = map(protocol.views, slopes)
+    k1, k2, k3, k4 = slopes = np.empty((4, size))
+    (dx1, dx2, dx3, dx4), (dw1, dw2, dw3, dw4) = slopes[:, :nd].reshape(4, n, d), slopes[:, nd:].reshape(4, -1, d)
     deriv, deriv2 = protocol.deriv, protocol.doubled().deriv
     multiply, add = np.multiply, np.add
-    block[0] = np.concatenate((x0.ravel(), protocol.w_all.repeat(d)))
-    kept = np.r_[:nd, nd:guarded:d]  # x and replica 0 of each adaptive weight
-    history = np.empty((len(samples), len(kept)))  # [x, adaptive w] at the samples
-    history[0] = block[0, kept]
+    block[0] = np.concatenate((x0.ravel(), np.repeat([topology.weights[e] for e in protocol.adaptive_edges], d)))
+    history = np.empty((len(samples), size))  # the states at the samples
+    history[0] = block[0]
     costs = np.zeros((len(samples), 2))  # (J, J_bound) at the samples
     totals = np.zeros((1, 2))  # totals[-1] holds (J, J_bound) after step `base`
     done = 1  # samples recorded so far
@@ -420,7 +413,7 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
                 multiply(k2, sixth_v, k2)
                 add(y, k2, result)
             # the first step whose result is non-finite or past the guard
-            magnitude = np.abs(block[4 : top + 1 : 4, :guarded]).max(axis=1)
+            magnitude = np.abs(block[4 : top + 1 : 4]).max(axis=1)
             failed = np.flatnonzero(~(magnitude <= DIVERGENCE_LIMIT))
             if len(failed):
                 k = int(failed[0])
@@ -431,7 +424,7 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
             totals = np.cumsum(np.concatenate((totals[-1:], increments)), axis=0)
             end = done + int(np.searchsorted(samples[done:], base + count, side="right"))
             offsets = samples[done:end] - base
-            history[done:end] = block[np.ix_(4 * offsets, kept)]
+            history[done:end] = block[4 * offsets]
             costs[done:end] = totals[offsets]
             block[0] = block[top]
             done = end
@@ -443,7 +436,7 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
         adaptive_edges=protocol.adaptive_edges,
         times=samples * dt,
         states=history[:, :nd].copy(),
-        weights=history[:, nd:].copy(),
+        weights=history[:, nd::d].copy(),
         j_realized=costs[:, 0].copy(),
         j_bound_integral=costs[:, 1].copy(),
     )

@@ -278,6 +278,13 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
         ),
         (
             "synthesize",
+            scalar_pair_config(topology={"n": 2, "edges": [[1, 2]], "leader": 1}),
+            "",
+            None,
+            "config field 'topology.leader': leaderless mode takes no leader, got agent 1",
+        ),
+        (
+            "synthesize",
             scalar_pair_config(initial_states={"seed": 1, "box": "wide"}),
             "",
             None,
@@ -408,7 +415,7 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
     ],
     ids=[
         "no-mode", "plant-not-an-object", "dt-text", "gamma-negative", "bad-mode", "plant-a-text",
-        "edges-not-a-list", "one-element-edge", "self-loop", "duplicate-edge", "bad-box", "tolerances-not-an-object",
+        "edges-not-a-list", "one-element-edge", "self-loop", "duplicate-edge", "leader-in-leaderless", "bad-box", "tolerances-not-an-object",
         "top-level-list", "missing-config", "undecodable-config", "env-without-value", "env-value-text",
         "tolerance-negative", "env-value-negative",
         "missing-trace", "trace-text-cell", "trace-underscore-cell", "trace-arabic-indic-digit", "trace-short-row",
@@ -921,6 +928,54 @@ def test_simulate_plot_script(tmp_path):
     assert "set datafile separator" in script
     assert csv_path in script
     assert "w1_2" in script
+
+
+def test_plot_script_doubles_the_quotes_in_its_paths(tmp_path):
+    # gnuplot reads '' inside a single-quoted string as one quote
+    path = write_config(tmp_path, scalar_pair_config(t_final=1.0))
+    csv_path = str(tmp_path / "it's.csv")
+    script_path = str(tmp_path / "plot.gp")
+    code, _, _ = run_cli(["simulate", path, "--out", csv_path, "--plot-script", script_path])
+    assert code == EXIT_OK
+    script = Path(script_path).read_text(encoding="utf-8")
+    quoted = csv_path.replace("'", "''")
+    assert f"plot '{quoted}' using 1:2 with lines title 'x1_1'" in script
+    assert "set output 'it''s_states.png'" in script
+    for line in script.splitlines():
+        assert "'" not in re.sub(r"'(?:[^']|'')*'", "", line), line
+
+
+@pytest.mark.parametrize(
+    "argv, first, second",
+    [
+        (["simulate", "{config}", "--out", "same.txt", "--plot-script", "same.txt"], "--out", "--plot-script"),
+        (["simulate", "{config}", "--echo-config", "t.csv", "--out", "./sub/../t.csv"], "--echo-config", "--out"),
+        (
+            ["simulate", "{seeded}", "--runs", "2", "--echo-config", "t-run1.csv", "--out", "t.csv"],
+            "--echo-config",
+            "--out",
+        ),
+        (["demo", "example-1", "--plot-script", "consensuskit-demo-example-1.csv"], "--out", "--plot-script"),
+    ],
+    ids=["out-and-plot-script", "echo-and-out-by-realpath", "echo-and-a-run-csv", "demo-default-csv"],
+)
+def test_two_outputs_naming_one_file_exit_parse_before_any_work(argv, first, second, tmp_path, monkeypatch):
+    # the later write would leave only its own text, which verify then cannot read
+    config = write_config(tmp_path, scalar_pair_config(t_final=1.0))
+    seeded = write_config(tmp_path, scalar_pair_config(t_final=1.0, initial_states={"seed": 1, "box": 1.0}), "s.json")
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+
+    def forbidden(*args):
+        raise AssertionError("worked before the output paths were checked")
+
+    monkeypatch.setattr(cli, "synthesize_gains", forbidden)
+    monkeypatch.setattr(verify, "verify_reference_gains", forbidden)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli([arg.format(config=config, seeded=seeded) for arg in argv])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith(f"error: {first} and {second} name the same file ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_simulate_plot_script_requires_out(tmp_path):

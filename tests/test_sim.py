@@ -388,8 +388,10 @@ def test_run_divergence_scan_reports_the_first_step_of_a_block_that_overflows():
 
 
 def test_run_keeps_fixed_follower_weights_bit_constant(monkeypatch):
-    # follower-follower weights ride in the state with a zero slope: every
-    # derivative evaluation sees exactly the configured weights
+    # follower-follower weights are constants of the protocol, each scaling
+    # its edge's row of the incidence: every derivative evaluation sees
+    # exactly the configured weights there, and a weight block of the two
+    # adaptive (leader) weights only, d equal replicas each
     gains = synthesis.design_leader_follower(A1, B1, Q1, 1.0)
     weights = {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 0.1 + 0.2, (3, 4): 1.7}
     topology = Topology(n=4, edges=tuple(weights), leader=1, weights=weights)
@@ -397,14 +399,16 @@ def test_run_keeps_fixed_follower_weights_bit_constant(monkeypatch):
     deriv = sim._Protocol.deriv
 
     def recording(self, x, w, dx, dw):
-        seen.append(w[2:, 0].copy())
+        seen.append((w.copy(), self.incidence[2:].copy()))
         deriv(self, x, w, dx, dw)
 
     monkeypatch.setattr(sim._Protocol, "deriv", recording)
     x0 = np.random.default_rng(29).uniform(-0.25, 0.25, size=(4, 2))
     trace = sim.run(SimConfig(x0=x0, t_final=0.25, dt=1e-3, sample_stride=10), gains, topology)
     assert len(seen) == 4 * 250
-    assert all(np.array_equal(w, [0.1 + 0.2, 1.7]) for w in seen)
+    assert all(w.shape == (2, 2) and np.array_equal(w[:, 0], w[:, 1]) for w, _ in seen)
+    fixed = [[0.0, -(0.1 + 0.2), 0.1 + 0.2, 0.0], [0.0, 0.0, -1.7, 1.7]]
+    assert all(np.array_equal(rows, fixed) for _, rows in seen)
     # Trace.weights holds only the adaptive (leader) edges' columns
     assert trace.adaptive_edges == ((1, 2), (1, 3))
     assert trace.weights.shape == (len(trace.times), 2)
@@ -987,20 +991,39 @@ def test_weight_replicas_stay_bit_identical_and_the_doubled_slope_is_exact(mode,
     with mock.patch.object(sim._Protocol, "deriv", recording):
         trace = sim.run(SimConfig(x0=x0, t_final=nsteps * 1e-3, dt=1e-3), gains, topology)
     assert len(seen) == 4 * nsteps
-    assert all(np.array_equal(w, w[:, :1].repeat(d, axis=1)) for w in seen)
     adaptive = len(trace.adaptive_edges)
+    assert all(w.shape == (adaptive, d) and np.array_equal(w, w[:, :1].repeat(d, axis=1)) for w in seen)
     # the first stage of step k reads the state after step k - 1
-    assert np.array_equal(np.array(seen[::4])[:, :adaptive, 0], trace.weights[:-1])
+    assert np.array_equal(np.array(seen[::4])[:, :, 0], trace.weights[:-1])
 
     protocol = sim._Protocol(gains, topology, mode)
-    y = np.concatenate((x0.ravel(), rng.uniform(0.5, 4.0, size=len(edges)).repeat(d)))
-    x, w, _ = protocol.views(y)
+    w = rng.uniform(0.5, 4.0, size=adaptive).repeat(d).reshape(adaptive, d)
     slopes = np.zeros((2, protocol.size))
-    (dx, _, dw), (dx2, _, dw2) = map(protocol.views, slopes)
-    protocol.deriv(x, w, dx, dw)
-    protocol.doubled().deriv(x, w, dx2, dw2)
+    (dx, dx2), (dw, dw2) = slopes[:, : n * d].reshape(2, n, d), slopes[:, n * d :].reshape(2, adaptive, d)
+    protocol.deriv(x0, w, dx, dw)
+    protocol.doubled().deriv(x0, w, dx2, dw2)
     assert np.array_equal(slopes[1], 2.0 * slopes[0])
     assert np.abs(slopes[0]).max() > 0.0
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_the_state_holds_the_agents_and_the_adaptive_weights_only(mode, d):
+    # a fixed follower weight never moves: it scales its edge's row of the
+    # incidence instead of taking d columns of the state
+    gains, _ = plant_gains_and_rhs(mode, d)
+    weights = {(1, 2): 1.0, (1, 3): 2.0, (2, 3): 0.3, (3, 4): 1.7, (4, 5): 0.5}
+    topology = Topology(n=5, edges=tuple(weights), weights=weights, leader=1 if mode == LEADER_FOLLOWER else None)
+    protocol = sim._Protocol(gains, topology, mode)
+    a = 5 if mode == LEADERLESS else 2
+    assert protocol.size == (5 + a) * d
+    signed = np.zeros((5, 5))
+    for row, (i, k) in enumerate(weights):
+        signed[row, [i - 1, k - 1]] = -1.0, 1.0
+    scale = np.array([1.0] * a + list(weights.values())[a:])
+    assert np.array_equal(protocol.incidence, signed * scale[:, None])
+    # the assembly takes the incidence unscaled
+    assert np.array_equal(protocol.assembly[1:, 5:], -signed.T[1:])
 
 
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
@@ -1014,16 +1037,18 @@ def test_deriv_operands_are_contiguous_and_of_their_final_shape(mode, d):
     topology = Topology(n=5, edges=edges, leader=1 if mode == LEADER_FOLLOWER else None)
     n, m, a = 5, 5, 5 if mode == LEADERLESS else 2
     protocol = sim._Protocol(gains, topology, mode)
-    x, w, dw = protocol.views(np.zeros((2, protocol.size))[1])  # a row of run()'s state and slope blocks
+    row = np.zeros((2, protocol.size))[1]  # a row of run()'s state and slope blocks
+    x, w, dw = row[: n * d].reshape(n, d), row[n * d :].reshape(a, d), row[n * d :].reshape(a, d)
     for twin in (protocol, protocol.doubled()):
         shapes = {
             "x": (x, (n, d)),
-            "w": (w, (m, d)),
+            "w": (w, (a, d)),
             "dw": (dw, (a, d)),
             "incidence": (twin.incidence, (m, n)),
             "diffs": (twin.diffs, (m, d)),
             "bku_t": (twin.bku_t, (d, d)),
             "coupling": (twin.coupling, (m, d)),
+            "adaptive_coupling": (twin.adaptive_coupling, (a, d)),
             "a_t": (twin.a_t, (d, d)),
             "drift": (twin.drift, (n, d)),
             "stacked": (twin.stacked, (n + m, d)),
