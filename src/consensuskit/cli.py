@@ -23,12 +23,12 @@ import json
 import os
 import signal
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import graph, matops, sim, synthesis, verify
+from ._record import Record
 from .graph import Topology, TopologyError
 from .sim import SimConfig, Trace
 from .synthesis import GainSet, LEADERLESS, LEADER_FOLLOWER
@@ -72,8 +72,7 @@ class CliError(Exception):
     """A command-line, config or trace-file error (exit code 2, see ``_FAILURES``)."""
 
 
-@dataclass(eq=False)
-class RunConfig:
+class RunConfig(Record, eq=False):
     """Parsed run configuration.
 
     ``gamma`` and ``delta`` are mutually exclusive: a fixed translation
@@ -587,6 +586,7 @@ def _echo_config(path: Optional[str], config: RunConfig) -> None:
 def cmd_synthesize(args, out=sys.stdout) -> int:
     config = parse_config(args.config)
     tolerances = merged_tolerances(config)  # a bad CONSENSUSKIT_TOLERANCES fails before any work
+    _check_outputs(args.config, 1, args.echo_config, None, None)
     _echo_config(args.echo_config, config)
     _print_gains(config, synthesize_gains(config), tolerances, out)
     return EXIT_OK
@@ -606,9 +606,12 @@ def _suffixed(path: Optional[str], index: int, runs: int) -> Optional[str]:
     return f"{root}-run{index}{ext}"
 
 
-def _check_outputs(runs: int, echo: Optional[str], csv_path: Optional[str], plot_path: Optional[str]) -> None:
-    """Raise CliError when two output flags name one file: the later write would replace the earlier one."""
-    outputs = [("--echo-config", echo)] + [
+def _check_outputs(
+    config: Optional[str], runs: int, echo: Optional[str], csv_path: Optional[str], plot_path: Optional[str]
+) -> None:
+    """Raise CliError when an output flag names the config being read, or two
+    name one file: the later write would replace the earlier one."""
+    outputs = [("config", config), ("--echo-config", echo)] + [
         (flag, _suffixed(path, index, runs))
         for index in range(runs)
         for flag, path in (("--out", csv_path), ("--plot-script", plot_path))
@@ -662,7 +665,7 @@ def cmd_simulate(args, out=sys.stdout) -> int:
         raise CliError("--runs > 1 requires seeded initial states")
     if args.plot_script and not args.out:
         raise CliError("--plot-script requires --out")
-    _check_outputs(args.runs, args.echo_config, args.out, args.plot_script)
+    _check_outputs(args.config, args.runs, args.echo_config, args.out, args.plot_script)
     _echo_config(args.echo_config, config)
     return _simulate(config, tolerances, out, args.runs, args.out, args.plot_script)
 
@@ -730,7 +733,7 @@ def demo_config(which: str) -> RunConfig:
 def cmd_demo(args, out=sys.stdout) -> int:
     which = args.which
     csv_path = args.out if args.out else f"consensuskit-demo-{which}.csv"
-    _check_outputs(1, None, csv_path, args.plot_script)
+    _check_outputs(None, 1, None, csv_path, args.plot_script)
     config = demo_config(which)
     tolerances = merged_tolerances(config)
     gain_report = verify.verify_reference_gains(which)

@@ -9,8 +9,9 @@ mode requires, and builds the path, cycle, complete and star families.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
+
+from ._record import Record
 
 __all__ = [
     "TopologyError",
@@ -34,8 +35,7 @@ def canonical_edge(i: int, k: int) -> tuple[int, int]:
     return (i, k) if i < k else (k, i)
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Record):
     """Undirected weighted interaction graph.
 
     ``edges`` holds canonical (min, max) agent pairs; ``weights`` maps each
@@ -46,7 +46,7 @@ class Topology:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    weights: Mapping[tuple[int, int], float] = field(default=None)  # type: ignore[assignment]
+    weights: Mapping[tuple[int, int], float] = None  # type: ignore[assignment]
     leader: Optional[int] = None
 
     def __post_init__(self):

@@ -29,11 +29,11 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import graph, matops
+from ._record import Record
 from .graph import Topology
 from .synthesis import GainSet, LEADERLESS, LEADER_FOLLOWER
 
@@ -96,8 +96,7 @@ def sample_steps(nsteps: int, stride: int) -> np.ndarray:
     return np.r_[0:nsteps:stride, nsteps]
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Integration settings and initial conditions.
 
     ``x0`` holds one row of length d per agent.  ``sample_stride`` decimates
@@ -121,8 +120,7 @@ class SimConfig:
         object.__setattr__(self, "sample_stride", operator.index(stride))
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """Sampled simulation history: what the integrator produced.
 
     ``states[0]`` is x(0); ``disagreement_norms`` derives the disagreement from them.

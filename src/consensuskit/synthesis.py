@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import matops
+from ._record import Record
 
 __all__ = [
     "LEADERLESS",
@@ -54,8 +54,7 @@ class RegulationError(SynthesisError):
     """Gain regulation search failed (infeasible bounds or non-monotone spectrum)."""
 
 
-@dataclass(frozen=True)
-class GainSet:
+class GainSet(Record):
     """Synthesized protocol gains with their Riccati certificate and plant.
 
     ``certificate`` is the symmetric positive definite solution matrix,
@@ -71,8 +70,8 @@ class GainSet:
     q: np.ndarray
     gamma: float
     certificate: np.ndarray
-    k_u: np.ndarray = field(default=None)  # type: ignore[assignment]
-    k_w: np.ndarray = field(default=None)  # type: ignore[assignment]
+    k_u: np.ndarray = None  # type: ignore[assignment]
+    k_w: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.mode not in COST_MULTIPLIER:
@@ -96,8 +95,7 @@ class GainSet:
         return verify_riccati_certificate(self.certificate, self.a, self.b, self.q, self.gamma, self.multiplier)
 
 
-@dataclass(frozen=True)
-class LmiReport:
+class LmiReport(Record):
     """Feasibility report for the LMI form of the synthesis condition."""
 
     feasible: bool

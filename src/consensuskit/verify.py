@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 import numpy as np
 
 from . import sim
+from ._record import Record
 from .graph import Topology
 from .sim import Trace
 from .synthesis import GainSet, LEADERLESS
@@ -56,8 +56,7 @@ DEFAULT_TOLERANCES: Mapping[str, float] = {
 HORIZON_RATE = 1e-10
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     """Verdicts and diagnostics for one completed run."""
 
     mode: str
@@ -191,7 +190,7 @@ def render_pairs(pairs, label: str = "") -> str:
 def render_report(report: CostReport, label: str = "") -> str:
     """``render_pairs`` of the report's fields in declaration order, then one
     ``warning_i`` line per warning."""
-    pairs = [(item.name, getattr(report, item.name)) for item in fields(report) if item.name != "warnings"]
+    pairs = [(name, getattr(report, name)) for name in report._fields if name != "warnings"]
     pairs += [(f"warning_{idx}", message) for idx, message in enumerate(report.warnings, start=1)]
     return render_pairs(pairs, label)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -557,7 +556,7 @@ def comparable(config):
             return {key: plain(item) for key, item in value.items()}
         return value
 
-    return {f.name: plain(getattr(config, f.name)) for f in dataclasses.fields(config)}
+    return {name: plain(getattr(config, name)) for name in config._fields}
 
 
 @settings(max_examples=60, deadline=None)
@@ -976,6 +975,33 @@ def test_two_outputs_naming_one_file_exit_parse_before_any_work(argv, first, sec
     assert (code, out) == (EXIT_PARSE, "")
     assert err.startswith(f"error: {first} and {second} name the same file ") and err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "t-run1.json", "--out", "t-run1.json"], "--out"),
+        (["synthesize", "t-run1.json", "--echo-config", "./sub/../t-run1.json"], "--echo-config"),
+        (["simulate", "t-run1.json", "--echo-config", "t-run1.json"], "--echo-config"),
+        (["simulate", "t-run1.json", "--runs", "2", "--out", "t.json"], "--out"),
+    ],
+    ids=["simulate-out", "synthesize-echo-by-realpath", "simulate-echo", "a-run-csv"],
+)
+def test_an_output_naming_the_config_exits_parse_and_leaves_it_unchanged(argv, flag, tmp_path, monkeypatch):
+    # the config would be replaced by the trace or its echo before it is read again
+    write_config(tmp_path, scalar_pair_config(t_final=1.0, initial_states={"seed": 1, "box": 1.0}), "t-run1.json")
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+
+    def forbidden(*args):
+        raise AssertionError("worked before the output paths were checked")
+
+    monkeypatch.setattr(cli, "synthesize_gains", forbidden)
+    before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    code, out, err = run_cli(argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith(f"error: config and {flag} name the same file ") and err.count("\n") == 1
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
 
 
 def test_simulate_plot_script_requires_out(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from unittest import mock
 
@@ -369,7 +368,7 @@ def test_run_divergence_scan_reports_the_first_step_of_a_block_that_overflows():
     # passes the guard; the state overflows to inf on the next step, and NaN
     # follows, before the block ends and is scanned
     plant = scalar_gains(2.0)
-    wrong = dataclasses.replace(plant, k_u=-plant.k_u)
+    wrong = plant.replace(k_u=-plant.k_u)
     topology = Topology(n=2, edges=((1, 2),))
     config = SimConfig(x0=np.array([[-1.0], [1.0]]), t_final=1.0, dt=1e-3)
     with pytest.raises(sim.DivergenceError) as excinfo:
@@ -873,7 +872,7 @@ def test_rhs_matches_the_per_agent_equations_for_an_override_k_w(mode, data):
     # lean on k_w = K_u^T K_u: draw a non-symmetric one on a d = 4, p = 2 plant
     designed, _ = plant_gains_and_rhs(mode, 4)
     k_w = np.random.default_rng(data.draw(st.integers(0, 2**16), label="k_w seed")).normal(size=(4, 4))
-    assert_rhs_matches_the_per_agent_equations(mode, dataclasses.replace(designed, k_w=k_w), data)
+    assert_rhs_matches_the_per_agent_equations(mode, designed.replace(k_w=k_w), data)
 
 
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -104,7 +102,7 @@ def test_analyze_detects_nonmonotone_weights():
     trace = run_trace(gains, topology, rng.uniform(-0.25, 0.25, size=(3, 2)), t_final=1.0)
     doctored_weights = trace.weights.copy()
     doctored_weights[-1] = doctored_weights[-2] - 1e-6
-    doctored = dataclasses.replace(trace, weights=doctored_weights)
+    doctored = trace.replace(weights=doctored_weights)
     report = verify.analyze(doctored, gains, topology)
     assert not report.weights_monotone
     assert report.min_weight_delta < -1e-7
@@ -116,7 +114,7 @@ def test_analyze_reports_bound_violation_without_clamping():
     trace = run_trace(gains, topology, rng.uniform(-0.25, 0.25, size=(3, 2)), t_final=1.0)
     doctored_cost = trace.j_realized.copy()
     doctored_cost[-1] = trace.j_realized[-1] + 10.0 * (1.0 + abs(float(trace.j_realized[-1])))
-    doctored = dataclasses.replace(trace, j_realized=doctored_cost)
+    doctored = trace.replace(j_realized=doctored_cost)
     report = verify.analyze(doctored, gains, topology)
     assert not report.bound_holds
     assert report.realized_cost > report.bound
