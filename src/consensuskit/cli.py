@@ -65,7 +65,6 @@ EXIT_DIVERGENCE = 4
 EXIT_BOUND = 5
 
 TOLERANCE_ENV_VAR = "CONSENSUSKIT_TOLERANCES"
-_CSV_CHUNK_ROWS = 256  # trace rows formatted per write
 
 
 class CliError(Exception):
@@ -435,19 +434,25 @@ def _trace_header(n: int, d: int, edges) -> list[str]:
 def write_trace_csv(path: str, trace: Trace) -> None:
     """Write the ``_trace_header`` line, then one %.17g row per sample.
 
-    The bytes are those of ``np.savetxt(fmt="%.17g")``.  One ``%`` formats
-    each chunk of _CSV_CHUNK_ROWS rows as Python floats, which it formats
-    faster than NumPy scalars; writing by chunks never holds the text of a
-    long trace whole.
+    The bytes are those of ``np.savetxt(fmt="%.17g")``.  ``_g17``, imported
+    on the first call so that commands writing no trace never load it, forms
+    each cell's |x| * 10**(16 - e) in double-double arithmetic to within
+    about 1e-14, so rounding it gives the correctly rounded 17 digits
+    whenever its fraction lies farther than 1e-6 from 1/2, and prints a zero
+    as 1.0 with its digit cleared.  Every other cell (inf, nan, |x| outside
+    [1e-280, 1e280], near and exact ties) goes through Python's
+    ``'%.17g' %``.  The rows are formatted and written a block at a time, so
+    the text of a long trace is never held whole.
     """
+    from . import _g17
+
     eta = sim.disagreement_norms(trace.states.reshape(-1, trace.n, trace.d), trace.mode)
-    rows = np.column_stack((trace.times, trace.states, trace.weights, eta, trace.j_realized, trace.j_bound_integral))
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(_trace_header(trace.n, trace.d, trace.adaptive_edges)) + "\n")
-        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = rows[start : start + _CSV_CHUNK_ROWS]
-            handle.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+    parts = (trace.times[:, None], trace.states, trace.weights, eta[:, None])
+    parts += (trace.j_realized[:, None], trace.j_bound_integral[:, None])
+    with open(path, "wb") as handle:
+        handle.write((",".join(_trace_header(trace.n, trace.d, trace.adaptive_edges)) + "\n").encode())
+        for text in _g17.blocks(parts):
+            handle.write(text)
 
 
 def _unreadable_sample(path: str, expected: list[str]) -> Optional[str]:
@@ -610,7 +615,9 @@ def _check_outputs(
     config: Optional[str], runs: int, echo: Optional[str], csv_path: Optional[str], plot_path: Optional[str]
 ) -> None:
     """Raise CliError when an output flag names the config being read, or two
-    name one file: the later write would replace the earlier one."""
+    name one file: the later write would replace the earlier one.  A path
+    that exists is its (device, inode), so a hard link is the file it links;
+    any other path is its realpath."""
     outputs = [("config", config), ("--echo-config", echo)] + [
         (flag, _suffixed(path, index, runs))
         for index in range(runs)
@@ -619,9 +626,13 @@ def _check_outputs(
     seen = {}
     for flag, path in outputs:
         if path:
-            real = os.path.realpath(path)
-            if seen.setdefault(real, flag) != flag:
-                raise CliError(f"{seen[real]} and {flag} name the same file {path!r}")
+            try:
+                status = os.stat(path)
+                key = (status.st_dev, status.st_ino)
+            except OSError:
+                key = os.path.realpath(path)
+            if seen.setdefault(key, flag) != flag:
+                raise CliError(f"{seen[key]} and {flag} name the same file {path!r}")
 
 
 def _simulate(

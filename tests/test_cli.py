@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from consensuskit import cli, matops, sim, synthesis, verify
+from consensuskit import _g17, cli, matops, sim, synthesis, verify
 from consensuskit.graph import TopologyError
 from consensuskit.synthesis import LEADERLESS, LEADER_FOLLOWER
 from consensuskit.cli import (
@@ -984,12 +984,14 @@ def test_two_outputs_naming_one_file_exit_parse_before_any_work(argv, first, sec
         (["synthesize", "t-run1.json", "--echo-config", "./sub/../t-run1.json"], "--echo-config"),
         (["simulate", "t-run1.json", "--echo-config", "t-run1.json"], "--echo-config"),
         (["simulate", "t-run1.json", "--runs", "2", "--out", "t.json"], "--out"),
+        (["simulate", "t-run1.json", "--out", "hard.json"], "--out"),
     ],
-    ids=["simulate-out", "synthesize-echo-by-realpath", "simulate-echo", "a-run-csv"],
+    ids=["simulate-out", "synthesize-echo-by-realpath", "simulate-echo", "a-run-csv", "simulate-out-by-hard-link"],
 )
 def test_an_output_naming_the_config_exits_parse_and_leaves_it_unchanged(argv, flag, tmp_path, monkeypatch):
     # the config would be replaced by the trace or its echo before it is read again
     write_config(tmp_path, scalar_pair_config(t_final=1.0, initial_states={"seed": 1, "box": 1.0}), "t-run1.json")
+    os.link(tmp_path / "t-run1.json", tmp_path / "hard.json")  # another name of the config, with its own realpath
     (tmp_path / "sub").mkdir()
     monkeypatch.chdir(tmp_path)
 
@@ -1048,18 +1050,35 @@ def test_verify_round_trip(tmp_path):
         assert report == out2.splitlines()
 
 
-@pytest.mark.parametrize("samples", [1, 256, 257, 3001])
+# Rows per formatting pass of the test's 9-column trace.
+_PASS_ROWS = _g17._PASS_CELLS // 9
+
+_SPECIAL_CELLS = [
+    # a signed zero, the smallest subnormal, values near the top of the range, integral floats
+    *(-0.0, 5e-324, 1e308, -1e308, 3.0, -42.0, 0.0, 1e16),
+    # one ulp either side of powers of ten, where log10's exponent may be off by one,
+    # within and just outside the NumPy path's range [1e-280, 1e280]
+    *(np.nextafter(10.0**k, side) for k in (-280, -100, -5, -4, 0, 1, 16, 17, 37, 280) for side in (-np.inf, np.inf)),
+    # the %g switch to e-notation below 1e-4 and at 17 integer digits
+    *(1e-5, 9.9999999999999991e-05, 1e-4, 9999999999999998.0, 1e16, 99999999999999984.0, 1e17),
+    # doubles just below 10**-14 and 10**98 whose 17 digits round up to that power
+    *(1e-14, 1e98),
+    # an exact tie, printed 2.9802322387695312e-08 by rounding half to even
+    2.0**-25,
+    float("nan"),
+]
+
+
+@pytest.mark.parametrize("samples", [1, 256, 257, 3001, _PASS_ROWS, _PASS_ROWS + 1])
 def test_trace_csv_bytes_equal_savetxt(samples, tmp_path):
-    # chunk edges (256, 257 rows), a signed zero, the smallest subnormal, a
-    # value near the top of the range and integral floats
+    # edges of the formatter's passes; from 256 rows on, every special cell appears at least once
     rng = np.random.default_rng(samples)
-    special = [-0.0, 5e-324, 1e308, -1e308, 3.0, -42.0, 0.0, 1e16]
     n, d, edges = 2, 2, ((1, 2),)
     scales = 10.0 ** rng.integers(-300, 300, size=(samples, 1))
     columns = rng.normal(size=(samples, 1 + n * d + len(edges) + 3)) * scales
     flat = columns.ravel()
-    picked = rng.choice(flat.size, size=min(flat.size, 40), replace=False)
-    flat[picked] = rng.choice(special, size=len(picked))
+    picked = rng.choice(flat.size, size=min(flat.size, 2 * len(_SPECIAL_CELLS)), replace=False)
+    flat[picked] = np.resize(_SPECIAL_CELLS, len(picked))
     times, states, weights, eta, j, jb = np.split(columns, [1, 1 + n * d, 1 + n * d + len(edges), -2, -1], axis=1)
     # the writer derives eta_norm from the states; the squares of rows scaled past 1e154 overflow to inf there
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1082,6 +1101,21 @@ def test_trace_csv_bytes_equal_savetxt(samples, tmp_path):
     header = ",".join(cli._trace_header(n, d, edges))
     np.savetxt(expected, columns, fmt="%.17g", delimiter=",", header=header, comments="")
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+_ANY_FLOAT = st.one_of(
+    st.floats(),  # Hypothesis' own edge cases: zeros, subnormals, infinities, nan
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),  # every bit pattern
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ANY_FLOAT, min_size=1, max_size=60), st.integers(1, 4))
+def test_g17_text_is_percent_17g_of_any_float(values, columns):
+    cells = np.resize(np.array(values), (-(-len(values) // columns), columns))
+    line = ",".join(["%.17g"] * columns) + "\n"
+    expected = "".join(line % tuple(row) for row in cells.tolist()).encode()
+    assert b"".join(bytes(text) for text in _g17.blocks((cells,))) == expected
 
 
 def test_tracking_error_is_distance_to_consensus_function_at_t_final(tmp_path):
