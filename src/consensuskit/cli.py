@@ -11,8 +11,10 @@ Subcommands:
 - ``verify <cfg> <trace.csv>``: re-verify a previously written trace.
 
 Configs are JSON: nested sections with flat row-major numeric arrays and
-explicit dimensions.  Exit codes: 0 success, 2 parse, config or file error,
-3 synthesis infeasible, 4 divergence, 5 a verification check failed.
+explicit dimensions.  Each ``cmd_*`` yields (label, section) pairs, a section
+being (key, value) pairs or a ``verify.CostReport``; ``main``, the one stdout
+writer, prints each as it arrives.  Exit codes: 0 success, 2 parse, config or
+file error, 3 synthesis infeasible, 4 divergence, 5 a report has not passed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import os
 import signal
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -564,13 +566,11 @@ def write_plot_script(path: str, csv_path: str, trace: Trace) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _print_gains(config: RunConfig, gains: GainSet, tolerances: dict, out) -> None:
-    """Print the gains and their certificate check at the merged ``certificate`` tolerance."""
+def _gain_pairs(config: RunConfig, gains: GainSet, tolerances: dict) -> list:
+    """The gains and their certificate check at the merged ``certificate`` tolerance."""
     tol = {**verify.DEFAULT_TOLERANCES, **tolerances}["certificate"]
-    pairs = [("mode", gains.mode)]
-    if config.delta is not None:
-        pairs.append(("regulated", True))
-    pairs += [
+    regulated = [("regulated", True)] if config.delta is not None else []
+    return [("mode", gains.mode)] + regulated + [
         ("gamma", gains.gamma),
         ("certificate", gains.certificate),
         ("k_u", gains.k_u),
@@ -579,7 +579,6 @@ def _print_gains(config: RunConfig, gains: GainSet, tolerances: dict, out) -> No
         ("certificate_ok", gains.certificate_margin <= tol),
         ("certificate_max_eigenvalue", matops.sym_eig(gains.certificate)[-1]),
     ]
-    print(verify.render_pairs(pairs), file=out)
 
 
 def _echo_config(path: Optional[str], config: RunConfig) -> None:
@@ -588,20 +587,12 @@ def _echo_config(path: Optional[str], config: RunConfig) -> None:
             handle.write(render_config(config) + "\n")
 
 
-def cmd_synthesize(args, out=sys.stdout) -> int:
+def cmd_synthesize(args) -> Iterator[tuple]:
     config = parse_config(args.config)
     tolerances = merged_tolerances(config)  # a bad CONSENSUSKIT_TOLERANCES fails before any work
     _check_outputs(args.config, 1, args.echo_config, None, None)
     _echo_config(args.echo_config, config)
-    _print_gains(config, synthesize_gains(config), tolerances, out)
-    return EXIT_OK
-
-
-def _print_report(report: verify.CostReport, out, label: str = "") -> int:
-    """Print the report; exit 5 when any of its four verdicts fails (warnings do not count)."""
-    print(verify.render_report(report, label), file=out)
-    checks = (report.bound_holds, report.weights_monotone, report.certificate_ok, report.consensus_achieved)
-    return EXIT_OK if all(checks) else EXIT_BOUND
+    yield "", _gain_pairs(config, synthesize_gains(config), tolerances)
 
 
 def _suffixed(path: Optional[str], index: int, runs: int) -> Optional[str]:
@@ -636,13 +627,13 @@ def _check_outputs(
 
 
 def _simulate(
-    config: RunConfig, tolerances: dict, out, runs: int, csv_path: Optional[str], plot_path: Optional[str]
-) -> int:
-    """Synthesize and print the gains, then integrate, write and report each
-    seeded run; returns the worst run's exit code."""
+    config: RunConfig, tolerances: dict, runs: int, csv_path: Optional[str], plot_path: Optional[str]
+) -> Iterator[tuple]:
+    """Synthesize and yield the gains, then integrate, write and yield the
+    sections of each seeded run, and with several runs how many passed."""
     gains = synthesize_gains(config)
-    _print_gains(config, gains, tolerances, out)
-    codes = []
+    yield "", _gain_pairs(config, gains, tolerances)
+    passed = 0
     for index in range(runs):
         label = f"run{index}" if runs > 1 else ""
         x0 = initial_states(config, index)
@@ -650,24 +641,24 @@ def _simulate(
         if config.initial_seed is not None:
             lo, hi = map(verify.render_value, config.initial_box)
             pairs = [("initial_seed", config.initial_seed + index), ("initial_box", f"[{lo}, {hi}]")]
-        print(verify.render_pairs(pairs + [("x0", x0)], label), file=out)
+        yield label, pairs + [("x0", x0)]
         sim_config = SimConfig(x0=x0, t_final=config.t_final, dt=config.dt, sample_stride=config.sample_stride)
         trace = sim.run(sim_config, gains, config.topology)
         report = verify.analyze(trace, gains, config.topology, tolerances)
         run_csv, run_plot = _suffixed(csv_path, index, runs), _suffixed(plot_path, index, runs)
         if run_csv:
             write_trace_csv(run_csv, trace)
-            print(verify.render_pairs([("trace_csv", run_csv)], label), file=out)
+            yield label, [("trace_csv", run_csv)]
         if run_plot:
             write_plot_script(run_plot, run_csv, trace)
-            print(verify.render_pairs([("plot_script", run_plot)], label), file=out)
-        codes.append(_print_report(report, out, label))
+            yield label, [("plot_script", run_plot)]
+        yield label, report
+        passed += report.passed
     if runs > 1:
-        print(verify.render_pairs([("runs_passed", f"{codes.count(EXIT_OK)}/{runs}")]), file=out)
-    return max(codes)
+        yield "", [("runs_passed", f"{passed}/{runs}")]
 
 
-def cmd_simulate(args, out=sys.stdout) -> int:
+def cmd_simulate(args) -> Iterator[tuple]:
     config = parse_config(args.config)
     tolerances = merged_tolerances(config)
     if args.runs < 1:
@@ -678,7 +669,7 @@ def cmd_simulate(args, out=sys.stdout) -> int:
         raise CliError("--plot-script requires --out")
     _check_outputs(args.config, args.runs, args.echo_config, args.out, args.plot_script)
     _echo_config(args.echo_config, config)
-    return _simulate(config, tolerances, out, args.runs, args.out, args.plot_script)
+    yield from _simulate(config, tolerances, args.runs, args.out, args.plot_script)
 
 
 _DEMO_CONFIGS = {
@@ -741,7 +732,7 @@ def demo_config(which: str) -> RunConfig:
     return parse_config_text(json.dumps(_DEMO_CONFIGS[which]), source=f"demo:{which}")
 
 
-def cmd_demo(args, out=sys.stdout) -> int:
+def cmd_demo(args) -> Iterator[tuple]:
     which = args.which
     csv_path = args.out if args.out else f"consensuskit-demo-{which}.csv"
     _check_outputs(None, 1, None, csv_path, args.plot_script)
@@ -761,17 +752,16 @@ def cmd_demo(args, out=sys.stdout) -> int:
         text = f"violated (lambda_max(B B^T) = {verify.render_value(bbt_max)} > 1; relaxed rescaling applies)"
         pairs.append(("strict_gain_regulation_bbt_max_eigenvalue", bbt_max))
         pairs.append(("strict_gain_regulation_precondition", text))
-    pairs.append(("note", _DEMO_TOPOLOGY_NOTES[which]))
-    print(verify.render_pairs(pairs), file=out)
-    return _simulate(config, tolerances, out, 1, csv_path, args.plot_script)
+    yield "", pairs + [("note", _DEMO_TOPOLOGY_NOTES[which])]
+    yield from _simulate(config, tolerances, 1, csv_path, args.plot_script)
 
 
-def cmd_verify(args, out=sys.stdout) -> int:
+def cmd_verify(args) -> Iterator[tuple]:
     config = parse_config(args.config)
     tolerances = merged_tolerances(config)
     trace = read_trace_csv(args.trace, config)
     gains = synthesize_gains(config)
-    return _print_report(verify.analyze(trace, gains, config.topology, tolerances), out)
+    yield "", verify.analyze(trace, gains, config.topology, tolerances)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -830,8 +820,14 @@ def main(argv: Optional[Sequence[str]] = None, out=sys.stdout, err=sys.stderr) -
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
+    failed = False
     try:
-        return args.handler(args, out=out)
+        for label, section in args.handler(args):
+            is_report = isinstance(section, verify.CostReport)
+            failed = failed or (is_report and not section.passed)
+            render = verify.render_report if is_report else verify.render_pairs
+            print(render(section, label), file=out)
+        return EXIT_BOUND if failed else EXIT_OK
     except tuple(t for types, _, _ in _FAILURES for t in types) as exc:
         code, prefix = next((code, prefix) for types, code, prefix in _FAILURES if isinstance(exc, types))
         print(f"error: {prefix}{exc}", file=err)

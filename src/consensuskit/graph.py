@@ -83,9 +83,7 @@ class Topology(Record):
             raise TopologyError(f"leader {self.leader} outside 1..{self.n}")
 
     def leader_edges(self) -> tuple[tuple[int, int], ...]:
-        """Canonical edges incident to the leader, in canonical order."""
-        if self.leader is None:
-            return ()
+        """Canonical edges incident to the leader, in canonical order (none without a leader)."""
         return tuple(e for e in self.edges if self.leader in e)
 
 def _reaches_all(topology: Topology, start: int) -> bool:

@@ -75,6 +75,11 @@ class CostReport(Record):
     certificate_ok: bool
     warnings: tuple[str, ...] = ()
 
+    @property
+    def passed(self) -> bool:
+        """All four verdicts hold; warnings do not count.  ``cli.main`` exits 5 when a report has not passed."""
+        return bool(self.bound_holds and self.weights_monotone and self.certificate_ok and self.consensus_achieved)
+
 
 def checked_tolerances(entries: Mapping, where: str = "tolerance '{}'") -> dict:
     """Tolerance overrides as floats, each named in DEFAULT_TOLERANCES and a

@@ -873,6 +873,10 @@ def test_simulate_divergence_exit_code(tmp_path):
     code, out, err = run_cli(["simulate", path])
     assert code == EXIT_DIVERGENCE
     assert "exceeded" in err
+    # each section is printed as it is yielded: the gains block and x0 came before the divergence
+    code, gains_block, _ = run_cli(["synthesize", path])
+    assert code == EXIT_OK and stdout_keys(gains_block) == gain_keys(1)
+    assert out == gains_block + "x0 | -1\nx0 | 1\n"
 
 
 def test_simulate_weight_divergence_exit_code(tmp_path):
@@ -1369,6 +1373,49 @@ def test_simulate_runs_prints_the_pinned_key_sequence(tmp_path):
     run_keys = ["initial_seed", "initial_box", "x0", "x0"] + REPORT_KEYS + ["warning_1"]
     labelled = [f"run{i} :: {key}" for i in range(2) for key in run_keys]
     assert stdout_keys(out) == gain_keys(1) + labelled + ["runs_passed"]
+
+
+def test_a_divergence_in_run_1_exits_4_after_printing_run_0_in_full(tmp_path, monkeypatch):
+    path = write_config(tmp_path, scalar_pair_config(initial_states={"seed": 21, "box": 0.5}, t_final=2.0))
+    code, full, _ = run_cli(["simulate", path, "--runs", "2"])
+    assert code == EXIT_OK
+    run, calls = sim.run, []
+
+    def diverging_second_call(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise sim.DivergenceError(time=1.0, magnitude=2e9)
+        return run(*args)
+
+    monkeypatch.setattr(sim, "run", diverging_second_call)
+    code, out, err = run_cli(["simulate", path, "--runs", "2"])
+    assert (code, len(calls)) == (EXIT_DIVERGENCE, 2) and err.startswith("error: divergence: ")
+    run0 = ["initial_seed", "initial_box", "x0", "x0"] + REPORT_KEYS + ["warning_1"]
+    run1 = ["initial_seed", "initial_box", "x0", "x0"]
+    assert stdout_keys(out) == gain_keys(1) + [f"run0 :: {key}" for key in run0] + [f"run1 :: {key}" for key in run1]
+    assert full.startswith(out)
+
+
+def test_one_failed_run_of_three_exits_5_after_printing_every_report(tmp_path, monkeypatch):
+    analyze, reports = verify.analyze, []
+
+    def failing_second_report(*args):
+        report = analyze(*args)
+        reports.append(report.replace(bound_holds=False) if len(reports) == 1 else report)
+        return reports[-1]
+
+    monkeypatch.setattr(verify, "analyze", failing_second_report)
+    path = write_config(tmp_path, scalar_pair_config(initial_states={"seed": 21, "box": 0.5}, t_final=2.0))
+    code, out, err = run_cli(["simulate", path, "--runs", "3"])
+    assert (code, err) == (EXIT_BOUND, "")
+    assert [report.passed for report in reports] == [True, False, True]
+    run_keys = ["initial_seed", "initial_box", "x0", "x0"] + REPORT_KEYS + ["warning_1"]
+    labelled = [f"run{i} :: {key}" for i in range(3) for key in run_keys]
+    assert stdout_keys(out) == gain_keys(1) + labelled + ["runs_passed"]
+    assert [line for line in out.splitlines() if "bound_holds" in line] == [
+        "run0 :: bound_holds = true", "run1 :: bound_holds = false", "run2 :: bound_holds = true",
+    ]
+    assert out.splitlines()[-1] == "runs_passed = 2/3"
 
 
 @pytest.mark.parametrize("which, d", [("example-1", 2), ("example-2", 4)])

@@ -190,6 +190,32 @@ def test_render_report_key_value_block():
     assert verify.render_report(report, "run3").splitlines() == ["run3 :: " + line for line in text.splitlines()]
 
 
+VERDICTS = ("bound_holds", "weights_monotone", "certificate_ok", "consensus_achieved")
+
+
+def passing_report(**changes):
+    fields = dict(
+        mode=LEADERLESS, horizon=1.0, realized_cost=1.0, bound=2.0, initial_disagreement=1.0,
+        final_disagreement=0.0, min_weight_delta=0.0, final_weight_rate=0.0, tracking_error=0.0,
+        certificate_margin=-1.0, **dict.fromkeys(VERDICTS, True),
+    )
+    return verify.CostReport(**dict(fields, **changes))
+
+
+@pytest.mark.parametrize("verdict", VERDICTS)
+def test_report_passes_only_when_all_four_verdicts_hold(verdict):
+    assert passing_report().passed is True
+    assert passing_report(**{verdict: False}).passed is False
+    assert passing_report(**{verdict: np.False_}).passed is False
+
+
+def test_warnings_do_not_fail_a_report_and_passed_is_no_field():
+    report = passing_report(warnings=("horizon too short: bound integrand still 1.000e-03 per unit time at t_final",))
+    assert report.passed is True
+    assert "passed" not in report._fields
+    assert "passed" not in verify.render_report(report)
+
+
 def test_render_pairs_applies_one_rule_per_kind_of_value():
     pairs = [
         ("f", 0.1), ("i", 10**20), ("b", np.True_), ("t", "a = b"), ("v", np.array([1.0, -2.5])), ("m", np.eye(2)),
