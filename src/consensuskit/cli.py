@@ -387,10 +387,13 @@ def env_tolerances() -> dict:
         if "=" not in part:
             raise CliError(f"{TOLERANCE_ENV_VAR}: expected name=value, got {part.strip()!r}")
         name, _, text = part.partition("=")
+        name = name.strip()
+        if name in entries:
+            raise CliError(f"{TOLERANCE_ENV_VAR} entry '{name}': given twice")
         try:
-            entries[name.strip()] = float(text)
+            entries[name] = float(text)
         except ValueError:
-            entries[name.strip()] = text  # checked_tolerances reports it
+            entries[name] = text  # checked_tolerances reports it
     return _tolerances(entries, f"{TOLERANCE_ENV_VAR} entry '{{}}'")
 
 

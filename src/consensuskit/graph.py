@@ -86,6 +86,7 @@ class Topology(Record):
         """Canonical edges incident to the leader, in canonical order (none without a leader)."""
         return tuple(e for e in self.edges if self.leader in e)
 
+
 def _reaches_all(topology: Topology, start: int) -> bool:
     """True when every agent has an undirected path to start.
 

@@ -72,10 +72,29 @@ def _square(values, name: str) -> np.ndarray:
     return m
 
 
-def _require_symmetric(m: np.ndarray, name: str, rel: float = 1e-10) -> None:
+def _require_symmetric(m: np.ndarray, name: str) -> None:
     scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > rel * scale:
-        raise SymmetryError(f"{name} is not symmetric within {rel:g} relative tolerance")
+    if float(np.abs(m - m.T).max()) > 1e-10 * scale:
+        raise SymmetryError(f"{name} is not symmetric within 1e-10 relative tolerance")
+
+
+def _symmetric(values, name: str, d: int) -> np.ndarray:
+    """A finite d x d matrix, symmetric within 1e-10 relative tolerance."""
+    m = as_matrix(values, name)
+    if m.shape != (d, d):
+        raise ShapeError(f"{name} is {m.shape[0]}x{m.shape[1]}, expected {d}x{d}")
+    _require_symmetric(m, name)
+    return m
+
+
+def _plant(a, b, q, q_name: str = "q") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plant rule: A square, B with A's rows, Q symmetric of A's size; errors name the caller's argument."""
+    a = _square(a, "a")
+    b = as_matrix(b, "b")
+    d = a.shape[0]
+    if b.shape[0] != d:
+        raise ShapeError(f"b has {b.shape[0]} rows, expected {d}")
+    return a, b, _symmetric(q, q_name, d)
 
 
 def sym_eig(m) -> np.ndarray:
@@ -161,15 +180,8 @@ def care_solve(a, b, q_hat, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     value at most 1e-13 of its largest, an indefinite P, or a Riccati residual
     R whose largest |entry| or largest eigenvalue exceeds 1e-7 (1 + ||P||_F^2).
     """
-    a = _square(a, "a")
-    b_mat = as_matrix(b, "b")
-    q = _square(q_hat, "q_hat")
+    a, b_mat, q = _plant(a, b, q_hat, "q_hat")
     d = a.shape[0]
-    if b_mat.shape[0] != d:
-        raise ShapeError(f"b has {b_mat.shape[0]} rows, expected {d}")
-    if q.shape[0] != d:
-        raise ShapeError(f"q_hat is {q.shape[0]}x{q.shape[1]}, expected {d}x{d}")
-    _require_symmetric(q, "q_hat")
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     g = gamma * (b_mat @ b_mat.T)

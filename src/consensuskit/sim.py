@@ -448,7 +448,7 @@ def disagreement_norms(x: np.ndarray, mode: str) -> np.ndarray:
 
 def consensus_function(a, initial_states, t: float) -> np.ndarray:
     """Consensus trajectory e^{A t} applied to the average initial state."""
-    a = matops.as_matrix(a, "a")
+    a = matops._square(a, "a")
     x0 = matops.as_matrix(initial_states, "initial_states")
     return matops.matrix_exp(a * t) @ x0.mean(axis=0)
 

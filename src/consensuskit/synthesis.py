@@ -110,22 +110,8 @@ class LmiReport(Record):
     gamma_equivalent: float
 
 
-def _validated_plant(a, b, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a = matops.as_matrix(a, "a")
-    b = matops.as_matrix(b, "b")
-    q = matops.as_matrix(q, "q")
-    if a.shape[0] != a.shape[1]:
-        raise matops.ShapeError(f"a must be square, got {a.shape}")
-    d = a.shape[0]
-    if b.shape[0] != d:
-        raise matops.ShapeError(f"b has {b.shape[0]} rows, expected {d}")
-    if q.shape != (d, d):
-        raise matops.ShapeError(f"q is {q.shape[0]}x{q.shape[1]}, expected {d}x{d}")
-    return a, b, q
-
-
 def _checked_plant(a, b, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a, b, q = _validated_plant(a, b, q)
+    a, b, q = matops._plant(a, b, q)
     if not matops.sym_eig(q)[0] >= 1e-12:
         raise WeightMatrixError("q must be symmetric positive definite")
     return a, b, q
@@ -160,11 +146,8 @@ def verify_riccati_certificate(certificate, a, b, q, gamma: float, multiplier: i
     - gamma certificate B B^T certificate + multiplier Q; the certificate
     holds when the margin is at most the run's ``certificate`` tolerance.
     """
-    a, b, q = _validated_plant(a, b, q)
-    p = matops.as_matrix(certificate, "certificate")
-    if p.shape != a.shape:
-        raise matops.ShapeError(f"certificate is {p.shape[0]}x{p.shape[1]}, expected {a.shape[0]}x{a.shape[1]}")
-    matops._require_symmetric(p, "certificate")
+    a, b, q = matops._plant(a, b, q)
+    p = matops._symmetric(certificate, "certificate", a.shape[0])
     return float(matops.sym_eig(matops._riccati_residual(p, a, b, multiplier * q, gamma))[-1])
 
 
@@ -182,12 +165,8 @@ def verify_lmi_corollary(
     pair that rescales B to unit spectral norm with gamma compensated.  That
     pair leaves gamma B B^T unchanged, so both modes assemble the same Xi.
     """
-    a, b, q = _validated_plant(a, b, q)
-    pt = matops.as_matrix(p_tilde, "p_tilde")
-    d = a.shape[0]
-    if pt.shape != (d, d):
-        raise matops.ShapeError(f"p_tilde is {pt.shape[0]}x{pt.shape[1]}, expected {d}x{d}")
-    matops._require_symmetric(pt, "p_tilde")
+    a, b, q = matops._plant(a, b, q)
+    pt = matops._symmetric(p_tilde, "p_tilde", a.shape[0])
     bbt_max, bbt_ok = _input_scaling(b)
     rescaled = not (bbt_ok or strict)
     xi = np.block(

@@ -651,6 +651,16 @@ def test_env_tolerances_unknown_key(monkeypatch):
         cli.env_tolerances()
 
 
+@pytest.mark.parametrize("entries", ["consensus=1e-3, consensus=0.5", "consensus=0.5,bound_rel=1e-9, consensus =0.5"])
+def test_env_tolerance_given_twice_exits_parse(entries, tmp_path, monkeypatch):
+    # as in a config object, a name given twice is an error, not the last value silently kept
+    path = write_config(tmp_path, scalar_pair_config(t_final=1.0))
+    monkeypatch.setenv(cli.TOLERANCE_ENV_VAR, entries)
+    code, out, err = run_cli(["synthesize", path])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "error: CONSENSUSKIT_TOLERANCES entry 'consensus': given twice\n"
+
+
 def test_env_overrides_config(monkeypatch, tmp_path):
     config = cli.parse_config_text(
         json.dumps(scalar_pair_config(tolerances={"consensus": 0.5}))
@@ -1334,6 +1344,19 @@ def test_a_non_symmetric_certificate_override_names_its_field(command, tmp_path)
     assert (code, out) == (EXIT_PARSE, "")
     message = "certificate is not symmetric within 1e-10 relative tolerance"
     assert err == f"error: config field 'gains.certificate': {message}\n"
+
+
+@pytest.mark.parametrize("gains", ["designed", "override"])
+def test_a_non_symmetric_q_exits_parse_before_any_output(gains, tmp_path):
+    # a supplied certificate is checked against the plant's Q by the same rule a design applies
+    config = dict(cli._DEMO_CONFIGS["example-1"], t_final=0.1)
+    config["plant"] = dict(config["plant"], q=[1.0, 0.5, 0.0, 2.0])
+    if gains == "override":
+        designed = cli.synthesize_gains(cli.demo_config("example-1")).certificate
+        config["gains"] = {"certificate": list(designed.ravel())}
+    code, out, err = run_cli(["synthesize", write_config(tmp_path, config)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "error: q is not symmetric within 1e-10 relative tolerance\n"
 
 
 # ------------------------------------------------------------- stdout shape

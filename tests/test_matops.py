@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import consensuskit
-from consensuskit import matops
+from consensuskit import matops, sim, synthesis
 from test_synthesis import A1, A2, B1, B2, Q1, Q2
 
 
@@ -208,20 +209,6 @@ def test_care_solve_rejects_an_indefinite_solution():
         matops.care_solve([[-1.0]], [[1.0]], [[-0.5]], 1.0)
 
 
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: matops.matrix_exp(np.zeros((2, 3))), "m must be square, got 2x3"),
-        (lambda: matops.care_solve(np.eye(2), np.ones((3, 1)), np.eye(2), 1.0), "b has 3 rows, expected 2"),
-        (lambda: matops.care_solve(np.eye(2), np.ones((2, 1)), np.eye(3), 1.0), "q_hat is 3x3, expected 2x2"),
-    ],
-    ids=["non-square", "care-b-rows", "care-q-hat-size"],
-)
-def test_operand_shapes_are_checked(call, message):
-    with pytest.raises(matops.ShapeError, match=f"^{re.escape(message)}$"):
-        call()
-
-
 def test_care_solve_residual_and_definiteness_random():
     # unstable plants over eight decades of gamma, where a small gamma makes P large
     rng = np.random.default_rng(42)
@@ -295,6 +282,85 @@ def test_care_solve_rejects_a_residual_over_the_entry_bound_alone(monkeypatch):
     message = r"largest \|entry\| 3\.000e-07, lambda_max -3\.000e-07\) exceeds 1\.500e-07"
     with pytest.raises(matops.NotStabilizableError, match=message):
         care_solve_with_residual(-2.0 * LIMIT * np.eye(2), monkeypatch)
+
+
+# --------------------------------------------------------- argument checks
+
+# Each entry point that takes a plant, called on (a, b, q), with the name of its Q argument.
+PLANT_ENTRIES = {
+    "care_solve": (lambda a, b, q: matops.care_solve(a, b, q, 1.0), "q_hat"),
+    "design_leaderless": (lambda a, b, q: synthesis.design_leaderless(a, b, q, 1.0), "q"),
+    "design_leader_follower": (lambda a, b, q: synthesis.design_leader_follower(a, b, q, 1.0), "q"),
+    "regulate_gain": (lambda a, b, q: synthesis.regulate_gain(a, b, q, 1.0), "q"),
+    "verify_riccati_certificate": (
+        lambda a, b, q: synthesis.verify_riccati_certificate(np.eye(2), a, b, q, 1.0, 2),
+        "q",
+    ),
+    "verify_lmi_corollary": (lambda a, b, q: synthesis.verify_lmi_corollary(np.eye(2), 1.0, a, b, q, 2, 10.0), "q"),
+}
+ASYMMETRIC = [[1.0, 1.0], [0.0, 1.0]]
+# Each plant fault on the 2-state plant (A1, B1, Q1), with the one error it gives; {q} is the Q argument's name.
+PLANT_FAULTS = {
+    "a-not-square": ((np.ones((2, 3)), B1, Q1), matops.ShapeError, "a must be square, got 2x3"),
+    "b-rows": ((A1, np.ones((3, 1)), Q1), matops.ShapeError, "b has 3 rows, expected 2"),
+    "q-size": ((A1, B1, np.eye(3)), matops.ShapeError, "{q} is 3x3, expected 2x2"),
+    "q-not-symmetric": (
+        (A1, B1, ASYMMETRIC),
+        matops.SymmetryError,
+        "{q} is not symmetric within 1e-10 relative tolerance",
+    ),
+}
+ARGUMENT_FAULTS = [
+    pytest.param(
+        functools.partial(call, *args), error, message.format(q=q_name), id=f"{entry}-{fault}"
+    )
+    for entry, (call, q_name) in PLANT_ENTRIES.items()
+    for fault, (args, error, message) in PLANT_FAULTS.items()
+] + [
+    pytest.param(
+        lambda: synthesis.verify_riccati_certificate(np.eye(3), A1, B1, Q1, 1.0, 2),
+        matops.ShapeError,
+        "certificate is 3x3, expected 2x2",
+        id="verify_riccati_certificate-certificate-size",
+    ),
+    pytest.param(
+        lambda: synthesis.verify_riccati_certificate(ASYMMETRIC, A1, B1, Q1, 1.0, 2),
+        matops.SymmetryError,
+        "certificate is not symmetric within 1e-10 relative tolerance",
+        id="verify_riccati_certificate-certificate-not-symmetric",
+    ),
+    pytest.param(
+        lambda: synthesis.verify_lmi_corollary(np.eye(3), 1.0, A1, B1, Q1, 2, 10.0),
+        matops.ShapeError,
+        "p_tilde is 3x3, expected 2x2",
+        id="verify_lmi_corollary-p-tilde-size",
+    ),
+    pytest.param(
+        lambda: synthesis.verify_lmi_corollary(ASYMMETRIC, 1.0, A1, B1, Q1, 2, 10.0),
+        matops.SymmetryError,
+        "p_tilde is not symmetric within 1e-10 relative tolerance",
+        id="verify_lmi_corollary-p-tilde-not-symmetric",
+    ),
+    pytest.param(
+        lambda: sim.consensus_function(np.ones((2, 3)), np.ones((3, 2)), 1.0),
+        matops.ShapeError,
+        "a must be square, got 2x3",
+        id="consensus_function-a-not-square",
+    ),
+    pytest.param(
+        lambda: matops.matrix_exp(np.zeros((2, 3))),
+        matops.ShapeError,
+        "m must be square, got 2x3",
+        id="matrix_exp-m-not-square",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ARGUMENT_FAULTS)
+def test_each_argument_fault_has_one_message(call, error, message):
+    # one rule per fault, whichever public function meets it first, naming that function's argument
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ------------------------------------------------------------- dependencies
