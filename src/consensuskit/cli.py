@@ -23,7 +23,6 @@ import argparse
 import contextlib
 import json
 import os
-import signal
 import sys
 from typing import Iterator, Optional, Sequence
 
@@ -146,7 +145,10 @@ class _Section:
         """``convert(value, qualified_name, *args)``, or ``default`` when the key is absent."""
         self.read.add(key)
         if key in self.value:
-            result = convert(self.value[key], self.prefix + key, *args)
+            try:
+                result = convert(self.value[key], self.prefix + key, *args)
+            except (TopologyError, matops.LinearAlgebraError) as exc:  # a library rule's fault, named by its field
+                raise _fail(self.prefix + key, str(exc)) from None
         elif default is _REQUIRED:
             raise _fail(self.prefix + key, "missing")
         else:
@@ -207,6 +209,10 @@ def _as_matrix(value, qualified: str, rows: int, cols: int) -> np.ndarray:
     return np.array(value, dtype=float).reshape(rows, cols)
 
 
+def _as_symmetric(value, qualified: str, d: int) -> np.ndarray:
+    return matops._symmetric(_as_matrix(value, qualified, d, d), qualified.rpartition(".")[2], d)
+
+
 def _as_edge_list(value, qualified: str, weighted: bool) -> list[tuple]:
     """[i, k] pairs as (i, k), or [i, k, weight] triples as (i, k, weight) when weighted."""
     kind, shape = ("triple", "[i, k, weight]") if weighted else ("pair", "[i, k]")
@@ -239,10 +245,7 @@ def _as_topology(value, qualified: str) -> Topology:
             raise _fail(f"{qualified}.weights[{idx}]", f"edge {pair} already has a weight")
         given.add(pair)
         weights[pair] = weight
-    try:
-        return Topology(n=n, edges=tuple(edges), weights=weights, leader=leader)
-    except TopologyError as exc:
-        raise _fail(qualified, str(exc))
+    return Topology(n=n, edges=tuple(edges), weights=weights, leader=leader)
 
 
 def _as_box(value, qualified: str) -> tuple[float, float]:
@@ -287,7 +290,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     p = plant.get("p", _as_int, 1, default=1)
     a = plant.get("a", _as_matrix, d, d)
     b = plant.get("b", _as_matrix, d, p)
-    q = plant.get("q", _as_matrix, d, d)
+    q = plant.get("q", _as_symmetric, d)
     plant.close()
 
     gamma = top.get("gamma", _as_positive, default=None)
@@ -328,7 +331,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if delta is not None:
             raise _fail("delta", "a gains override takes gamma, not delta")
         gains_override = {
-            "certificate": gains.get("certificate", _as_matrix, d, d),
+            "certificate": gains.get("certificate", _as_symmetric, d),
             "k_u": gains.get("k_u", _as_matrix, p, d, default=None),
             "k_w": gains.get("k_w", _as_matrix, d, d, default=None),
         }
@@ -414,10 +417,6 @@ def initial_states(config: RunConfig, seed_offset: int = 0) -> np.ndarray:
 def synthesize_gains(config: RunConfig) -> GainSet:
     """Gains from the config: supplied override, fixed gamma, or regulation by delta."""
     if config.gains_override is not None:
-        try:
-            matops._require_symmetric(config.gains_override["certificate"], "certificate")
-        except matops.SymmetryError as exc:
-            raise _fail("gains.certificate", str(exc))
         return GainSet(config.mode, config.a, config.b, config.q, config.gamma, **config.gains_override)
     if config.delta is not None:
         return synthesis.regulate_gain(config.a, config.b, config.q, config.delta, mode=config.mode)
@@ -838,6 +837,7 @@ def main(argv: Optional[Sequence[str]] = None, out=sys.stdout, err=sys.stderr) -
 
 
 def entry() -> None:
+    import signal  # here, its one user, so that importing the CLI does not load it
     if hasattr(signal, "SIGPIPE"):
         # a reader that stops early (``| head``) ends the process by SIGPIPE, with nothing on stderr
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)

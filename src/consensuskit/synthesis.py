@@ -238,8 +238,10 @@ def regulate_gain(a, b, q, delta: float, mode: str = LEADERLESS, strict: bool = 
             f"no gamma in [{GAMMA_MIN:g}, {GAMMA_MAX:g}] achieves lambda_max <= {delta:g} (best {best:.6g}{detail})"
         )
 
-    gamma, lam_lo = GAMMA_MIN, math.inf
-    lam_hi, gains_hi = evaluate(gamma, lam_lo, -math.inf)
+    gamma = GAMMA_MIN
+    lam_hi, gains_hi = evaluate(gamma, math.inf, -math.inf)
+    if not lam_hi > target:  # GAMMA_MIN meets the target; "not >" returns a NaN here too
+        return gains_hi
     while lam_hi > target:
         if gamma >= GAMMA_MAX:
             raise infeasible(lam_hi)
@@ -251,8 +253,6 @@ def regulate_gain(a, b, q, delta: float, mode: str = LEADERLESS, strict: bool = 
             # lambda_max(P) levels off as gamma grows while the Hamiltonian
             # becomes too ill-conditioned to solve: report the best value reached
             raise infeasible(lam_lo, f"; the CARE solve fails at gamma {gamma:g}") from exc
-    if lam_lo == math.inf:  # GAMMA_MIN already meets the target
-        return gains_hi
     u_hi = math.log(gamma)
     f_lo, f_hi = math.log(lam_lo / target), math.log(lam_hi / target)
     side = 0  # +1 after a step that moved the feasible end, -1 after one that moved the other

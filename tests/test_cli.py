@@ -411,6 +411,20 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
             None,
             "config field 'initial_states.values': given twice",
         ),
+        (
+            "synthesize",
+            dict(cli._DEMO_CONFIGS["example-1"], plant=dict(cli._DEMO_CONFIGS["example-1"]["plant"], q=[1, 0.5, 0, 2])),
+            "",
+            None,
+            "config field 'plant.q': q is not symmetric within 1e-10 relative tolerance",
+        ),
+        (
+            "verify",
+            dict(cli._DEMO_CONFIGS["example-1"], gains={"certificate": [1.0, 2.0, 0.0, 1.0]}),
+            "",
+            None,
+            "config field 'gains.certificate': certificate is not symmetric within 1e-10 relative tolerance",
+        ),
     ],
     ids=[
         "no-mode", "plant-not-an-object", "dt-text", "gamma-negative", "bad-mode", "plant-a-text",
@@ -420,6 +434,7 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
         "missing-trace", "trace-text-cell", "trace-underscore-cell", "trace-arabic-indic-digit", "trace-short-row",
         "trace-missing-samples", "trace-t-off-the-sample-times",
         "top-level-key-twice", "plant-key-twice", "tolerance-twice", "gains-key-twice", "initial-values-twice",
+        "q-not-symmetric", "certificate-not-symmetric-trace-missing",
     ],
 )
 def test_each_parse_error_names_its_field_or_file(command, document, env, trace, expected, tmp_path, monkeypatch):
@@ -570,13 +585,18 @@ def test_config_echo_round_trips_over_random_configs(data):
     def flat(rows, cols):
         return data.draw(st.lists(number, min_size=rows * cols, max_size=rows * cols))
 
+    def symmetric(d):
+        # the parser rejects a q or certificate that is not symmetric: mirror the drawn upper triangle
+        m = flat(d, d)
+        return [m[min(i, k) * d + max(i, k)] for i in range(d) for k in range(d)]
+
     topology = {"n": n, "edges": [list(e) for e in edges], "weights": [[i, k, w] for (i, k), w in weights.items()]}
     if mode == LEADER_FOLLOWER:
         topology["leader"] = 1
     dt = data.draw(st.sampled_from([1e-3, 2.5e-3, 0.01]), label="dt")
     doc = {
         "mode": mode,
-        "plant": {"d": d, "p": p, "a": flat(d, d), "b": flat(d, p), "q": flat(d, d)},
+        "plant": {"d": d, "p": p, "a": flat(d, d), "b": flat(d, p), "q": symmetric(d)},
         "topology": topology,
         "dt": dt,
         "t_final": dt * data.draw(st.integers(1, 5000), label="steps"),
@@ -590,7 +610,7 @@ def test_config_echo_round_trips_over_random_configs(data):
         box = st.one_of(st.floats(1e-3, 10.0), st.just([low, low + data.draw(st.floats(1e-2, 10.0))]))
         doc["initial_states"] = {"seed": data.draw(st.integers(0, 2**32)), "box": data.draw(box, label="box")}
     if data.draw(st.booleans(), label="gains override"):
-        doc["gains"] = {"certificate": flat(d, d)}
+        doc["gains"] = {"certificate": symmetric(d)}
         for key, rows in (("k_u", p), ("k_w", d)):
             if data.draw(st.booleans(), label=f"gains.{key}"):
                 doc["gains"][key] = flat(rows, d)
@@ -1346,6 +1366,17 @@ def test_a_non_symmetric_certificate_override_names_its_field(command, tmp_path)
     assert err == f"error: config field 'gains.certificate': {message}\n"
 
 
+@pytest.mark.parametrize("command", ["synthesize", "simulate"])
+def test_a_non_symmetric_certificate_fails_the_parse_before_the_echo_is_written(command, tmp_path):
+    config = dict(cli._DEMO_CONFIGS["example-1"], gains={"certificate": [1.0, 2.0, 0.0, 1.0]})
+    echo = tmp_path / "echo.json"
+    code, out, err = run_cli([command, write_config(tmp_path, config), "--echo-config", str(echo)])
+    assert (code, out) == (EXIT_PARSE, "")
+    message = "certificate is not symmetric within 1e-10 relative tolerance"
+    assert err == f"error: config field 'gains.certificate': {message}\n"
+    assert not echo.exists()
+
+
 @pytest.mark.parametrize("gains", ["designed", "override"])
 def test_a_non_symmetric_q_exits_parse_before_any_output(gains, tmp_path):
     # a supplied certificate is checked against the plant's Q by the same rule a design applies
@@ -1356,7 +1387,7 @@ def test_a_non_symmetric_q_exits_parse_before_any_output(gains, tmp_path):
         config["gains"] = {"certificate": list(designed.ravel())}
     code, out, err = run_cli(["synthesize", write_config(tmp_path, config)])
     assert (code, out) == (EXIT_PARSE, "")
-    assert err == "error: q is not symmetric within 1e-10 relative tolerance\n"
+    assert err == "error: config field 'plant.q': q is not symmetric within 1e-10 relative tolerance\n"
 
 
 # ------------------------------------------------------------- stdout shape
