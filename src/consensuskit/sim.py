@@ -6,10 +6,15 @@ that holds each adaptive edge weight once per state component, so the
 weights form an (adaptive edges, d) block of d bit-identical replicas.
 ``run`` is the only RK4; it writes the stage states in place into a
 preallocated block of rows and scans each finished block once for divergence.
-It builds the block's views once per run, with one reshape of the agent
-columns and one of the weight columns, and one tuple per step slot of a
-block (its state row, three stage rows and result row, and each stage's
-(x, w) views), so a step unpacks one tuple.
+It builds the block's views once per run, the agent columns of each row as
+one flat view and the weight columns with one reshape, and one tuple per
+step slot of a block (its state row, three stage rows and result row, and
+each stage's (x, w) views), so a step unpacks one tuple.  Each derivative
+is five NumPy calls: one lift of the flat agent states into the drift, the
+coupling and the adaptive edges' weight terms and differences (a dense
+Kronecker matrix on networks small enough for one matrix-vector product to
+win, the four structured products above ``_DENSE_LIFT_ENTRIES``), two
+elementwise products and two assembling products.
 Its second and third stages evaluate 2 k2 and 2 k3 directly, which is exact
 except where a slope entry is subnormal, so a step has the textbook RK4's
 bits.  The realized cost J and the integral term J_bound of the
@@ -57,6 +62,10 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e9
+# Largest dense lift, in entries, that _Protocol builds.  Its one matrix-vector product took 0.63-0.81 of the
+# four structured products' time per derivative up to 6,000 entries, broke even near 10,000 and lost above
+# (1.25 times at 19,800, 8.6 times at 745,000); this bound leaves a margin for slower BLAS kernels.
+_DENSE_LIFT_ENTRIES = 4096
 # RK4 steps per block: one divergence scan, one rate pass, one history copy
 _BLOCK_STEPS = 200
 
@@ -207,17 +216,27 @@ class _Protocol:
     adaptive weights, each once per state component: an (n + adaptive, d)
     block of rows, and every elementwise product in ``deriv`` reads
     contiguous (rows, d) operands of one shape; summing the weight rate's
-    terms against a (d, d) block of ones writes it replicated.  ``deriv``
-    makes eight NumPy calls into preallocated scratch: the edge differences
-    times (B K_u)^T, its adaptive rows times w, the adaptive differences
-    times K_w, and ``[I | -E^T]`` times ``[x A^T ; coupling]`` assembles dx.  It
-    uses ``ndarray.dot`` on 2-D operands, which costs a third of ``@`` on
-    such small arrays.  Its scratch arrays, factors and bound ``dot``
-    methods come from one tuple, ``operands``, which ``__init__`` builds and
-    ``doubled`` rebuilds for the twin's matrices; ``deriv`` stays a method
-    of the class, so a patch of ``_Protocol.deriv`` sees every call.
-    ``rates`` gives the cost and bound rates of a stack of agent states;
-    only they depend on the mode.
+    terms against a (d, d) block of ones writes it replicated.
+
+    The three linear maps of x land in one scratch block of rows,
+    ``z = [x A^T ; coupling ; adaptive diffs K_w ; diffs]``, written by one
+    call, ``lift(x, out)``, with x the flat agent states.  A lift of at most
+    ``_DENSE_LIFT_ENTRIES`` entries is one dense matrix,
+    ``[I_n (x) A ; E (x) B K_u ; E_a (x) K_w^T ; E_a (x) I_d]`` over the
+    first rows of z (only the adaptive edges' differences are read), and
+    its ``dot`` is one matrix-vector product; a larger one is the four
+    products E x, (E x) (B K_u)^T, x A^T and (E_a x) K_w into z's views,
+    because past about ten thousand entries the dense product costs more
+    than the four calls.  ``deriv`` then makes five NumPy calls: the lift, the
+    adaptive coupling times w, the adaptive weight terms times their
+    differences, ``[I | -E^T]`` times ``[x A^T ; coupling]`` into dx, and
+    the terms times the block of ones into dw.  It uses ``ndarray.dot``,
+    which costs a third of ``@`` on such small arrays.  Its scratch arrays,
+    factors and bound ``dot`` methods come from one tuple, ``operands``,
+    which ``__init__`` builds and ``doubled`` rebuilds for the twin's
+    matrices; ``deriv`` stays a method of the class, so a patch of
+    ``_Protocol.deriv`` sees every call.  ``rates`` gives the cost and bound
+    rates of a stack of agent states; only they depend on the mode.
     """
 
     def __init__(self, gains: GainSet, topology: Topology, mode: str):
@@ -248,20 +267,45 @@ class _Protocol:
         self.k_w = np.ascontiguousarray(gains.k_w)
         self.q = gains.q
         self.gamma = gains.gamma
-        self.diffs = np.empty((edge_count, d))
-        self.stacked = np.empty((n + edge_count, d))  # [x A^T ; coupling]
-        self.drift, self.coupling = self.stacked[:n], self.stacked[n:]
-        self.adaptive_coupling = self.coupling[:adaptive]
-        self.adaptive_diffs, self.quad = self.diffs[:adaptive], np.empty((adaptive, d))
+        top, rows = n + edge_count, n + edge_count + adaptive
+        self.z = z = np.empty((rows + edge_count, d))  # [x A^T ; coupling ; quad ; diffs]
+        self.stacked, self.quad, self.diffs = z[:top], z[top:rows], z[rows:]
+        self.drift, self.coupling = z[:n], z[n:top]
+        self.adaptive_coupling, self.adaptive_diffs = z[n : n + adaptive], z[rows : rows + adaptive]
         self.ones = np.ones((d, d))
+        if (rows + adaptive) * d * self.nd <= _DENSE_LIFT_ENTRIES:
+            # entry ((row, r), (agent, c)) is coefficient[row, agent] * factor[row][r, c]; rows stop at the
+            # adaptive differences, the only differences deriv reads once the coupling is lifted
+            leading = self.incidence[:adaptive]
+            coefficients = np.concatenate((np.eye(n), self.incidence, leading, leading))
+            factors = np.stack((gains.a, self.bku_t.T, self.k_w.T, np.eye(d)))
+            factors = factors.repeat((n, edge_count, adaptive, adaptive), axis=0)
+            self.lift = (coefficients[:, None, :, None] * factors[:, :, None, :]).reshape(-1, self.nd).dot
+            self.lifted = z.reshape(-1)[: (rows + adaptive) * d]
+        else:
+            self.lift, self.lifted = self._products, z
+            self.product_operands = (
+                (n, d), self.incidence.dot, self.diffs, self.diffs.dot, self.bku_t, self.coupling, self.a_t,
+                self.drift, self.adaptive_diffs.dot, self.k_w, self.quad,
+            )
         self._bind()
+
+    def _products(self, x: np.ndarray, z: np.ndarray) -> None:
+        """The lift of the flat agent states x by four products, for large networks, into the views of ``self.z``."""
+        shape, incidence_dot, diffs, diffs_dot, bku_t, coupling, a_t, drift, adaptive_dot, k_w, quad = (
+            self.product_operands
+        )
+        x = x.reshape(shape)
+        incidence_dot(x, diffs)
+        diffs_dot(bku_t, coupling)
+        x.dot(a_t, drift)
+        adaptive_dot(k_w, quad)
 
     def _bind(self) -> None:
         """Collect what ``deriv`` reads into ``operands``, in its order of use: one attribute load per call."""
         self.operands = (
-            self.incidence.dot, self.diffs, self.diffs.dot, self.bku_t, self.coupling, self.adaptive_coupling,
-            self.a_t, self.drift, self.assembly.dot, self.stacked, self.adaptive_diffs.dot, self.k_w, self.quad,
-            self.adaptive_diffs, self.quad.dot, self.ones,
+            self.lift, self.lifted, self.adaptive_coupling, self.quad, self.adaptive_diffs, self.assembly.dot,
+            self.stacked, self.quad.dot, self.ones,
         )
 
     def doubled(self) -> _Protocol:
@@ -277,22 +321,17 @@ class _Protocol:
         return twin
 
     def deriv(self, x: np.ndarray, w: np.ndarray, dx: np.ndarray, dw: np.ndarray) -> None:
-        """Write dx/dt and dw/dt at agent states x and adaptive weight block w into dx and dw.
+        """Write dx/dt and dw/dt at the flat agent states x and adaptive weight block w into dx and dw.
 
-        w and dw hold one row of d equal replicas per adaptive weight; every
-        operand is a C-contiguous (rows, d) array.
+        x holds the n d agent states; w and dw hold one row of d equal
+        replicas per adaptive weight, and dx one row per agent.  Every
+        operand is C-contiguous.
         """
-        (
-            incidence_dot, diffs, diffs_dot, bku_t, coupling, adaptive_coupling, a_t, drift,
-            assembly_dot, stacked, adaptive_dot, k_w, quad, adaptive_diffs, quad_dot, ones,
-        ) = self.operands
-        incidence_dot(x, diffs)
-        diffs_dot(bku_t, coupling)
+        lift, lifted, adaptive_coupling, quad, adaptive_diffs, assembly_dot, stacked, quad_dot, ones = self.operands
+        lift(x, lifted)
         np.multiply(w, adaptive_coupling, adaptive_coupling)
-        x.dot(a_t, drift)
-        assembly_dot(stacked, dx)
-        adaptive_dot(k_w, quad)
         np.multiply(quad, adaptive_diffs, quad)
+        assembly_dot(stacked, dx)
         quad_dot(ones, dw)
 
     def rates(self, x: np.ndarray) -> np.ndarray:
@@ -311,17 +350,19 @@ class _Protocol:
 def _rhs(x, w, gains: GainSet, topology: Topology, mode: str) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(dx, dw, dJ, dJ_bound) at the flat agent states x and the adaptive weights w, as in a Trace row."""
     protocol = _Protocol(gains, topology, mode)
-    x, w = np.asarray(x, dtype=float).ravel(), np.asarray(w, dtype=float).ravel()
+    try:  # matops' finite rule, as SimConfig applies it to x0
+        x, w = (matops.as_matrix(np.ravel(values), name)[0] for values, name in ((x, "x"), (w, "w")))
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
     n, d, adaptive = protocol.n, protocol.d, len(protocol.adaptive_edges)
     if len(x) != protocol.nd or len(w) != adaptive:
         raise ConfigurationError(
             f"x has {len(x)} values and w {len(w)}; expected n*d = {protocol.nd} and one per adaptive edge, {adaptive}"
         )
-    x = x.reshape(n, d)
     dx, dw = np.empty((n, d)), np.empty((adaptive, d))
     protocol.deriv(x, w.repeat(d).reshape(adaptive, d), dx, dw)  # deriv reads each weight d times
     # two rows, as a run's block has many: a one-row product takes another BLAS path and rounds differently
-    dj, djb = protocol.rates(np.stack((x, x)))[0]
+    dj, djb = protocol.rates(np.stack((x, x)).reshape(2, n, d))[0]
     return dx.ravel(), dw[:, 0], float(dj), float(djb)
 
 
@@ -371,7 +412,7 @@ def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:
     height = 4 * _BLOCK_STEPS + 1
     block = np.empty((height, size))
     rows = list(block)
-    xs = list(block[:, :nd].reshape(height, n, d))
+    xs = list(block[:, :nd])
     ws = list(block[:, nd:].reshape(height, -1, d))
     # per step slot of a block: its state, its three stage rows and its result row, then each stage's (x, w) views
     steps = [

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -112,6 +113,18 @@ def test_rhs_rejects_a_state_or_weight_vector_of_the_wrong_size(mode, extra_x, e
         rhs(np.ones(8 + extra_x), np.full(adaptive + extra_w, 5.0), gains, topology)
     dx, dw, _, _ = rhs(np.ones(8), np.full(adaptive, 5.0), gains, topology)
     assert (dx.shape, dw.shape) == ((8,), (adaptive,))
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@pytest.mark.parametrize("name, bad", [("x", math.nan), ("x", -math.inf), ("w", math.inf), ("w", math.nan)])
+def test_rhs_rejects_a_non_finite_state_or_weight(mode, name, bad):
+    # a NaN or infinite entry is named, not carried into an all-NaN derivative
+    gains, rhs = gains_and_rhs(mode)
+    topology = Topology(n=4, edges=lf_topology().edges, leader=1 if mode == LEADER_FOLLOWER else None)
+    values = {"x": np.ones(8), "w": np.full(len(sim.adaptive_edges(topology, mode)), 5.0)}
+    values[name][1] = bad
+    with pytest.raises(sim.ConfigurationError, match=f"^{name} contains non-finite entries$"):
+        rhs(values["x"], values["w"], gains, topology)
 
 
 # ------------------------------------------------------------ the RK4 step
@@ -833,8 +846,17 @@ def assert_rhs_matches_the_per_agent_equations(mode, gains, data):
     assert abs(dj - want_dj) <= 1e-12 * n * n * r * r * norm(gains.q)
     assert abs(djb - want_djb) <= 1e-12 * n * n * r * r * gains.gamma * norm(gains.k_w)
     if mode == LEADER_FOLLOWER:
-        # the leader takes no input: its row of dx is its drift, bit for bit
-        assert np.array_equal(dx[: gains.state_dim], (x @ gains.a.T)[0])
+        # the leader takes no input: its row of dx, whose value per_agent_rhs
+        # checked above, does not move a bit when every follower's state and
+        # every adaptive weight is redrawn
+        d = gains.state_dim
+        redrawn = np.concatenate((x[0], rng.normal(size=(n - 1) * d)))
+        moved, _, _, _ = rhs(redrawn, rng.uniform(0.5, 4.0, size=len(w)), gains, topology)
+        assert np.array_equal(moved[:d], dx[:d])
+
+
+# _DENSE_LIFT_ENTRIES values that make every network take the dense lift or the four products
+LIFTS = {"dense": 10**9, "products": 0}
 
 
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
@@ -844,9 +866,11 @@ def test_rhs_matches_the_per_agent_equations(mode, data):
     # the vectorized coupling against the paper's per-agent sums on random
     # graphs, initial weights and adaptive weights; with run() equal to the
     # textbook RK4 over the public rhs bit for bit, this checks what run()
-    # integrates
+    # integrates, in each form of the lift
     gains, _ = gains_and_rhs(mode)
-    assert_rhs_matches_the_per_agent_equations(mode, gains, data)
+    for entries in LIFTS.values():
+        with mock.patch.object(sim, "_DENSE_LIFT_ENTRIES", entries):
+            assert_rhs_matches_the_per_agent_equations(mode, gains, data)
 
 
 # d = 4, p = 2: two inputs on a chain of two coupled oscillators
@@ -882,7 +906,8 @@ def test_run_equals_the_textbook_rk4_loop_over_the_public_rhs(mode, data):
     # 201-260 steps cross one block boundary, where the step's result is
     # carried to the block's first row; leader-follower graphs keep their
     # follower-follower edges at fixed weights.  Each plant size gives the
-    # weight block and the (d, d) products their own shapes.
+    # weight block and the (d, d) products their own shapes, and each form
+    # of the lift runs every draw.
     n, edges, weights = draw_connected_graph(data)
     topology = Topology(n=n, edges=tuple(edges), weights=weights, leader=1 if mode == LEADER_FOLLOWER else None)
     seed = data.draw(st.integers(0, 2**16))
@@ -890,12 +915,13 @@ def test_run_equals_the_textbook_rk4_loop_over_the_public_rhs(mode, data):
     stride = data.draw(st.integers(1, 60), label="stride")
     dt = 1e-3
     steps = [0] + [k for k in range(1, nsteps + 1) if k % stride == 0 or k == nsteps]
-    for d in (1, 2, 4):
+    for d, entries in itertools.product((1, 2, 4), LIFTS.values()):
         gains, rhs = plant_gains_and_rhs(mode, d)
         x0 = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, d))
-        trace = sim.run(SimConfig(x0=x0, t_final=nsteps * dt, dt=dt, sample_stride=stride), gains, topology)
-        y0 = np.concatenate((x0.ravel(), trace.weights[0]))
-        expected = rk4_loop(rhs, gains, topology, y0, dt, nsteps, stride)
+        with mock.patch.object(sim, "_DENSE_LIFT_ENTRIES", entries):
+            trace = sim.run(SimConfig(x0=x0, t_final=nsteps * dt, dt=dt, sample_stride=stride), gains, topology)
+            y0 = np.concatenate((x0.ravel(), trace.weights[0]))
+            expected = rk4_loop(rhs, gains, topology, y0, dt, nsteps, stride)
         assert np.array_equal(trace.times, np.array(steps) * dt)
         assert np.array_equal(trace.states, expected[:, : n * d])
         assert np.array_equal(trace.weights, expected[:, n * d : -2])
@@ -999,8 +1025,8 @@ def test_weight_replicas_stay_bit_identical_and_the_doubled_slope_is_exact(mode,
     w = rng.uniform(0.5, 4.0, size=adaptive).repeat(d).reshape(adaptive, d)
     slopes = np.zeros((2, protocol.size))
     (dx, dx2), (dw, dw2) = slopes[:, : n * d].reshape(2, n, d), slopes[:, n * d :].reshape(2, adaptive, d)
-    protocol.deriv(x0, w, dx, dw)
-    protocol.doubled().deriv(x0, w, dx2, dw2)
+    protocol.deriv(x0.ravel(), w, dx, dw)
+    protocol.doubled().deriv(x0.ravel(), w, dx2, dw2)
     assert np.array_equal(slopes[1], 2.0 * slopes[0])
     assert np.abs(slopes[0]).max() > 0.0
 
@@ -1035,29 +1061,52 @@ def test_deriv_operands_are_contiguous_and_of_their_final_shape(mode, d):
     edges = ((1, 2), (1, 3), (2, 3), (3, 4), (4, 5))
     topology = Topology(n=5, edges=edges, leader=1 if mode == LEADER_FOLLOWER else None)
     n, m, a = 5, 5, 5 if mode == LEADERLESS else 2
-    protocol = sim._Protocol(gains, topology, mode)
-    row = np.zeros((2, protocol.size))[1]  # a row of run()'s state and slope blocks
-    x, w, dw = row[: n * d].reshape(n, d), row[n * d :].reshape(a, d), row[n * d :].reshape(a, d)
-    for twin in (protocol, protocol.doubled()):
-        shapes = {
-            "x": (x, (n, d)),
-            "w": (w, (a, d)),
-            "dw": (dw, (a, d)),
-            "incidence": (twin.incidence, (m, n)),
-            "diffs": (twin.diffs, (m, d)),
-            "bku_t": (twin.bku_t, (d, d)),
-            "coupling": (twin.coupling, (m, d)),
-            "adaptive_coupling": (twin.adaptive_coupling, (a, d)),
-            "a_t": (twin.a_t, (d, d)),
-            "drift": (twin.drift, (n, d)),
-            "stacked": (twin.stacked, (n + m, d)),
-            "assembly": (twin.assembly, (n, n + m)),
-            "adaptive_diffs": (twin.adaptive_diffs, (a, d)),
-            "k_w": (twin.k_w, (d, d)),
-            "quad": (twin.quad, (a, d)),
-            "ones": (twin.ones, (d, d)),
-        }
-        for name, (array, shape) in shapes.items():
-            assert array.flags.c_contiguous and array.shape == shape, name
-        for name, value in vars(twin).items():
-            assert not isinstance(value, np.ndarray) or value.flags.c_contiguous, name
+    row = np.zeros((2, (n + a) * d))[1]  # a row of run()'s state and slope blocks
+    x, dx = row[: n * d], row[: n * d].reshape(n, d)
+    w, dw = row[n * d :].reshape(a, d), row[n * d :].reshape(a, d)
+    for lift, entries in LIFTS.items():
+        with mock.patch.object(sim, "_DENSE_LIFT_ENTRIES", entries):
+            protocol = sim._Protocol(gains, topology, mode)
+        assert protocol.size == len(row)
+        assert (protocol.lift.__self__ is protocol) == (lift == "products")
+        # the dense lift stops at the adaptive differences; the four products write every row of z
+        rows = n + m + 2 * a if lift == "dense" else n + 2 * m + a
+        if lift == "dense":
+            # the Kronecker form, each entry one product of an incidence entry and a factor entry
+            e, e_a = protocol.incidence, protocol.incidence[:a]
+            blocks = (np.eye(n), gains.a), (e, gains.b @ gains.k_u), (e_a, gains.k_w.T), (e_a, np.eye(d))
+            assert np.array_equal(protocol.lift.__self__, np.vstack([np.kron(c, f) for c, f in blocks]))
+        for twin in (protocol, protocol.doubled()):
+            assert twin.lift == protocol.lift
+            shapes = {
+                "x": (x, (n * d,)),
+                "w": (w, (a, d)),
+                "dx": (dx, (n, d)),
+                "dw": (dw, (a, d)),
+                "incidence": (twin.incidence, (m, n)),
+                "z": (twin.z, (n + 2 * m + a, d)),
+                "lifted": (twin.lifted, (rows * d,) if lift == "dense" else (rows, d)),
+                "stacked": (twin.stacked, (n + m, d)),
+                "drift": (twin.drift, (n, d)),
+                "coupling": (twin.coupling, (m, d)),
+                "adaptive_coupling": (twin.adaptive_coupling, (a, d)),
+                "quad": (twin.quad, (a, d)),
+                "diffs": (twin.diffs, (m, d)),
+                "adaptive_diffs": (twin.adaptive_diffs, (a, d)),
+                "a_t": (twin.a_t, (d, d)),
+                "bku_t": (twin.bku_t, (d, d)),
+                "k_w": (twin.k_w, (d, d)),
+                "assembly": (twin.assembly, (n, n + m)),
+                "ones": (twin.ones, (d, d)),
+            }
+            if lift == "dense":
+                shapes["lift"] = (twin.lift.__self__, (rows * d, n * d))
+            for name, (array, shape) in shapes.items():
+                assert array.flags.c_contiguous and array.shape == shape, (lift, name)
+            # each view starts at its row of z = [x A^T ; coupling ; quad ; diffs]
+            starts = {"lifted": 0, "drift": 0, "stacked": 0, "coupling": n, "adaptive_coupling": n, "quad": n + m}
+            starts.update(diffs=n + m + a, adaptive_diffs=n + m + a)
+            for name, start in starts.items():
+                assert getattr(twin, name).ctypes.data == twin.z.ctypes.data + start * d * 8, (lift, name)
+            for name, value in vars(twin).items():
+                assert not isinstance(value, np.ndarray) or value.flags.c_contiguous, (lift, name)
