@@ -280,6 +280,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         raw = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise CliError(f"{source}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise CliError(f"{source}: JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise CliError(f"{source}: top level must be an object")
     top = _Section(raw, "")
@@ -799,19 +801,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# (exception types, exit code, stderr prefix); the first matching row wins, so
-# NotStabilizableError, a LinearAlgebraError, comes before the parse-error row.
-# An OSError's own text names its file.  Any other exception propagates.
+# (exception types, exit code, stderr prefix).  The parser names the field of
+# every input fault in a CliError, and an OSError's own text names its file.
+# Any other exception is a program fault and propagates.
 _FAILURES = (
     ((sim.DivergenceError,), EXIT_DIVERGENCE, "divergence: "),
     ((matops.NotStabilizableError,), EXIT_SYNTHESIS, "synthesis infeasible: "),
     ((synthesis.SynthesisError,), EXIT_SYNTHESIS, "synthesis failed: "),
-    (
-        (CliError, TopologyError, sim.ConfigurationError, verify.VerificationError, matops.LinearAlgebraError)
-        + (ValueError, OSError),
-        EXIT_PARSE,
-        "",
-    ),
+    ((CliError, OSError), EXIT_PARSE, ""),
 )
 
 

@@ -102,7 +102,16 @@ def horizon_steps(t_final: float, dt: float) -> int:
 
 def sample_steps(nsteps: int, stride: int) -> np.ndarray:
     """The ceil(nsteps / stride) + 1 steps a trace records: every stride-th step before the last, then the last."""
-    return np.r_[0:nsteps:stride, nsteps]
+    # every stride from nsteps on records the same two steps; capping it keeps a huge integer out of np.r_
+    return np.r_[0:nsteps:min(stride, nsteps), nsteps]
+
+
+def _finite_matrix(values, name: str) -> np.ndarray:
+    """``matops.as_matrix(values, name)``, a 2-D finite float array, with its faults raised as ConfigurationError."""
+    try:
+        return matops.as_matrix(values, name)
+    except (ValueError, matops.ShapeError) as exc:
+        raise ConfigurationError(str(exc)) from None
 
 
 class SimConfig(Record):
@@ -118,8 +127,7 @@ class SimConfig(Record):
     sample_stride: int = 1
 
     def __post_init__(self):
-        x0 = matops.as_matrix(self.x0, "x0")
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0", _finite_matrix(self.x0, "x0"))
         if not self.dt > 0.0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         horizon_steps(self.t_final, self.dt)
@@ -350,10 +358,7 @@ class _Protocol:
 def _rhs(x, w, gains: GainSet, topology: Topology, mode: str) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(dx, dw, dJ, dJ_bound) at the flat agent states x and the adaptive weights w, as in a Trace row."""
     protocol = _Protocol(gains, topology, mode)
-    try:  # matops' finite rule, as SimConfig applies it to x0
-        x, w = (matops.as_matrix(np.ravel(values), name)[0] for values, name in ((x, "x"), (w, "w")))
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
+    x, w = (_finite_matrix(np.ravel(values), name)[0] for values, name in ((x, "x"), (w, "w")))
     n, d, adaptive = protocol.n, protocol.d, len(protocol.adaptive_edges)
     if len(x) != protocol.nd or len(w) != adaptive:
         raise ConfigurationError(

@@ -145,10 +145,12 @@ def verify_riccati_certificate(certificate, a, b, q, gamma: float, multiplier: i
     Returns the maximum eigenvalue of certificate A + A^T certificate
     - gamma certificate B B^T certificate + multiplier Q; the certificate
     holds when the margin is at most the run's ``certificate`` tolerance.
+    A residual that overflows gives ``inf``: the inequality is not shown.
     """
     a, b, q = matops._plant(a, b, q)
     p = matops._symmetric(certificate, "certificate", a.shape[0])
-    return float(matops.sym_eig(matops._riccati_residual(p, a, b, multiplier * q, gamma))[-1])
+    residual = matops._riccati_residual(p, a, b, multiplier * q, gamma)
+    return float(matops.sym_eig(residual)[-1]) if np.isfinite(residual).all() else math.inf
 
 
 def verify_lmi_corollary(

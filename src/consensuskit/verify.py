@@ -22,7 +22,6 @@ from .synthesis import GainSet, LEADERLESS
 
 __all__ = [
     "VerificationError",
-    "EmptyTraceError",
     "CostReport",
     "DEFAULT_TOLERANCES",
     "HORIZON_RATE",
@@ -36,11 +35,7 @@ __all__ = [
 
 
 class VerificationError(Exception):
-    """Base class for verification failures."""
-
-
-class EmptyTraceError(VerificationError):
-    """The trace has no samples to analyze."""
+    """An input ``verify`` cannot check: an empty trace, a bad tolerance or an unknown reference case."""
 
 
 DEFAULT_TOLERANCES: Mapping[str, float] = {
@@ -107,7 +102,7 @@ def analyze(
     bit-identical report.
     """
     if len(trace.times) == 0:
-        raise EmptyTraceError("trace contains no samples")
+        raise VerificationError("trace contains no samples")
     tol = {**DEFAULT_TOLERANCES, **checked_tolerances(tolerances or {})}
 
     realized = float(trace.j_realized[-1])

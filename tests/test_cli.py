@@ -425,6 +425,8 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
             None,
             "config field 'gains.certificate': certificate is not symmetric within 1e-10 relative tolerance",
         ),
+        # json's decoder recurses once per level; past the interpreter's limit that is a RecursionError
+        ("synthesize", '{"mode": ' + "[" * 100000 + "]" * 100000 + "}", "", None, "{config}: JSON nested too deeply"),
     ],
     ids=[
         "no-mode", "plant-not-an-object", "dt-text", "gamma-negative", "bad-mode", "plant-a-text",
@@ -434,7 +436,7 @@ def test_cross_field_conflicts_rejected_before_any_work(config, where, tmp_path,
         "missing-trace", "trace-text-cell", "trace-underscore-cell", "trace-arabic-indic-digit", "trace-short-row",
         "trace-missing-samples", "trace-t-off-the-sample-times",
         "top-level-key-twice", "plant-key-twice", "tolerance-twice", "gains-key-twice", "initial-values-twice",
-        "q-not-symmetric", "certificate-not-symmetric-trace-missing",
+        "q-not-symmetric", "certificate-not-symmetric-trace-missing", "json-nested-too-deeply",
     ],
 )
 def test_each_parse_error_names_its_field_or_file(command, document, env, trace, expected, tmp_path, monkeypatch):
@@ -777,7 +779,7 @@ def test_synthesize_not_stabilizable_exit_code(tmp_path):
 
 
 def test_a_failed_stable_subspace_solve_exits_3(tmp_path, monkeypatch):
-    # np.linalg.LinAlgError is a ValueError, which on its own would exit 2
+    # np.linalg.LinAlgError, which on its own would propagate as a program fault
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
@@ -788,6 +790,36 @@ def test_a_failed_stable_subspace_solve_exits_3(tmp_path, monkeypatch):
         "error: synthesis infeasible: stable-subspace least-squares solve failed: "
         "SVD did not converge in Linear Least Squares\n"
     )
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+@pytest.mark.parametrize("which", sorted(cli._DEMO_CONFIGS))
+def test_a_b_whose_gamma_b_b_t_overflows_is_infeasible_naming_gamma(which, scale, tmp_path):
+    # from about 1e155 on, B B^T overflows, as it did inside matops' argument check, which named its 'm'
+    demo = cli._DEMO_CONFIGS[which]
+    path = write_config(tmp_path, dict(demo, plant=dict(demo["plant"], b=[scale * v for v in demo["plant"]["b"]])))
+    for command in ("synthesize", "simulate"):
+        assert run_cli([command, path]) == (
+            EXIT_SYNTHESIS, "", f"error: synthesis infeasible: gamma B B^T overflows at gamma {demo['gamma']:g}\n"
+        )
+
+
+def test_a_certificate_override_whose_residual_overflows_fails_its_check(tmp_path):
+    # 1e300 I overflows the Riccati residual: its margin is inf, a failed check, in each command
+    demo = cli._DEMO_CONFIGS["example-1"]
+    csv_path = str(tmp_path / "designed.csv")
+    assert run_cli(["simulate", write_config(tmp_path, demo, "designed.json"), "--out", csv_path])[0] == EXIT_OK
+    path = write_config(tmp_path, dict(demo, gains={"certificate": [1e300, 0.0, 0.0, 1e300]}))
+    # K_w = K_u^T K_u overflows too, on which NumPy warns in the gain and derivative products
+    with np.errstate(over="ignore", invalid="ignore"):
+        synthesized = run_cli(["synthesize", path])
+        simulated = run_cli(["simulate", path])
+        verified = run_cli(["verify", path, csv_path])
+    assert (synthesized[0], synthesized[2]) == (EXIT_OK, "")
+    assert (simulated[0], verified[0], verified[2]) == (EXIT_DIVERGENCE, EXIT_BOUND, "")
+    assert simulated[2].startswith("error: divergence: ")
+    for out in (synthesized[1], verified[1]):
+        assert "certificate_margin = inf\ncertificate_ok = false\n" in out
 
 
 def test_synthesize_unreachable_delta_exit_code(tmp_path):
@@ -1068,7 +1100,9 @@ def test_bad_simulate_arguments_rejected_before_any_work(flags, tmp_path, monkey
 
 def test_verify_round_trip(tmp_path):
     oscillator = dict(cli._DEMO_CONFIGS["example-1"], sample_stride=7)
-    for name, config in (("pair", scalar_pair_config()), ("oscillator", oscillator)):
+    # a stride past the horizon's 3000 steps records steps 0 and 3000 only
+    ends = dict(cli._DEMO_CONFIGS["example-1"], sample_stride=1e300)
+    for name, config in (("pair", scalar_pair_config()), ("oscillator", oscillator), ("ends", ends)):
         path = write_config(tmp_path, config, name=f"{name}.json")
         csv_path = str(tmp_path / f"{name}.csv")
         code, out, err = run_cli(["simulate", path, "--out", csv_path])
@@ -1539,11 +1573,6 @@ FAILURE_CASES = [
     (matops.NotStabilizableError("unstable mode"), EXIT_SYNTHESIS, "error: synthesis infeasible: "),
     (synthesis.SynthesisError("no gain"), EXIT_SYNTHESIS, "error: synthesis failed: "),
     (cli.CliError("bad"), EXIT_PARSE, "error: bad"),
-    (TopologyError("bad"), EXIT_PARSE, "error: bad"),
-    (sim.ConfigurationError("bad"), EXIT_PARSE, "error: bad"),
-    (verify.VerificationError("bad"), EXIT_PARSE, "error: bad"),
-    (matops.LinearAlgebraError("bad"), EXIT_PARSE, "error: bad"),
-    (ValueError("bad"), EXIT_PARSE, "error: bad"),
     (OSError("bad"), EXIT_PARSE, "error: bad"),
 ]
 
@@ -1573,6 +1602,85 @@ def test_main_propagates_failures_outside_the_table(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "synthesize_gains", failing)
     with pytest.raises(RuntimeError):
         run_cli(["synthesize", path])
+
+
+# the library's own error types and NumPy's: the parser names the field of every input fault in a CliError,
+# so one of these reaching main is a program fault, which propagates as a traceback
+PROGRAM_FAULTS = [
+    TopologyError("bad"),
+    sim.ConfigurationError("bad"),
+    verify.VerificationError("bad"),
+    matops.LinearAlgebraError("bad"),
+    ValueError("bad"),
+    np.linalg.LinAlgError("bad"),
+]
+
+
+@pytest.mark.parametrize("exc", PROGRAM_FAULTS, ids=[type(exc).__name__ for exc in PROGRAM_FAULTS])
+def test_main_propagates_each_library_error_as_a_program_fault(exc, tmp_path, monkeypatch):
+    path = write_config(tmp_path, scalar_pair_config())
+
+    def failing(config):
+        raise exc
+
+    monkeypatch.setattr(cli, "synthesize_gains", failing)
+    with pytest.raises(type(exc)) as excinfo:
+        run_cli(["synthesize", path])
+    assert excinfo.value is exc
+
+
+def test_a_numpy_fault_in_the_simulation_propagates_after_the_gains_block(tmp_path, monkeypatch):
+    # a broadcast error standing in for a defect in the rate pass
+    def broken(self, x):
+        return np.ones(3) + np.ones(4)
+
+    monkeypatch.setattr(sim._Protocol, "rates", broken)
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(ValueError, match=r"could not be broadcast together with shapes \(3,\) \(4,\)"):
+        cli.main(["demo", "example-1", "--out", str(tmp_path / "demo.csv")], out=out, err=err)
+    assert "certificate_ok = true" in out.getvalue()
+    assert err.getvalue() == ""
+
+
+def _paths(node, prefix=()):
+    """The path of every node below ``node`` in a JSON document, containers first."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+# No positive number below 1e-3, the demos' dt: with t_final at most 0.2, a run takes at most 200 steps.
+_MUTATIONS = (
+    1e300, -1e300, 2**63, math.nan, math.inf, 0, -1, 1, 0.5, 1e-3, True, None, "x",
+    [], [1.0, 2.0], [[1, 2]], {}, {"n": 2},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_mutated_demo_config_exits_by_the_contract(data, tmp_path_factory):
+    which = data.draw(st.sampled_from(sorted(cli._DEMO_CONFIGS)), label="demo")
+    doc = dict(json.loads(json.dumps(cli._DEMO_CONFIGS[which])), t_final=0.2)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        *parents, key = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[key] = json.loads(json.dumps(data.draw(st.sampled_from(_MUTATIONS), label="value")))
+    t_final = doc.get("t_final")
+    if isinstance(t_final, (int, float)) and not isinstance(t_final, bool) and t_final > 0.2:
+        doc["t_final"] = 0.2
+    directory = tmp_path_factory.mktemp("mutated")
+    path = write_config(directory, doc)
+    named = re.compile("|".join(("config field '", re.escape(path), cli.TOLERANCE_ENV_VAR, "--[a-z]")))
+    for argv in (["synthesize", path], ["simulate", path, "--out", str(directory / "trace.csv")]):
+        # a value of 1e300 overflows the gain and derivative products, on which NumPy warns
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(argv)
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_SYNTHESIS, EXIT_DIVERGENCE, EXIT_BOUND), (argv, err)
+        if code == EXIT_PARSE:
+            assert err.count("\n") == 1 and named.search(err), (doc, err)
 
 
 def test_help_exits_zero(capsys):

@@ -284,6 +284,21 @@ def test_care_solve_rejects_a_residual_over_the_entry_bound_alone(monkeypatch):
         care_solve_with_residual(-2.0 * LIMIT * np.eye(2), monkeypatch)
 
 
+@pytest.mark.parametrize("entry", [math.inf, math.nan], ids=["inf", "nan"])
+def test_care_solve_rejects_a_residual_that_is_not_finite_without_its_eigenvalues(entry, monkeypatch):
+    # an overflowing residual is a failed check, not an argument fault in sym_eig
+    monkeypatch.setattr(matops, "_riccati_residual", lambda *args: np.full((2, 2), entry))
+    message = rf"^Riccati residual \(largest \|entry\| {entry}, lambda_max {entry}\) exceeds "
+    with pytest.raises(matops.NotStabilizableError, match=message):
+        matops.care_solve(A1, B1, 2.0 * Q1, 2.0)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e160, 1e300])
+def test_care_solve_rejects_a_gamma_b_b_t_that_overflows_naming_gamma(scale):
+    with pytest.raises(matops.NotStabilizableError, match=r"^gamma B B\^T overflows at gamma 2$"):
+        matops.care_solve(A1, scale * B1, 2.0 * Q1, 2.0)
+
+
 # --------------------------------------------------------- argument checks
 
 # Each entry point that takes a plant, called on (a, b, q), with the name of its Q argument.

@@ -58,6 +58,29 @@ def test_sim_config_rejects_a_sample_stride_that_is_not_a_positive_integer(strid
         SimConfig(x0=np.zeros((2, 1)), t_final=1.0, sample_stride=stride)
 
 
+@pytest.mark.parametrize(
+    "x0, message",
+    [([[math.nan, 0.0]], "^x0 contains non-finite entries$"), (np.zeros((2, 2, 2)), "^x0 must be 2-D, got ndim=3$")],
+    ids=["nan", "3-d"],
+)
+def test_sim_config_rejects_a_bad_x0_as_a_configuration_error(x0, message):
+    # every SimConfig fault is a ConfigurationError, as the public rhs reports its x and w
+    with pytest.raises(sim.ConfigurationError, match=message):
+        SimConfig(x0=x0, t_final=1.0)
+
+
+@pytest.mark.parametrize("stride", [300, 301, 2**63, 10**300], ids=["nsteps", "nsteps+1", "2**63", "10**300"])
+def test_a_stride_at_or_above_the_horizon_records_the_first_and_last_steps(stride):
+    # every stride from nsteps on samples steps 0 and nsteps; a huge one must not reach np.r_ as it is
+    steps = sim.sample_steps(300, stride)
+    assert steps.dtype.kind == "i" and steps.tolist() == [0, 300]
+    gains, topology = leaderless_gains(), graph.cycle_topology(3)
+    x0 = np.random.default_rng(3).uniform(-0.25, 0.25, size=(3, 2))
+    traces = [sim.run(SimConfig(x0=x0, t_final=0.3, dt=1e-3, sample_stride=k), gains, topology) for k in (300, stride)]
+    for name in traces[0]._fields:
+        assert np.array_equal(getattr(traces[1], name), getattr(traces[0], name)), name
+
+
 def test_sim_config_rejects_horizon_off_the_dt_grid():
     with pytest.raises(sim.ConfigurationError, match="t_final"):
         SimConfig(x0=np.zeros((2, 1)), t_final=1.0005, dt=1e-3)

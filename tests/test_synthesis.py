@@ -125,6 +125,11 @@ def test_certificate_check_rejects_asymmetric_candidate():
         synthesis.verify_riccati_certificate([[1.0, 1.0], [0.0, 1.0]], A1, B1, Q1, 2.0, 2)
 
 
+def test_a_certificate_whose_residual_overflows_has_an_infinite_margin():
+    # 1e300 I makes P A overflow: the inequality is not shown, so no tolerance accepts it
+    assert synthesis.verify_riccati_certificate(1e300 * np.eye(2), A1, B1, Q1, 2.0, 2) == math.inf
+
+
 def test_lmi_corollary_toy_instance_frozen_spectrum():
     # a = -I, b = I, q = I, p~ = I, gamma = 1, multiplier 2:
     # Xi = [[-3 I, 2 I], [2 I, -2 I]] has eigenvalues -2.5 +- sqrt(4.25),

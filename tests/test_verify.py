@@ -92,7 +92,7 @@ def test_analyze_empty_trace():
         j_realized=np.array([]),
         j_bound_integral=np.array([]),
     )
-    with pytest.raises(verify.EmptyTraceError):
+    with pytest.raises(verify.VerificationError, match="^trace contains no samples$"):
         verify.analyze(empty, gains, topology)
 
 
