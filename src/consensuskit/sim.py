@@ -2,31 +2,28 @@
 
 Integrates the coupled agent-state and edge-weight dynamics with a fixed-step
 fourth-order Runge-Kutta scheme over one flat state vector ``[x.ravel(), w]``
-that holds each adaptive edge weight once per state component, so the
-weights form an (adaptive edges, d) block of d bit-identical replicas.
-``run`` is the only RK4; it writes the stage states in place into a
-preallocated block of rows and scans each finished block once for divergence.
-It builds the block's views once per run, the agent columns of each row as
-one flat view and the weight columns with one reshape, and one tuple per
-step slot of a block (its state row, three stage rows and result row, and
-each stage's (x, w) views), so a step unpacks one tuple.  Each derivative
-is five NumPy calls: one lift of the flat agent states into the drift, the
-coupling and the adaptive edges' weight terms and differences (a dense
-Kronecker matrix on networks small enough for one matrix-vector product to
-win, the four structured products above ``_DENSE_LIFT_ENTRIES``), two
-elementwise products and two assembling products.
-Its second and third stages evaluate 2 k2 and 2 k3 directly, which is exact
-except where a slope entry is subnormal, so a step has the textbook RK4's
-bits.  The realized cost J and the integral term J_bound of the
-guaranteed-cost bound never feed back into x or w: once per block of steps,
-one batched pass evaluates both rates at every stored stage state, on one
-component-major (n, d, rows) copy of their agent states: shifts between
-agents are leading-axis differences, and every sum adds whole rows in a
-fixed order, so a stage state's rates do not depend on how many rows the
-pass holds, and ``run`` and the public rhs give them the same bits.  Each
-step adds (dt/6)(r1 + 2 r2 + 2 r3 + r4), summed in step order, which is the
-arithmetic of RK4 over J and J_bound as augmented coordinates, so both keep
-the integrator's accuracy order.
+that holds each adaptive edge weight once per state component, so the weights
+form an (adaptive edges, d) block of d bit-identical replicas.  ``run`` is the
+only RK4; it writes the stage states in place into a preallocated block of
+rows and scans each finished block once for divergence.  It builds the block's
+views once per run, the agent columns of each row as one flat view and the
+weight columns with one reshape, and one tuple per step slot of a block (its
+state row, three stage rows and result row, and each stage's (x, w) views), so
+a step unpacks one tuple.  Each derivative is the five NumPy calls of
+``_Protocol.deriv``.  Its second and third stages evaluate 2 k2 and 2 k3
+directly, which is exact except where a slope entry is subnormal, so a step
+has the textbook RK4's bits.  The realized cost J and the integral term
+J_bound of the guaranteed-cost bound never feed back into x or w: once per
+block of steps, one batched pass evaluates both rates at every stored stage
+state, on one component-major (n, d, rows) copy of their agent states: shifts
+between agents are leading-axis differences, and every sum adds whole rows in
+a fixed order, so a stage state's rates do not depend on how many rows the
+pass holds.  Each step adds (dt/6)(r1 + 2 r2 + 2 r3 + r4), summed in step
+order, which is the arithmetic of RK4 over J and J_bound as augmented
+coordinates, so both keep the integrator's accuracy order.
+``leaderless_rhs(gains, topology)`` and ``leader_follower_rhs`` check their
+inputs and build that protocol once; the callable f(x, w) -> (dx, dw, dJ,
+dJ_bound) they return gives ``run``'s bits.
 """
 
 from __future__ import annotations
@@ -79,12 +76,14 @@ class ConfigurationError(SimulationError):
 
 
 class DivergenceError(SimulationError):
-    """State magnitude exceeded the divergence guard during integration."""
+    """A state was non-finite or exceeded the divergence guard during integration."""
 
     def __init__(self, time: float, magnitude: float):
         self.time = time
         self.magnitude = magnitude
-        super().__init__(f"state magnitude {magnitude:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at t={time:.6f}")
+        finite = math.isfinite(magnitude)  # a NaN exceeds no limit: its row is non-finite
+        state = f"magnitude {magnitude:.3e} exceeded {DIVERGENCE_LIMIT:.0e}" if finite else "is non-finite"
+        super().__init__(f"state {state} at t={time:.6f}")
 
 
 def horizon_steps(t_final: float, dt: float) -> int:
@@ -211,7 +210,7 @@ def _shifted_pair_sums(e: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 class _Protocol:
-    """Adaptive coupling over the flat state ``y = [x.ravel(), w replicated d times]``.
+    """Adaptive coupling over the flat state ``y = [x.ravel(), w replicated d times]``, built once per rhs or run.
 
     Every edge (i, k) couples its agents with weight w_ik through B K_u:
     dx = x A^T - E^T (w * ((E x) (B K_u)^T)), with E the signed incidence
@@ -244,7 +243,10 @@ class _Protocol:
     which ``__init__`` builds and ``doubled`` rebuilds for the twin's
     matrices; ``deriv`` stays a method of the class, so a patch of
     ``_Protocol.deriv`` sees every call.  ``rates`` gives the cost and bound
-    rates of a stack of agent states; only they depend on the mode.
+    rates of a stack of agent states; only they depend on the mode.  Calling
+    the protocol is the public rhs: it checks one Trace row's x and w and
+    runs ``deriv`` into fresh dx and dw and ``rates`` on two copies of x, so
+    the scratch ``z`` that ``deriv`` rewrites carries nothing between calls.
     """
 
     def __init__(self, gains: GainSet, topology: Topology, mode: str):
@@ -354,43 +356,41 @@ class _Protocol:
             djb = self.gamma * _quad_sums(xi, self.k_w)
         return np.stack((dj, djb), axis=1)
 
-
-def _rhs(x, w, gains: GainSet, topology: Topology, mode: str) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(dx, dw, dJ, dJ_bound) at the flat agent states x and the adaptive weights w, as in a Trace row."""
-    protocol = _Protocol(gains, topology, mode)
-    x, w = (_finite_matrix(np.ravel(values), name)[0] for values, name in ((x, "x"), (w, "w")))
-    n, d, adaptive = protocol.n, protocol.d, len(protocol.adaptive_edges)
-    if len(x) != protocol.nd or len(w) != adaptive:
-        raise ConfigurationError(
-            f"x has {len(x)} values and w {len(w)}; expected n*d = {protocol.nd} and one per adaptive edge, {adaptive}"
-        )
-    dx, dw = np.empty((n, d)), np.empty((adaptive, d))
-    protocol.deriv(x, w.repeat(d).reshape(adaptive, d), dx, dw)  # deriv reads each weight d times
-    # two rows, as a run's block has many: a one-row product takes another BLAS path and rounds differently
-    dj, djb = protocol.rates(np.stack((x, x)).reshape(2, n, d))[0]
-    return dx.ravel(), dw[:, 0], float(dj), float(djb)
+    def __call__(self, x, w) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """(dx, dw, dJ, dJ_bound) at the flat agent states x and the adaptive weights w, as in a Trace row."""
+        x, w = (_finite_matrix(np.ravel(values), name)[0] for values, name in ((x, "x"), (w, "w")))
+        n, d, adaptive = self.n, self.d, len(self.adaptive_edges)
+        if len(x) != self.nd or len(w) != adaptive:
+            raise ConfigurationError(
+                f"x has {len(x)} values and w {len(w)}; expected n*d = {self.nd} and one per adaptive edge, {adaptive}"
+            )
+        dx, dw = np.empty((n, d)), np.empty((adaptive, d))
+        self.deriv(x, w.repeat(d).reshape(adaptive, d), dx, dw)  # deriv reads each weight d times
+        # two rows, as a run's block has many: a one-row product takes another BLAS path and rounds differently
+        dj, djb = self.rates(np.stack((x, x)).reshape(2, n, d))[0]
+        return dx.ravel(), dw[:, 0], float(dj), float(djb)
 
 
-def leaderless_rhs(x, w, gains: GainSet, topology: Topology) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Time derivative (dx, dw, dJ, dJ_bound) of the leaderless protocol.
+def leaderless_rhs(gains: GainSet, topology: Topology) -> _Protocol:
+    """The leaderless protocol's time derivative f(x, w) -> (dx, dw, dJ, dJ_bound), built once.
 
     Agent blocks receive A x_i + B K_u sum_k w_ik (x_k - x_i); each edge
     weight receives its error quadratic form; the cost coordinate receives
     the all-pairs quadratic cost rate and the bound coordinate receives the
     translated disagreement quadratic form.
     """
-    return _rhs(x, w, gains, topology, LEADERLESS)
+    return _Protocol(gains, topology, LEADERLESS)
 
 
-def leader_follower_rhs(x, w, gains: GainSet, topology: Topology) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Time derivative (dx, dw, dJ, dJ_bound) of the leader-follower protocol.
+def leader_follower_rhs(gains: GainSet, topology: Topology) -> _Protocol:
+    """The leader-follower protocol's time derivative f(x, w) -> (dx, dw, dJ, dJ_bound), built once.
 
     The leaderless coupling with the leader's input removed: the leader
     propagates autonomously, followers combine the adaptively weighted leader
     coupling with fixed-weight follower coupling, and only leader-incident
     edge weights adapt.
     """
-    return _rhs(x, w, gains, topology, LEADER_FOLLOWER)
+    return _Protocol(gains, topology, LEADER_FOLLOWER)
 
 
 def run(config: SimConfig, gains: GainSet, topology: Topology) -> Trace:

@@ -118,7 +118,7 @@ def analyze(
     consensus_achieved = final_err <= tol["consensus"] * (initial_err + 1.0)
 
     rhs = sim.leaderless_rhs if gains.mode == LEADERLESS else sim.leader_follower_rhs
-    _, dw, _, bound_rate = rhs(trace.states[-1], trace.weights[-1], gains, topology)
+    _, dw, _, bound_rate = rhs(gains, topology)(trace.states[-1], trace.weights[-1])
     final_weight_rate = float(np.abs(dw).max()) if dw.size else 0.0
 
     # leaderless agents track the consensus function e^{At} avg x(0) at

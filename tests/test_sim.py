@@ -21,7 +21,7 @@ def leaderless_gains(gamma=2.0):
 
 
 def gains_and_rhs(mode):
-    """The A1 plant's gains for the mode and the mode's public rhs."""
+    """The A1 plant's gains for the mode and the mode's rhs builder."""
     if mode == LEADERLESS:
         return leaderless_gains(), sim.leaderless_rhs
     return synthesis.design_leader_follower(A1, B1, Q1, 1.0), sim.leader_follower_rhs
@@ -96,7 +96,7 @@ def test_leaderless_rhs_zero_disagreement():
     gains = leaderless_gains()
     topology = graph.complete_topology(3)
     x = np.tile([0.3, -0.7], (3, 1))
-    dx, dw, dj, djb = sim.leaderless_rhs(x.ravel(), np.ones(3), gains, topology)
+    dx, dw, dj, djb = sim.leaderless_rhs(gains, topology)(x.ravel(), np.ones(3))
     assert np.abs(dw).max() == 0.0
     assert dj == 0.0
     assert djb == 0.0
@@ -107,7 +107,7 @@ def test_leaderless_rhs_rejects_leader_follower_gains():
     gains = synthesis.design_leader_follower([[0.0]], [[1.0]], [[1.0]], 1.0)
     topology = graph.complete_topology(3)
     with pytest.raises(sim.ConfigurationError):
-        sim.leaderless_rhs(np.zeros(3), np.ones(3), gains, topology)
+        sim.leaderless_rhs(gains, topology)
 
 
 # ----------------------------------------------------------- leader-follower
@@ -121,7 +121,7 @@ def test_leader_follower_requires_leader_one():
     gains = synthesis.design_leader_follower([[0.0]], [[1.0]], [[1.0]], 1.0)
     topology = Topology(n=3, edges=((1, 2), (2, 3)), leader=2)
     with pytest.raises(sim.ConfigurationError):
-        sim.leader_follower_rhs(np.zeros(3), np.ones(1), gains, topology)
+        sim.leader_follower_rhs(gains, topology)
 
 
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
@@ -132,9 +132,10 @@ def test_rhs_rejects_a_state_or_weight_vector_of_the_wrong_size(mode, extra_x, e
     gains, rhs = gains_and_rhs(mode)
     topology = Topology(n=4, edges=lf_topology().edges, leader=1 if mode == LEADER_FOLLOWER else None)
     adaptive = len(sim.adaptive_edges(topology, mode))
+    f = rhs(gains, topology)
     with pytest.raises(sim.ConfigurationError, match="expected n\\*d = 8 and one per adaptive edge"):
-        rhs(np.ones(8 + extra_x), np.full(adaptive + extra_w, 5.0), gains, topology)
-    dx, dw, _, _ = rhs(np.ones(8), np.full(adaptive, 5.0), gains, topology)
+        f(np.ones(8 + extra_x), np.full(adaptive + extra_w, 5.0))
+    dx, dw, _, _ = f(np.ones(8), np.full(adaptive, 5.0))
     assert (dx.shape, dw.shape) == ((8,), (adaptive,))
 
 
@@ -147,7 +148,7 @@ def test_rhs_rejects_a_non_finite_state_or_weight(mode, name, bad):
     values = {"x": np.ones(8), "w": np.full(len(sim.adaptive_edges(topology, mode)), 5.0)}
     values[name][1] = bad
     with pytest.raises(sim.ConfigurationError, match=f"^{name} contains non-finite entries$"):
-        rhs(values["x"], values["w"], gains, topology)
+        rhs(gains, topology)(values["x"], values["w"])
 
 
 # ------------------------------------------------------------ the RK4 step
@@ -184,11 +185,11 @@ def test_rk4_step_fifth_order_local_error():
 
 
 def augmented_rhs(rhs, gains, topology):
-    """dy/dt over y = [x, w, J, J_bound] from the public rhs, J and J_bound as ODE coordinates."""
-    nd = topology.n * gains.state_dim
+    """dy/dt over y = [x, w, J, J_bound] from the rhs the builder makes once, J and J_bound as ODE coordinates."""
+    nd, built = topology.n * gains.state_dim, rhs(gains, topology)
 
     def f(y):
-        dx, dw, dj, djb = rhs(y[:nd], y[nd:-2], gains, topology)
+        dx, dw, dj, djb = built(y[:nd], y[nd:-2])
         return np.concatenate((dx, dw, (dj, djb)))
 
     return f
@@ -420,6 +421,20 @@ def test_run_divergence_scan_reports_the_first_step_of_a_block_that_overflows():
         for _ in range(395):
             y = rk4_step(f, y, 1e-3)
     assert not np.isfinite(y[:3]).all()
+
+
+def test_a_step_whose_row_holds_a_nan_is_named_non_finite():
+    # a NaN exceeds no limit: a start near the float range overflows within
+    # the first step, whose row then holds NaN, and the message says so
+    gains, topology = leaderless_gains(), graph.cycle_topology(3)
+    x0 = np.random.default_rng(3).uniform(-1e300, 1e300, size=(3, 2))
+    with pytest.raises(sim.DivergenceError) as excinfo:
+        sim.run(SimConfig(x0=x0, t_final=0.01, dt=1e-3), gains, topology)
+    assert excinfo.value.time == 1e-3 and math.isnan(excinfo.value.magnitude)
+    assert str(excinfo.value) == "state is non-finite at t=0.001000"
+    assert str(sim.DivergenceError(time=1e-3, magnitude=math.inf)) == "state is non-finite at t=0.001000"
+    # a finite magnitude past the guard keeps its wording
+    assert str(sim.DivergenceError(time=0.5, magnitude=2e9)) == "state magnitude 2.000e+09 exceeded 1e+09 at t=0.500000"
 
 
 def test_run_keeps_fixed_follower_weights_bit_constant(monkeypatch):
@@ -714,6 +729,34 @@ def test_bound_integral_is_at_least_the_weight_growth_on_any_connected_graph(mod
     assert integral >= form - tolerance
 
 
+# a damped oscillator: every coordinate, J and J_bound among them, settles smoothly
+A_DAMPED = np.array([[0.0, 1.0], [-1.0, -0.5]])
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_cost_and_bound_integral_keep_the_integrators_accuracy_order(mode, data):
+    # J and J_bound are summed from the stage rates with RK4's weights, so
+    # halving dt shrinks their error, like that of x(T), about 16 times (at
+    # least 12 here); criterion 8 asks the same of the states alone
+    n, edges, weights = draw_connected_graph(data)
+    topology = Topology(n=n, edges=tuple(edges), weights=weights, leader=1 if mode == LEADER_FOLLOWER else None)
+    design = synthesis.design_leaderless if mode == LEADERLESS else synthesis.design_leader_follower
+    gains = design(A_DAMPED, B1, Q1, data.draw(st.sampled_from([1.0, 2.0, 4.0]), label="gamma"))
+    x0 = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")).uniform(-0.5, 0.5, size=(n, 2))
+
+    def at_t_final(dt):
+        """J(T), J_bound(T) and x(T) of the run to T = 1 at step dt."""
+        trace = sim.run(SimConfig(x0=x0, t_final=1.0, dt=dt, sample_stride=10**6), gains, topology)
+        return np.concatenate(((trace.j_realized[-1], trace.j_bound_integral[-1]), trace.states[-1]))
+
+    reference = at_t_final(1e-4)
+    errors = np.abs([at_t_final(dt) - reference for dt in (0.04, 0.02, 0.01, 0.005)])
+    errors = np.column_stack((errors[:, :2], errors[:, 2:].max(axis=1)))  # J, J_bound, x(T)
+    assert (errors[:-1] >= 12.0 * errors[1:]).all(), errors
+
+
 def ordered_pair_sum(x, m):
     """Sum of (x_i - x_k)^T m (x_i - x_k) over ordered agent pairs, from every pair difference."""
     pairs = (x[None, :, :] - x[:, None, :]).reshape(-1, x.shape[1])
@@ -764,7 +807,7 @@ def test_cost_rates_and_bound_match_the_ordered_pair_form(mode, data):
     edges = tuple((1, k) for k in range(2, n + 1))
     if mode == LEADERLESS:
         gains = leaderless_gains()
-        _, _, got_dj, got_djb = sim.leaderless_rhs(x.ravel(), np.ones(n - 1), gains, Topology(n=n, edges=edges))
+        _, _, got_dj, got_djb = sim.leaderless_rhs(gains, Topology(n=n, edges=edges))(x.ravel(), np.ones(n - 1))
         dj, dj_tol = ordered_pair_sum(x, Q1) / n, pair_sum_tolerance(x, Q1) / n
         quad = ordered_pair_sum(x, gains.certificate) / (2.0 * n)
         quad_tol = pair_sum_tolerance(x, gains.certificate) / (2.0 * n)
@@ -773,7 +816,7 @@ def test_cost_rates_and_bound_match_the_ordered_pair_form(mode, data):
     else:
         gains = synthesis.design_leader_follower(A1, B1, Q1, 1.0)
         topology = Topology(n=n, edges=edges, leader=1)
-        _, _, got_dj, got_djb = sim.leader_follower_rhs(x.ravel(), np.ones(n - 1), gains, topology)
+        _, _, got_dj, got_djb = sim.leader_follower_rhs(gains, topology)(x.ravel(), np.ones(n - 1))
         xi = x[1:] - x[0]
         pinned = float(((xi @ Q1) * xi).sum())
         dj = pinned + ordered_pair_sum(x[1:], Q1) / (n - 1)
@@ -801,7 +844,7 @@ def test_cost_rates_and_bound_are_exactly_zero_at_common_states(mode, data):
     edges = tuple((1, k) for k in range(2, n + 1))
     topology = Topology(n=n, edges=edges, leader=1 if mode == LEADER_FOLLOWER else None)
     rhs = sim.leaderless_rhs if mode == LEADERLESS else sim.leader_follower_rhs
-    _, dw, dj, djb = rhs(x.ravel(), np.ones(n - 1), gains, topology)
+    _, dw, dj, djb = rhs(gains, topology)(x.ravel(), np.ones(n - 1))
     assert dj == 0.0 and djb == 0.0
     assert np.abs(dw).max() == 0.0
     assert sim.guaranteed_cost_bound(one_sample_trace(mode, x), gains) == 0.0
@@ -849,13 +892,13 @@ def per_agent_rhs(mode, gains, topology, x, w):
 
 def assert_rhs_matches_the_per_agent_equations(mode, gains, data):
     """The mode's public rhs against per_agent_rhs on a drawn graph, initial weights and adaptive weights."""
-    rhs = sim.leaderless_rhs if mode == LEADERLESS else sim.leader_follower_rhs
     n, edges, weights = draw_connected_graph(data)
     topology = Topology(n=n, edges=tuple(edges), weights=weights, leader=1 if mode == LEADER_FOLLOWER else None)
+    rhs = (sim.leaderless_rhs if mode == LEADERLESS else sim.leader_follower_rhs)(gains, topology)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     x = rng.normal(size=(n, gains.state_dim))
     w = rng.uniform(0.5, 4.0, size=len(sim.adaptive_edges(topology, mode)))
-    dx, dw, dj, djb = rhs(x.ravel(), w, gains, topology)
+    dx, dw, dj, djb = rhs(x.ravel(), w)
     want_dx, want_dw, want_dj, want_djb = per_agent_rhs(mode, gains, topology, x, w)
     # Both forms round each term to about 1e-16 relative, so they agree to
     # 1e-12 of the largest sum each can hold.  With every |x_i| and
@@ -874,7 +917,7 @@ def assert_rhs_matches_the_per_agent_equations(mode, gains, data):
         # every adaptive weight is redrawn
         d = gains.state_dim
         redrawn = np.concatenate((x[0], rng.normal(size=(n - 1) * d)))
-        moved, _, _, _ = rhs(redrawn, rng.uniform(0.5, 4.0, size=len(w)), gains, topology)
+        moved, _, _, _ = rhs(redrawn, rng.uniform(0.5, 4.0, size=len(w)))
         assert np.array_equal(moved[:d], dx[:d])
 
 
@@ -902,7 +945,7 @@ B4 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.3, 1.0]])
 
 
 def plant_gains_and_rhs(mode, d):
-    """Gains for the mode on the d = 1 (a = 0, b = 1), A1 (d = 2) or A4 (d = 4) plant, and the mode's public rhs."""
+    """Gains for the mode on the d = 1 (a = 0, b = 1), A1 (d = 2) or A4 (d = 4) plant, and the mode's rhs builder."""
     if d == 2:
         return gains_and_rhs(mode)
     a, b = ([[0.0]], [[1.0]]) if d == 1 else (A4, B4)
@@ -920,6 +963,28 @@ def test_rhs_matches_the_per_agent_equations_for_an_override_k_w(mode, data):
     designed, _ = plant_gains_and_rhs(mode, 4)
     k_w = np.random.default_rng(data.draw(st.integers(0, 2**16), label="k_w seed")).normal(size=(4, 4))
     assert_rhs_matches_the_per_agent_equations(mode, designed.replace(k_w=k_w), data)
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
+@pytest.mark.parametrize("lift", LIFTS)
+def test_one_built_rhs_gives_the_bits_of_a_fresh_one_at_every_call(mode, lift):
+    # every call of one built rhs rewrites the same scratch z and builds no
+    # protocol: a call at (x2, w2) between two at (x1, w1) changes no bit of the second
+    gains, rhs = gains_and_rhs(mode)
+    weights = {(1, 2): 1.0, (1, 3): 2.0, (2, 3): 0.3, (3, 4): 1.7, (4, 5): 0.5}
+    topology = Topology(n=5, edges=tuple(weights), weights=weights, leader=1 if mode == LEADER_FOLLOWER else None)
+    rng = np.random.default_rng(53)
+    adaptive = len(sim.adaptive_edges(topology, mode))
+    first, second = ((rng.normal(size=10), rng.uniform(0.5, 4.0, size=adaptive)) for _ in range(2))
+    with mock.patch.object(sim, "_DENSE_LIFT_ENTRIES", LIFTS[lift]):
+        f = rhs(gains, topology)
+        want = [rhs(gains, topology)(*values) for values in (first, second, first)]
+        with mock.patch.object(sim._Protocol, "__init__", side_effect=AssertionError("a call built a protocol")):
+            got = [f(*values) for values in (first, second, first)]
+    assert (f.lift.__self__ is f) == (lift == "products")
+    for got_call, want_call in zip(got, want):
+        assert all(np.array_equal(g, w) for g, w in zip(got_call, want_call))
+    assert not np.array_equal(got[0][0], got[1][0])
 
 
 @pytest.mark.parametrize("mode", [LEADERLESS, LEADER_FOLLOWER])
